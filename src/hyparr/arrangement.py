@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 
 from .errors import DuplicateHyperplane, NotEssential, OnHyperplane, ZeroForm
 from .linalg import RatMatrix, RatVector, canonical_int_vector, primitive_int_vector, rank
@@ -63,6 +64,8 @@ class Arrangement:
         forms = [f if isinstance(f, RatVector) else RatVector.of(f) for f in forms]
         if labels is None:
             labels = [f"H{i + 1}" for i in range(len(forms))]
+        elif len(labels) != len(forms):
+            raise ValueError(f"{len(labels)} labels for {len(forms)} forms")
         return cls(dim, tuple(Hyperplane(f, l) for f, l in zip(forms, labels)))
 
     @property
@@ -228,7 +231,32 @@ def affine_to_obj(B: AffineArrangement) -> dict:
     }
 
 
+def _require(obj: dict, *keys: str) -> None:
+    """Reject an arrangement object that lacks a key, or holds a value of the
+    wrong JSON type, before a conversion can raise TypeError or OverflowError."""
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise ValueError(f"arrangement object lacks {', '.join(missing)}")
+
+    def rational(x):
+        return isinstance(x, (int, str)) or isinstance(x, float) and isfinite(x)
+
+    def listed(v, ok=rational):
+        return isinstance(v, list) and all(map(ok, v))
+
+    bad = [k for k, ok in (
+        ("dim", isinstance(obj["dim"], (int, str))),
+        ("forms", isinstance(obj["forms"], list) and all(map(listed, obj["forms"]))),
+        ("constants", listed(obj.get("constants", []))),
+        ("labels", obj.get("labels") is None
+         or listed(obj["labels"], lambda x: isinstance(x, str))),
+    ) if not ok]
+    if bad:
+        raise ValueError(f"arrangement object has malformed {', '.join(bad)}")
+
+
 def arrangement_from_obj(obj: dict) -> Arrangement:
+    _require(obj, "dim", "forms")
     dim = int(obj["dim"])
     forms = [[Fraction(x) for x in row] for row in obj["forms"]]
     labels = obj.get("labels") or None
@@ -236,6 +264,7 @@ def arrangement_from_obj(obj: dict) -> Arrangement:
 
 
 def affine_from_obj(obj: dict) -> AffineArrangement:
+    _require(obj, "dim", "forms", "constants")
     dim = int(obj["dim"])
     forms = [[Fraction(x) for x in row] for row in obj["forms"]]
     constants = [Fraction(c) for c in obj["constants"]]

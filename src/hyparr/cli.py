@@ -8,8 +8,8 @@ Every report-producing subcommand prints one JSON document:
 with rationals as strings, hyperplane indices 1-based, and fields in a fixed
 order, so identical inputs and flags yield byte-identical output.  `builtin`
 and `cone` print a bare arrangement object that the other subcommands read
-back.  Exit codes: 0 success, 1 domain error (structured JSON on stdout),
-2 usage error.
+back.  Exit codes: 0 success, 1 domain error or failed internal check
+(structured JSON on stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -98,12 +98,26 @@ def _emit(command: str, digest: str, payload: dict, certs: _Certs) -> None:
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _load(path: str) -> tuple[Arrangement, str]:
+def _read_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise HyparrError(f"input holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
+def _load(path: str) -> tuple[Arrangement, str]:
+    obj = _read_object(path)
     if "constants" in obj:
         raise HyparrError("input is an affine arrangement; run `cone` first")
     return validate(arrangement_from_obj(obj)), _digest_file(path)
+
+
+def _signs(A: Arrangement, text: str, name: str) -> SignVector:
+    signs = SignVector.from_string(text)
+    if len(signs) != A.n:
+        raise HyparrError(f"{name} has length {len(signs)}, expected {A.n}")
+    return signs
 
 
 def _cmd_validate(args) -> None:
@@ -208,10 +222,8 @@ def _cmd_obstruct(args) -> None:
 def _cmd_sink(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    eps = SignVector.from_string(args.eps)
-    if len(eps) != A.n:
-        raise HyparrError(f"eps has length {len(eps)}, expected {A.n}")
-    start = (chamber_from_signs(A, SignVector.from_string(args.start))
+    eps = _signs(A, args.eps, "eps")
+    start = (chamber_from_signs(A, _signs(A, args.start, "start"))
              if args.start else lex_smallest_chamber(A))
     path = flow_to_sink(A, eps, start)
     sinks = all_sinks(A, eps, limit=args.limit)
@@ -230,9 +242,7 @@ def _cmd_sink(args) -> None:
 def _cmd_certify(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    eps = SignVector.from_string(args.eps)
-    if len(eps) != A.n:
-        raise HyparrError(f"eps has length {len(eps)}, expected {A.n}")
+    eps = _signs(A, args.eps, "eps")
     weights = None
     if args.weights:
         weights = [Fraction(w) for w in args.weights.split(",")]
@@ -261,9 +271,7 @@ def _cmd_certify(args) -> None:
 def _cmd_sphere(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    eps = SignVector.from_string(args.eps)
-    if len(eps) != A.n:
-        raise HyparrError(f"eps has length {len(eps)}, expected {A.n}")
+    eps = _signs(A, args.eps, "eps")
     points = sample_sphere_points(A, eps, args.count, seed=args.seed)
     payload = {
         "eps": args.eps,
@@ -300,8 +308,7 @@ def _cmd_builtin(args) -> None:
 
 
 def _cmd_cone(args) -> None:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_object(args.file)
     if "constants" not in obj:
         raise HyparrError("cone expects an affine arrangement (with constants)")
     B = affine_from_obj(obj)
@@ -374,8 +381,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_sign_values(argv) -> list[str]:
+    """Rewrite `--eps -+++` as `--eps=-+++`, and so for `--start`: argparse
+    takes a separate value that begins with '-' for an unknown option."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in ("--eps", "--start") and tok and set(tok) <= {"+", "-"}:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_sign_values(argv))
     try:
         args.fn(args)
     except (HyparrError, ValueError, OSError, json.JSONDecodeError) as exc:

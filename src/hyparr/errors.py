@@ -59,3 +59,7 @@ class WitnessNotFound(HyparrError):
 
 class RealizationInvalid(HyparrError):
     """A catalog arrangement failed its built-in incidence verification."""
+
+
+class InternalError(HyparrError):
+    """An internal invariant failed: a defect in hyparr, not in the input."""

@@ -1,18 +1,26 @@
 """Intersection lattice: flats, localizations, Moebius function, region count.
 
 Flats are identified by their closed index set {i : X is inside H_i}; two
-flats are equal iff those sets are.  The Moebius-based region count is the
-independent cross-check for the chamber enumeration elsewhere.
+flats are equal iff those sets are.  Flats are built level by level from the
+restriction rule (Orlik-Terao, the restriction A^X): the flats covering X
+are the intersections of X with H_i for i outside X, and two of them
+coincide exactly when forms i and j, restricted to X, are proportional.
+Restricting every form to X's integer kernel rows therefore finds all
+covers of X at once, with integer dot products and one kernel basis per
+flat.  The Moebius-based region count is the independent cross-check for
+the chamber enumeration elsewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .arrangement import Arrangement
-from .errors import UnknownFlat
-from .linalg import RatMatrix, RatVector, kernel_basis
+from .errors import InternalError, UnknownFlat
+from .linalg import (RatMatrix, RatVector, canonical_int_vector, kernel_basis,
+                     primitive_int_vector)
 
 
 def closure_of_forms(forms, dim, indices: frozenset[int]) -> frozenset[int]:
@@ -27,34 +35,6 @@ def closure_of_forms(forms, dim, indices: frozenset[int]) -> frozenset[int]:
         if all(f.dot(row) == 0 for row in K.rows):
             out.append(j)
     return frozenset(out)
-
-
-def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
-    """All closed index sets of a central (not necessarily essential) family,
-    mapped to their rank; computed by iterated pairwise intersection."""
-    forms = [f if isinstance(f, RatVector) else RatVector.of(f) for f in forms]
-    n = len(forms)
-
-    def rank_of(S):
-        if not S:
-            return 0
-        return dim - kernel_basis(RatMatrix.of([forms[i] for i in sorted(S)], dim)).nrows
-
-    bottom = closure_of_forms(forms, dim, frozenset())
-    known = {bottom: rank_of(bottom)}
-    frontier = [bottom]
-    while frontier:
-        nxt = {}
-        for S in frontier:
-            for j in range(n):
-                if j in S:
-                    continue
-                closed = closure_of_forms(forms, dim, S | {j})
-                if closed not in known and closed not in nxt:
-                    nxt[closed] = rank_of(closed)
-        known.update(nxt)
-        frontier = list(nxt)
-    return known
 
 
 @dataclass(frozen=True)
@@ -109,52 +89,63 @@ def localization(L: Lattice, X: Flat) -> frozenset[int]:
     return X.contains
 
 
+def _levels(forms, dim) -> list[list[Flat]]:
+    """The flats of a central family of RatVector forms, one list per codim,
+    each sorted by key; the family need not be essential."""
+    rows = [primitive_int_vector(f) for f in forms]
+
+    def make_flat(closed: frozenset[int], codim: int) -> Flat:
+        K = kernel_basis(RatMatrix.of([forms[i] for i in sorted(closed)], dim))
+        if K.nrows != dim - codim:
+            raise InternalError(f"flat {sorted(closed)} has {K.nrows} kernel rows, "
+                                f"expected {dim - codim}")
+        return Flat(closed, codim, K)
+
+    levels = [[make_flat(closure_of_forms(forms, dim, frozenset()), 0)]]
+    while True:
+        new = set()
+        for X in levels[-1]:
+            basis = [[int(a) for a in k] for k in X.kernel.rows]
+            covers: dict[tuple[int, ...], set[int]] = {}
+            for i, r in enumerate(rows):
+                restricted = [sum(map(mul, r, k)) for k in basis]
+                if any(restricted) == (i in X.contains):
+                    raise InternalError(f"kernel of flat {sorted(X.contains)} "
+                                        f"disagrees with form {i + 1}")
+                if i not in X.contains:
+                    covers.setdefault(canonical_int_vector(restricted), set()).add(i)
+            new.update(X.contains.union(group) for group in covers.values())
+        if not new:
+            return levels
+        levels.append([make_flat(c, len(levels)) for c in sorted(new, key=sorted)])
+
+
+def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
+    """All closed index sets of a central (not necessarily essential) family,
+    mapped to their rank."""
+    forms = [f if isinstance(f, RatVector) else RatVector.of(f) for f in forms]
+    return {X.contains: X.codim for level in _levels(forms, dim) for X in level}
+
+
 @lru_cache(maxsize=256)
 def build_lattice(A: Arrangement) -> Lattice:
-    """Iterated pairwise intersection to a fixed point, level by level."""
-    n, dim = A.n, A.dim
-    forms = A.forms
-
-    def make_flat(closed: frozenset[int]) -> Flat:
-        if closed:
-            sub = RatMatrix.of([forms[i] for i in sorted(closed)], dim)
-        else:
-            sub = RatMatrix((), dim)
-        K = kernel_basis(sub)
-        return Flat(closed, dim - K.nrows, K)
-
-    bottom = make_flat(closure_of_forms(forms, dim, frozenset()))
-    levels = [[bottom]]
-    known = {bottom.contains}
-    frontier = [bottom]
-    while frontier:
-        nxt = {}
-        for X in frontier:
-            for j in range(n):
-                if j in X.contains:
-                    continue
-                closed = closure_of_forms(forms, dim, X.contains | {j})
-                if closed in known or closed in nxt:
-                    continue
-                nxt[closed] = make_flat(closed)
-        if not nxt:
-            break
-        frontier = [nxt[k] for k in sorted(nxt, key=lambda s: tuple(sorted(s)))]
-        known.update(nxt)
-        levels.append(frontier)
-
-    flats = [f for level in levels for f in level]
-    # Moebius recursion: mu(V) = 1, then the sum over flats above X is zero.
-    mu = {bottom.key(): 1}
-    for level in levels[1:]:
+    """Flats level by level by the restriction rule, then Moebius values."""
+    levels = _levels(A.forms, A.dim)
+    flats = [X for level in levels for X in level]
+    # mu(V) = 1, and mu(X) is minus the sum of mu(Y) over the flats Y that
+    # strictly contain X.  Those Y are on lower levels, and Y contains X iff
+    # Y's bitmask is inside X's.  The check sums over every flat instead.
+    masks, values = [], []
+    for level in levels:
+        above = list(zip(masks, values))
         for X in level:
-            s = sum(mu[Y.key()] for Y in flats
-                    if Y.contains < X.contains and Y.key() in mu)
-            mu[X.key()] = -s
-    L = Lattice(A, flats, mu)
-    for X in flats[1:]:
-        assert sum(L.mu(Y) for Y in flats if Y.contains <= X.contains) == 0
-    return L
+            m = sum(1 << i for i in X.contains)
+            masks.append(m)
+            values.append(-sum(v for b, v in above if b & m == b) if above else 1)
+    for X, m in zip(flats[1:], masks[1:]):
+        if sum(v for b, v in zip(masks, values) if b & m == b) != 0:
+            raise InternalError(f"Moebius sum up to flat {sorted(X.contains)} is not 0")
+    return Lattice(A, flats, {X.key(): v for X, v in zip(flats, values)})
 
 
 def chamber_count_oracle(L: Lattice) -> int:

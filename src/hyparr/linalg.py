@@ -101,15 +101,11 @@ def primitive_int_vector(values) -> tuple[int, ...]:
     Returns the zero tuple unchanged.  The scaling is positive, so signs and
     the solution set of `v . x > 0` are preserved.
     """
-    fracs = [Fraction(v) for v in values]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    den = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(a // g for a in ints)
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    g = gcd(*ints)
+    return tuple(a // g for a in ints) if g else tuple(ints)
 
 
 def canonical_int_vector(values) -> tuple[int, ...]:

@@ -1,7 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import hyparr
 from hyparr import catalog
 from hyparr.arrangement import arrangement_to_obj
 from hyparr.cli import main
@@ -198,3 +203,58 @@ def test_hyparr_seed_env_override(tmp_path, monkeypatch, capsys):
     _, out_flag = run_cli(capsys, "builtin", "generic", "--n", "4", "--l", "3",
                           "--seed", "17")
     assert out_env == out_flag
+
+
+def _write(tmp_path, name, obj):
+    p = tmp_path / name
+    p.write_text(json.dumps(obj))
+    return str(p)
+
+
+GENERIC4 = arrangement_to_obj(catalog.generic4())
+
+
+@pytest.mark.parametrize("command, obj, extra, error", [
+    ("validate", dict(GENERIC4, labels=["x", "y", "z"]), (), "ValueError"),
+    ("validate", [GENERIC4], (), "HyparrError"),
+    ("lattice", {"dim": 3}, (), "ValueError"),
+    ("lattice", {"forms": GENERIC4["forms"]}, (), "ValueError"),
+    ("lattice", {"dim": 3, "forms": 3}, (), "ValueError"),
+    ("lattice", {"dim": 3, "forms": [["1", None, "0"]]}, (), "ValueError"),
+    ("lattice", {"dim": 2, "forms": [[float("inf"), 1], [0, 1]]}, (), "ValueError"),
+    ("lattice", {"dim": [3], "forms": GENERIC4["forms"]}, (), "ValueError"),
+    ("lattice", dict(GENERIC4, labels=7), (), "ValueError"),
+    ("cone", 7, (), "HyparrError"),
+    ("cone", {"dim": 2, "constants": ["1"]}, (), "ValueError"),
+    ("sink", GENERIC4, ("--eps=+++-", "--start=+-+"), "HyparrError"),
+    ("sink", GENERIC4, ("--eps=++-",), "HyparrError"),
+])
+def test_malformed_input_is_structured_error(tmp_path, capsys, command, obj, extra, error):
+    code, out = run_cli(capsys, command, _write(tmp_path, "in.json", obj), *extra)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["command"] == command
+    assert doc["error"]["type"] == error
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (("sink", "--eps", "---+", "--start", "-+++"), ("sink", "--eps=---+", "--start=-+++")),
+    (("certify", "--eps", "---+"), ("certify", "--eps=---+")),
+    (("sphere", "--eps", "---+", "--count", "3"), ("sphere", "--eps=---+", "--count", "3")),
+])
+def test_sign_vector_after_a_space(tmp_path, capsys, spaced, joined):
+    f = write_generic4(tmp_path)
+    outs = [run_cli(capsys, argv[0], f, *argv[1:]) for argv in (spaced, joined)]
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_lattice_checks_stay_on_under_optimize(tmp_path):
+    f = write_cx2(tmp_path)
+    env = dict(os.environ)
+    pkg_parent = str(Path(hyparr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
+    runs = [subprocess.run([sys.executable, *opt, "-m", "hyparr.cli", "lattice", f],
+                           env=env, capture_output=True, text=True) for opt in ((), ("-O",))]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout

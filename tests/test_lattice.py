@@ -1,13 +1,22 @@
+import contextlib
+import hashlib
+import io
+import json
 import random
 from collections import Counter
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
+import hyparr.lattice
 from hyparr import catalog
-from hyparr.errors import UnknownFlat
+from hyparr.arrangement import Arrangement, arrangement_to_obj, validate
+from hyparr.cli import main
+from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, UnknownFlat, ZeroForm
 from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
-                            characteristic_polynomial, localization)
-from hyparr.linalg import RatMatrix, rank
+                            characteristic_polynomial, closed_sets_of_forms, localization)
+from hyparr.linalg import RatMatrix, canonical_int_vector, primitive_int_vector, rank
 
 from conftest import random_arrangement
 from oracles import brute_force_flats
@@ -117,3 +126,135 @@ def test_codim_equals_rank_and_distinct_contains():
 def test_characteristic_polynomial_generic4(generic4):
     # chi(t) = t^3 - 4t^2 + 6t - 3; coefficients are listed c[0]..c[dim]
     assert characteristic_polynomial(build_lattice(generic4)) == (-3, 6, -4, 1)
+
+
+# Entries of the non-generic draws: mostly -1, 0, 1, so that many planes meet
+# in one flat, and a few fractions, so that rows are not already primitive.
+ENTRIES = (-1, -1, 0, 0, 0, 1, 1, Fraction(1, 2), Fraction(-2, 3), -2)
+
+
+def _nongeneric_arrangements(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(3, 4)
+        forms = [[rng.choice(ENTRIES) for _ in range(dim)] for _ in range(rng.randint(dim, 8))]
+        try:
+            out.append(validate(Arrangement.from_forms(dim, forms)))
+        except (ZeroForm, DuplicateHyperplane, NotEssential):
+            continue
+    return out
+
+
+def _moebius_by_definition(flats):
+    """mu(bottom) = 1 and mu(X) = -sum of mu(Y) over the Y with Y.contains < X.contains."""
+    mu = {}
+    for X in sorted(flats, key=lambda f: f.codim):
+        mu[X.contains] = -sum(mu[Y.contains] for Y in flats
+                              if Y.contains < X.contains) if X.codim else 1
+    return mu
+
+
+def test_nongeneric_lattice_matches_brute_force():
+    multiple_points = 0
+    for A in _nongeneric_arrangements(31, 25):
+        L = build_lattice(A)
+        forms = [tuple(h.form) for h in A.hyperplanes]
+        brute = brute_force_flats(forms, A.dim)
+        assert {X.contains: X.codim for X in L.flats} == brute
+        mu = _moebius_by_definition(L.flats)
+        for X in L.flats:
+            assert L.mu(X) == mu[X.contains]
+            assert X.kernel.nrows == A.dim - X.codim
+            for i, f in enumerate(A.forms):
+                vanishes = all(f.dot(k) == 0 for k in X.kernel.rows)
+                assert vanishes == (i in X.contains)
+            multiple_points += X.codim == 2 and len(X.contains) > 2
+    assert multiple_points >= 10  # the draws are far from generic
+
+
+def test_closed_sets_of_non_essential_family():
+    # forms u . M for u in {-1, 0, 1}^3 and M of rank 3: a rank-3 family in R^4
+    M = ((1, 0, 2, Fraction(1, 2)), (0, 1, -1, 0), (1, 1, 0, -3))
+    rng = random.Random(37)
+    for _ in range(6):
+        forms, keys = [], set()
+        while len(forms) < 7:
+            u = [rng.choice((-1, 0, 1)) for _ in range(3)]
+            f = tuple(sum(u[r] * M[r][c] for r in range(3)) for c in range(4))
+            key = canonical_int_vector(f)
+            if any(f) and key not in keys:
+                keys.add(key)
+                forms.append(f)
+        closed = closed_sets_of_forms(forms, 4)
+        assert closed == brute_force_flats(forms, 4)
+        assert max(closed.values()) == rank(RatMatrix.of(forms, 4)) == 3
+
+
+# sha256 of `hyparr lattice` stdout on the files `hyparr builtin` prints
+LATTICE_SHA256 = {
+    "braid5": "a57bd479690df63b4a1434ee6e16169edadbb9e123f1e12c905ac2a5a7b27e57",
+    "cx2": "40e00aecdaf05c71b0388dd8feb9ca7e50ce3d288e1d70429604d77ed29bf46b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_SHA256))
+def test_lattice_output_bytes_are_pinned(name, tmp_path):
+    A = catalog.braid(5) if name == "braid5" else catalog.x2_coned()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["lattice", str(path)]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == LATTICE_SHA256[name]
+
+
+def _primitive_by_fractions(values):
+    """The Fraction-only reference: scale by the lcm of the denominators, then
+    divide by the gcd."""
+    fracs = [Fraction(v) for v in values]
+    if all(f == 0 for f in fracs):
+        return tuple(0 for _ in fracs)
+    den = lcm(*(f.denominator for f in fracs))
+    ints = [int(f * den) for f in fracs]
+    g = 0
+    for a in ints:
+        g = gcd(g, abs(a))
+    return tuple(a // g for a in ints)
+
+
+def test_primitive_int_vector_matches_fraction_reference():
+    cases = [(), (0, 0, 0), (Fraction(0), "0"), (4, -6, 8), (-4, 6, -8), (0, -3, 9),
+             ("1/2", "-2/3", "5"), (Fraction(-3, 4), Fraction(9, 8), 0), ("-7",),
+             (True, 2), (Fraction(6, 1), 4)]
+    rng = random.Random(41)
+    cases += [tuple(rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                                str(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))))
+                    for _ in range(rng.randint(1, 5))) for _ in range(300)]
+    for values in cases:
+        got = primitive_int_vector(values)
+        assert got == _primitive_by_fractions(values)
+        assert all(type(a) is int for a in got)
+    assert primitive_int_vector((-4, 6)) == (-2, 3)
+    assert canonical_int_vector((-4, 6)) == (2, -3)
+
+
+def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, capsys):
+    real = hyparr.lattice.kernel_basis
+
+    def short_kernel(M):
+        K = real(M)
+        return RatMatrix(K.rows[:-1], K.ncols) if M.rows else K
+
+    path = tmp_path / "generic4.json"
+    path.write_text(json.dumps(arrangement_to_obj(catalog.generic4())))
+    build_lattice.cache_clear()
+    monkeypatch.setattr(hyparr.lattice, "kernel_basis", short_kernel)
+    try:
+        with pytest.raises(InternalError):
+            build_lattice(catalog.generic4())
+        assert main(["lattice", str(path)]) == 1
+    finally:
+        build_lattice.cache_clear()
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["type"] == "InternalError"
