@@ -21,9 +21,8 @@ from .lattice import (Flat, Lattice, build_lattice, chamber_count_oracle,
                       characteristic_polynomial, localization)
 from .linalg import RatMatrix, Rational, RatVector, kernel_basis, rank
 from .obstruction import (ComplexSamplePoint, MonodromyCertificate, ObstructionReport,
-                          certify_nontrivial_sphere, custom_weights,
-                          detect_obstruction, sample_sphere_points,
-                          verify_sample_points)
+                          certify_nontrivial_sphere, detect_obstruction,
+                          sample_sphere_points, verify_sample_points)
 from . import catalog
 
 __version__ = "0.1.0"
@@ -41,7 +40,7 @@ __all__ = [
     "characteristic_polynomial", "localization",
     "RatMatrix", "Rational", "RatVector", "kernel_basis", "rank",
     "ComplexSamplePoint", "MonodromyCertificate", "ObstructionReport",
-    "certify_nontrivial_sphere", "custom_weights", "detect_obstruction",
+    "certify_nontrivial_sphere", "detect_obstruction",
     "sample_sphere_points", "verify_sample_points",
     "catalog",
     "__version__",

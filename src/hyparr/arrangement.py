@@ -8,13 +8,12 @@ rescaled or sign-normalized.  Hyperplane indices are 0-based internally and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
 
-from .errors import DuplicateHyperplane, NotEssential, OnHyperplane, ZeroForm
+from .errors import DuplicateHyperplane, InternalError, NotEssential, OnHyperplane, ZeroForm
 from .linalg import RatMatrix, RatVector, canonical_int_vector, primitive_int_vector, rank
 
 
@@ -143,16 +142,6 @@ def primitive_rows(A: Arrangement) -> tuple[tuple[int, ...], ...]:
     return tuple(primitive_int_vector(h.form.entries) for h in A.hyperplanes)
 
 
-def form_scales(A: Arrangement) -> tuple[Fraction, ...]:
-    """Positive s_i with primitive_rows(A)[i] == s_i * form_i."""
-    out = []
-    for h, prim in zip(A.hyperplanes, primitive_rows(A)):
-        f = next(x for x in h.form.entries if x != 0)
-        p = next(x for x in prim if x != 0)
-        out.append(Fraction(p) / f)
-    return tuple(out)
-
-
 def sign_vector_of_point(A: Arrangement, x: RatVector) -> SignVector:
     """Signs of the forms at x; raises OnHyperplane if any form vanishes."""
     signs = []
@@ -196,7 +185,8 @@ def essentialize(forms, dim: int, labels=None) -> Arrangement:
     new_forms = []
     for f in forms:
         c = express_in_rowspace(B, f)
-        assert c is not None
+        if c is None:
+            raise InternalError("a form lies outside the span of the greedy basis")
         new_forms.append(c)
     return Arrangement.from_forms(r, new_forms, labels)
 
@@ -271,18 +261,3 @@ def affine_from_obj(obj: dict) -> AffineArrangement:
     labels = obj.get("labels") or None
     return AffineArrangement.of(dim, forms, constants, labels)
 
-
-def load_arrangement_file(path: str) -> Arrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "constants" in obj:
-        raise ValueError("file holds an affine arrangement; cone it first")
-    return arrangement_from_obj(obj)
-
-
-def load_affine_file(path: str) -> AffineArrangement:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if "constants" not in obj:
-        raise ValueError("file holds a central arrangement, not an affine one")
-    return affine_from_obj(obj)

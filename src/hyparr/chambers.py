@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .arrangement import Arrangement, SignVector, primitive_rows
-from .errors import Infeasible
+from .errors import Infeasible, InternalError
 from .feasibility import _solve_int, signed_system, strict_feasible
 from .lattice import build_lattice
 from .linalg import RatMatrix, RatVector, kernel_basis
@@ -119,11 +119,13 @@ def flow_to_sink(A: Arrangement, eps: SignVector, start: Chamber) -> FlowPath:
         if not bad:
             break
         i = bad[0]
-        assert i not in crossed, "a flow never crosses a hyperplane twice"
+        if i in crossed:
+            raise InternalError(f"the flow crossed hyperplane {i + 1} twice")
         cur = chamber_from_signs(A, cur.signs.flip(i))
         path.append(cur)
         crossed.append(i)
-        assert len(crossed) <= A.n
+        if len(crossed) > A.n:
+            raise InternalError(f"the flow crossed more than {A.n} walls")
     return FlowPath(tuple(path), tuple(crossed))
 
 
@@ -131,5 +133,6 @@ def all_sinks(A: Arrangement, eps: SignVector, limit: int | None = None) -> tupl
     """Every chamber that is a sink for the given system; always nonempty."""
     sinks = tuple(C for C in enumerate_chambers(A, limit=limit)
                   if is_sink(A, eps, C))
-    assert sinks, "every system of half-spaces has a sink"
+    if not sinks:
+        raise InternalError(f"no chamber is a sink for {eps}")
     return sinks

@@ -27,14 +27,13 @@ from .arrangement import (Arrangement, SignVector, affine_from_obj,
                           cone, validate)
 from .chambers import (all_sinks, chamber_from_signs, enumerate_chambers,
                        flow_to_sink, lex_smallest_chamber)
-from .consistency import (REPORT_SET_LIMIT, global_consistency, sigma_filtration,
-                          sigma_strings_parallel)
+from .consistency import (DEFAULT_ENUM_LIMIT, REPORT_SET_LIMIT, global_consistency,
+                          sigma_filtration, sigma_strings_parallel)
 from .errors import HyparrError
 from .lattice import build_lattice, chamber_count_oracle, characteristic_polynomial
 from .obstruction import certify_nontrivial_sphere, detect_obstruction, sample_sphere_points
 
 DEFAULT_SEED = 2024
-DEFAULT_LIMIT = 22
 
 
 def _seed_default() -> int:
@@ -336,19 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("chambers", _cmd_chambers, "enumerate chambers with walls")
     sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("sigma", _cmd_sigma, "Sigma filtration counts and witnesses")
     sp.add_argument("file")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--full-sets", action="store_true")
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sp.add_argument("--jobs", type=int, default=1)
 
     sp = add("obstruct", _cmd_obstruct, "detect non-vanishing homotopy groups")
     sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sp.add_argument("--sample", type=int, default=None)
     sp.add_argument("--seed", type=int, default=_seed_default())
 
@@ -356,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--eps", required=True)
     sp.add_argument("--start", default=None)
-    sp.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
 
     sp = add("certify", _cmd_certify, "monodromy certificate for a witness")
     sp.add_argument("file")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .arrangement import (Arrangement, SignVector, arrangement_from_obj,
                           arrangement_to_obj, primitive_rows, validate)
-from .errors import TooLarge, UnknownFlat
+from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult, _solve_int, signed_system, strict_feasible
 from .lattice import Flat, Lattice, build_lattice, chamber_count_oracle
 
@@ -213,7 +213,7 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
         res = consistency_at(A, eps, X)
         if not res.feasible:
             return GapWitness(k, eps, X, res.dual)
-    raise AssertionError("gap witness without failing flat")
+    raise InternalError(f"{eps} left Sigma_{k + 1} but no flat of codim {k + 1} fails")
 
 
 def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
@@ -281,6 +281,9 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
             eps = next(sv for sv in level_sets[k] if str(sv) not in member)
             witnesses[k] = _gap_witness(A, lat, k, eps)
 
-    assert all(counts[k] >= counts[k + 1] for k in range(1, dim))
-    assert counts[dim] == chamber_count_oracle(lat)
+    if any(counts[k] < counts[k + 1] for k in range(1, dim)):
+        raise InternalError(f"Sigma counts {counts} are not decreasing")
+    if counts[dim] != chamber_count_oracle(lat):
+        raise InternalError(f"Sigma_{dim} has {counts[dim]} sign vectors, but Zaslavsky "
+                            f"counts {chamber_count_oracle(lat)} chambers")
     return SigmaFiltration(n, dim, counts, sets, witnesses)

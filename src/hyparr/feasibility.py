@@ -4,17 +4,17 @@ Either side of Gordan's alternative is returned as exact data: a rational
 point making every row strictly positive, or a nonnegative nonzero rational
 combination of the rows equal to zero.  The decision kernel is compiled
 (hyparr._fmcore) when the extension built, with the pure-Python twin as
-fallback; set HYPARR_PURE=1 to force the pure kernel.
+fallback.  Every certificate is re-checked by exact arithmetic; a failed
+check raises InternalError, also under `python -O`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _fmpure
-from .errors import Infeasible
+from .errors import Infeasible, InternalError
 from .linalg import RatVector, primitive_int_vector
 
 try:
@@ -22,17 +22,13 @@ try:
 except ImportError:  # extension not built
     _fmcore = None
 
-_FORCE_PURE = os.environ.get("HYPARR_PURE", "") not in ("", "0")
-
 
 def kernel_name() -> str:
-    if _fmcore is not None and not _FORCE_PURE:
-        return "compiled"
-    return "pure"
+    return "pure" if _fmcore is None else "compiled"
 
 
 def _solve_int(rows, dim):
-    if _fmcore is not None and not _FORCE_PURE:
+    if _fmcore is not None:
         res = _fmcore.solve(rows, dim)
         if res is not None:
             return res
@@ -72,8 +68,7 @@ class FeasibilityResult:
         """Re-check the certificate against the system by direct arithmetic."""
         if self.witness is not None:
             return all(f.dot(self.witness) > 0 for f in sys.forms)
-        assert self.dual is not None
-        if len(self.dual) != len(sys.forms):
+        if self.dual is None or len(self.dual) != len(sys.forms):
             return False
         if any(y < 0 for y in self.dual) or all(y == 0 for y in self.dual):
             return False
@@ -107,7 +102,8 @@ def strict_feasible(sys: StrictSystem) -> FeasibilityResult:
     else:
         point = _fmpure.witness_from_stages(data, sys.dim)
         res = FeasibilityResult(RatVector(point), None)
-    assert res.verify(sys)
+    if not res.verify(sys):
+        raise InternalError(f"the kernel's {kind} certificate fails verification")
     return res
 
 
@@ -125,8 +121,10 @@ def interior_witness(sys: StrictSystem) -> RatVector:
         raise Infeasible("system has a dual certificate")
     prim = tuple(primitive_int_vector(f.entries) for f in sys.forms)
     t_star, point = _fmpure.maximin_on_cross_polytope(prim, sys.dim)
-    assert t_star > 0
-    return RatVector(point)
+    point = RatVector(point)
+    if not (t_star > 0 and all(f.dot(point) > 0 for f in sys.forms)):
+        raise InternalError("the deep point is not strictly inside the cone")
+    return point
 
 
 def signed_system(A, eps, indices=None) -> StrictSystem:

@@ -15,11 +15,6 @@ from math import gcd, lcm
 Rational = Fraction
 
 
-def rat(value) -> Fraction:
-    """Coerce an int, a string like ``"3/4"`` or ``"-2"``, or a Fraction."""
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class RatVector:
     """Immutable vector of rationals."""
@@ -90,9 +85,6 @@ class RatMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def mul_vector(self, v: RatVector) -> RatVector:
-        return RatVector(tuple(r.dot(v) for r in self.rows))
 
 
 def primitive_int_vector(values) -> tuple[int, ...]:
@@ -179,13 +171,19 @@ def kernel_basis(M: RatMatrix) -> RatMatrix:
     free_cols = [c for c in range(ncols) if c not in piv_set]
     basis = []
     for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        # back-substitute pivot variables bottom-up
+        v = [0] * ncols
+        v[f] = 1
+        # back-substitute pivot variables bottom-up, fraction-free: scale v
+        # by p / g so that pivot p divides the row sum exactly
         for r in range(len(piv_cols) - 1, -1, -1):
             c = piv_cols[r]
-            s = sum((Fraction(ech[r][j]) * v[j] for j in range(c + 1, ncols)), Fraction(0))
-            v[c] = -s / ech[r][c]
+            row = ech[r]
+            s = sum(row[j] * v[j] for j in range(c + 1, ncols))
+            if s:
+                g = gcd(s, row[c])
+                m = row[c] // g
+                v = [x * m for x in v]
+                v[c] = -(s // g)
         basis.append(canonical_int_vector(v))
     return RatMatrix.of([[Fraction(a) for a in row] for row in basis], ncols)
 
@@ -218,31 +216,6 @@ def express_in_rowspace(M: RatMatrix, v: RatVector) -> RatVector | None:
     for i, c in enumerate(piv):
         coeffs[c] = aug[i][m]
     return RatVector(tuple(coeffs))
-
-
-def det(M: RatMatrix) -> Fraction:
-    """Exact determinant of a square matrix (plain fraction elimination)."""
-    n = M.ncols
-    if M.nrows != n:
-        raise ValueError("determinant of a non-square matrix")
-    a = [[Fraction(M.rows[i][j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    res = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            sign = -sign
-        p = a[c][c]
-        res *= p
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] / p
-                for j in range(c, n):
-                    a[i][j] -= f * a[c][j]
-    return res * sign
 
 
 def invert(M: RatMatrix) -> RatMatrix:

@@ -21,8 +21,8 @@ from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
 from .consistency import (DEFAULT_ENUM_LIMIT, GapWitness, consistency_at,
                           global_consistency, is_locally_consistent,
                           sigma_filtration)
-from .errors import (GloballyConsistent, NotLocallyConsistent, TooLarge,
-                     WeightConditionViolated)
+from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
+                     TooLarge, WeightConditionViolated)
 from .feasibility import interior_witness, signed_system
 from .lattice import Flat, build_lattice
 from .linalg import RatMatrix, RatVector, rank
@@ -72,7 +72,8 @@ def _enrich_gap(A, lat, w: GapWitness) -> Gap:
     for Y in sorted(lat.flats, key=lambda f: (f.codim, f.key())):
         if Y.contains < w.flat.contains:
             res = consistency_at(A, w.eps, Y)
-            assert res.feasible, "consistency must hold above the failing flat"
+            if not res.feasible:
+                raise InternalError(f"{w.eps} fails at a flat above its failing flat")
             uppers.append((Y.key(), res.witness))
     return Gap(w.k, w.eps, w.flat, w.dual, tuple(uppers))
 
@@ -168,7 +169,8 @@ def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,
     path = flow_to_sink(A, eps, lex_smallest_chamber(A))
     sink = path.sink
     T = frozenset(i for i in range(A.n) if sink.signs[i] != eps[i])
-    assert T and len(T) < A.n
+    if not 0 < len(T) < A.n:
+        raise InternalError(f"the sink of {eps} is separated by {len(T)} hyperplanes")
     n = A.n
     if weights is None:
         weights = tuple(Fraction(1, n) for _ in range(n))
@@ -184,14 +186,9 @@ def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,
     if rotation == 0:
         raise WeightConditionViolated(
             f"separating sum {t_sum} is an integer; 1 - lambda vanishes")
-    assert 0 < rotation < 1
+    if not 0 < rotation < 1:
+        raise InternalError(f"rotation {rotation} lies outside (0, 1)")
     return MonodromyCertificate(sink, T, weights, rotation, path)
-
-
-def custom_weights(A: Arrangement, eps: SignVector, a) -> MonodromyCertificate:
-    """Certificate under caller-chosen weights (integral total, non-integral
-    separating sum); raises WeightConditionViolated otherwise."""
-    return certify_nontrivial_sphere(A, eps, weights=a)
 
 
 def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
@@ -264,8 +261,8 @@ def verify_sample_points(A: Arrangement, eps: SignVector, points) -> bool:
             a_v = h.form.dot(p.imag)
             if a_x == 0:
                 if a_v == 0:
-                    raise AssertionError(f"hyperplane {i + 1} contains a sample point")
+                    raise InternalError(f"hyperplane {i + 1} contains a sample point")
                 if (1 if a_v > 0 else -1) != eps[i]:
-                    raise AssertionError(
+                    raise InternalError(
                         f"imaginary part crosses hyperplane {i + 1} against the signs")
     return True

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,8 +11,11 @@ import pytest
 
 import hyparr
 from hyparr import catalog
-from hyparr.arrangement import arrangement_to_obj
+from hyparr.arrangement import Arrangement, arrangement_to_obj
 from hyparr.cli import main
+from hyparr.lattice import build_lattice, chamber_count_oracle
+
+from conftest import FAULT8_FORMS
 
 
 def run_cli(capsys, *argv):
@@ -249,12 +255,60 @@ def test_sign_vector_after_a_space(tmp_path, capsys, spaced, joined):
     assert outs[0][0] == 0
 
 
-def test_lattice_checks_stay_on_under_optimize(tmp_path):
-    f = write_cx2(tmp_path)
+def _run_module(*argv):
+    """`python *argv` in a child that imports the hyparr package under test."""
     env = dict(os.environ)
     pkg_parent = str(Path(hyparr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
-    runs = [subprocess.run([sys.executable, *opt, "-m", "hyparr.cli", "lattice", f],
-                           env=env, capture_output=True, text=True) for opt in ((), ("-O",))]
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+
+
+def test_lattice_checks_stay_on_under_optimize(tmp_path):
+    f = write_cx2(tmp_path)
+    runs = [_run_module(*opt, "-m", "hyparr.cli", "lattice", f) for opt in ((), ("-O",))]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
+
+
+@pytest.mark.parametrize("command", ["sigma", "obstruct", "chambers"])
+def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
+    A = Arrangement.from_forms(4, FAULT8_FORMS)
+    f = _write(tmp_path, "fault8.json", arrangement_to_obj(A))
+    oracle = chamber_count_oracle(build_lattice(A))
+    for opt in ((), ("-O",)):
+        r = _run_module(*opt, "-m", "hyparr.cli", command, f)
+        doc = json.loads(r.stdout)  # a traceback would leave stdout empty
+        if r.returncode == 0:
+            pay = doc["payload"]
+            count = pay["count"] if command == "chambers" else pay["counts"][-1]["count"]
+            assert count == oracle
+        else:
+            assert (r.returncode, doc["error"]["type"]) == (1, "InternalError"), r.stderr
+
+
+# sha256 of stdout on the files `hyparr builtin` prints, taken before the
+# kernel's two elimination loops became one; covers witnesses, walls, flows
+# and deep points
+OUTPUT_SHA256 = {
+    ("generic4", "chambers"): "a0ab76a48cd5fd82c981a8bca6003473fe6e7f51758db8f649adb285e537c43f",
+    ("cx2", "chambers"): "6ef616c73c5effe3588390e16f4a3b2edbe9e37dc91bf24b8261993dfb661dfa",
+    ("generic4", "sink", "--eps=+++-"):
+        "5ebc63043a3280261ac2e6bfc44806a2eb207551affedbed3efa7094e090e21a",
+    ("generic4", "certify", "--eps=+++-"):
+        "2b0923e24854e9c0d92a520814c970e225c5ab03d54485e2b0c322653f96d873",
+    ("generic4", "sphere", "--eps=+++-", "--count", "4"):
+        "c1fb07e9805037dc6aaf13e48a7cc42acffa6c29c3c71ba63404c59e84a9ac3a",
+}
+
+
+@pytest.mark.parametrize("run", sorted(OUTPUT_SHA256), ids=lambda run: "-".join(run[:2]))
+def test_output_bytes_are_pinned(run, tmp_path, monkeypatch):
+    monkeypatch.delenv("HYPARR_SEED", raising=False)
+    name, command, *flags = run
+    A = catalog.generic4() if name == "generic4" else catalog.x2_coned()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main([command, str(path), *flags]) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == OUTPUT_SHA256[run]

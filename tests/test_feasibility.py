@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from hyparr.errors import Infeasible
+from hyparr import _fmpure
+from hyparr.errors import Infeasible, InternalError
 from hyparr.feasibility import (FeasibilityResult, StrictSystem, interior_witness,
                                 strict_feasible)
 from hyparr.linalg import RatVector
 
+from conftest import FAULT8_FORMS
 from oracles import grid_witness, simplex_feasible
 
 
@@ -103,6 +105,22 @@ def test_agreement_with_simplex_oracle():
             continue
         ours = strict_feasible(StrictSystem.of(rows, d)).feasible
         assert ours == simplex_feasible(rows, d)
+
+
+def test_interior_witness_rejects_a_point_outside_the_cone(monkeypatch):
+    def off_side(rows, dim):
+        return Fraction(1), (Fraction(-1),) + (Fraction(0),) * (dim - 1)
+
+    monkeypatch.setattr(_fmpure, "maximin_on_cross_polytope", off_side)
+    with pytest.raises(InternalError):
+        interior_witness(StrictSystem.of([[1, 0], [0, 1]], 2))
+
+
+@pytest.mark.xfail(strict=True, reason="keep-first deduplication with the support "
+                   "bound drops the row that would derive 0 > 0")
+def test_kernel_agrees_with_oracle_on_the_fault_rows():
+    kind, _ = _fmpure.solve(FAULT8_FORMS, 4)
+    assert (kind == "stages") == simplex_feasible(FAULT8_FORMS, 4)
 
 
 def test_grid_confirms_witness_side():

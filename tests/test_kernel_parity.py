@@ -1,15 +1,14 @@
 """The compiled kernel must be a bit-exact twin of the pure one."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
+from itertools import product
 
 import pytest
 
-import hyparr
-from hyparr import _fmpure
+from hyparr import _fmpure, catalog, feasibility
+from hyparr.arrangement import Arrangement, primitive_rows
+
+from conftest import FAULT8_FORMS
 
 try:
     from hyparr import _fmcore
@@ -19,49 +18,45 @@ except ImportError:
 needs_ext = pytest.mark.skipif(_fmcore is None, reason="compiled kernel not built")
 
 
-def _child_kernel_name(pure: bool) -> subprocess.CompletedProcess:
-    """Report kernel_name() from a fresh interpreter, so HYPARR_PURE is read anew.
-
-    The child inherits this process's environment, with HYPARR_PURE set or
-    removed, and imports the same hyparr package that is under test.
-    """
-    env = dict(os.environ)
-    env.pop("HYPARR_PURE", None)
-    if pure:
-        env["HYPARR_PURE"] = "1"
-    pkg_parent = str(Path(hyparr.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
-    code = "import hyparr.feasibility as f; print(f.kernel_name())"
-    return subprocess.run([sys.executable, "-c", code],
-                          env=env, capture_output=True, text=True)
+def _assert_twins(rows, d):
+    pure = _fmpure.solve(rows, d)
+    comp = _fmcore.solve(rows, d)
+    if comp is None:
+        return False
+    assert pure[0] == comp[0]
+    if pure[0] == "dual":
+        assert tuple(pure[1]) == tuple(comp[1])
+    else:
+        assert _fmpure.witness_from_stages(pure[1], d) == \
+            _fmpure.witness_from_stages(comp[1], d)
+    return True
 
 
 @needs_ext
 def test_parity_on_random_systems():
     rng = random.Random(71)
-    bailouts = 0
     checked = 0
     for _ in range(5000):
         d = rng.randint(1, 5)
         m = rng.randint(1, 9)
         rows = tuple(r for r in (tuple(rng.randint(-4, 4) for _ in range(d))
                                  for _ in range(m)) if any(r))
-        if not rows:
-            continue
-        pure = _fmpure.solve(rows, d)
-        comp = _fmcore.solve(rows, d)
-        if comp is None:
-            bailouts += 1
-            continue
-        checked += 1
-        assert pure[0] == comp[0]
-        if pure[0] == "dual":
-            assert tuple(pure[1]) == tuple(comp[1])
-        else:
-            assert _fmpure.witness_from_stages(pure[1], d) == \
-                _fmpure.witness_from_stages(comp[1], d)
+        if rows and _assert_twins(rows, d):
+            checked += 1
     assert checked > 4000
+
+
+@needs_ext
+def test_parity_on_signed_arrangements():
+    # every sign vector of every prefix: the near-chamber systems that
+    # enumeration sends to the kernel, the fault rows among them
+    for A in (catalog.generic4(), catalog.x2_coned(),
+              Arrangement.from_forms(4, FAULT8_FORMS)):
+        rows = primitive_rows(A)
+        for k in range(1, A.n + 1):
+            for signs in product((1, -1), repeat=k):
+                signed = tuple(tuple(s * v for v in r) for s, r in zip(signs, rows))
+                assert _assert_twins(signed, A.dim)
 
 
 @needs_ext
@@ -72,14 +67,6 @@ def test_bailout_on_huge_coefficients():
     assert kind in ("dual", "stages")
 
 
-def test_pure_mode_env_forces_fallback():
-    out = _child_kernel_name(pure=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "pure"
-
-
 @needs_ext
 def test_selected_kernel_reported():
-    out = _child_kernel_name(pure=False)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "compiled"
+    assert feasibility.kernel_name() == "compiled"

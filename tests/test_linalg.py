@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hyparr.linalg import (RatMatrix, RatVector, det, express_in_rowspace,
+from hyparr.linalg import (RatMatrix, RatVector, express_in_rowspace,
                            invert, kernel_basis, rank)
 from oracles import rref_kernel, rref_rank
 
@@ -71,6 +71,34 @@ def test_rank_plus_nullity_and_exact_kernel():
         assert len(ok) == K.nrows
 
 
+def _canonical_by_fractions(v):
+    """Scale to coprime integers with the first nonzero entry positive."""
+    den = 1
+    for x in v:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return tuple(sign * x // g for x in ints)
+
+
+def test_kernel_rows_are_the_scaled_oracle_rows():
+    # one row per free column, zero on the other free columns: the basis is
+    # unique up to scaling, so the integer back-substitution must match the
+    # Gauss-Jordan oracle row for row
+    rng = random.Random(43)
+    for _ in range(300):
+        m = rng.randint(1, 6)
+        d = rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
+                for _ in range(m)]
+        K = kernel_basis(RatMatrix.of(rows, d))
+        expected = [_canonical_by_fractions(v) for v in rref_kernel(rows, d)]
+        assert [tuple(int(x) for x in row) for row in K.rows] == expected
+
+
 def test_fraction_canonical_invariant():
     rng = random.Random(7)
     for _ in range(100):
@@ -88,8 +116,7 @@ def test_express_in_rowspace():
     assert express_in_rowspace(B, RatVector.of([0, 0, 1])) is None
 
 
-def test_det_and_invert():
+def test_invert():
     M = RatMatrix.of([[2, 1], [1, 1]])
-    assert det(M) == 1
     Minv = invert(M)
     assert [tuple(r) for r in Minv.rows] == [(1, -1), (-1, 2)]

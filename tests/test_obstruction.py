@@ -7,9 +7,8 @@ from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.consistency import is_globally_consistent, is_locally_consistent
 from hyparr.errors import (GloballyConsistent, NotLocallyConsistent, TooLarge,
                            WeightConditionViolated)
-from hyparr.obstruction import (certify_nontrivial_sphere, custom_weights,
-                                detect_obstruction, sample_sphere_points,
-                                verify_sample_points)
+from hyparr.obstruction import (certify_nontrivial_sphere, detect_obstruction,
+                                sample_sphere_points, verify_sample_points)
 
 
 def sv(s):
@@ -92,18 +91,18 @@ def test_certify_rank2_arrangement():
     assert 1 < kept < A.n
 
 
-def test_custom_weights(generic4):
+def test_certify_with_weights(generic4):
     eps = sv("+++-")
-    cert = custom_weights(generic4, eps, [Fraction(1, 4)] * 4)
+    cert = certify_nontrivial_sphere(generic4, eps, weights=[Fraction(1, 4)] * 4)
     assert cert.rotation == Fraction(1, 4)
-    cert = custom_weights(generic4, eps,
-                          [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
+    cert = certify_nontrivial_sphere(generic4, eps, weights=[Fraction(1, 2)] * 4)
     assert cert.rotation == Fraction(1, 2)
+    with pytest.raises(WeightConditionViolated):  # separating sum integral
+        certify_nontrivial_sphere(generic4, eps, weights=[0, 0, 0, 1])
     with pytest.raises(WeightConditionViolated):
-        custom_weights(generic4, eps, [0, 0, 0, 1])  # separating sum integral
-    with pytest.raises(WeightConditionViolated):
-        custom_weights(generic4, eps,
-                       [Fraction(1, 3), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)])
+        certify_nontrivial_sphere(
+            generic4, eps,
+            weights=[Fraction(1, 3), Fraction(1, 4), Fraction(1, 4), Fraction(1, 4)])
 
 
 def test_every_gap_witness_certifies(generic4):
