@@ -23,7 +23,7 @@ from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
 from .feasibility import StrictSystem, strict_feasible
 from .lattice import closed_sets_of_forms
-from .linalg import RatMatrix, RatVector, invert, rank
+from .linalg import RatMatrix, RatVector, int_rank, invert, rank
 
 RETRY_BUDGET = 64
 
@@ -75,7 +75,7 @@ def generic(n: int, dim: int, seed: int | GenericitySeed,
 def _all_small_subsets_independent(forms, dim) -> bool:
     size = min(dim, len(forms))
     for S in combinations(range(len(forms)), size):
-        if rank(RatMatrix.of([forms[i] for i in S], dim)) < size:
+        if int_rank([forms[i] for i in S], dim) < size:
             return False
     return True
 

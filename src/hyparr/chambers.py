@@ -15,7 +15,6 @@ from functools import lru_cache
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import Infeasible, InternalError
 from .feasibility import _solve_int, signed_system, strict_feasible
-from .lattice import build_lattice
 from .linalg import RatMatrix, RatVector, kernel_basis
 
 
@@ -86,9 +85,7 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
     """All chambers in lexicographic sign order, with witness and wall set."""
     from .consistency import sigma
 
-    lat = build_lattice(A)
-    return tuple(chamber_from_signs(A, sv)
-                 for sv in sigma(A, A.dim, lattice=lat, limit=limit))
+    return tuple(chamber_from_signs(A, sv) for sv in sigma(A, A.dim, limit=limit))
 
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:

@@ -25,10 +25,9 @@ from . import catalog
 from .arrangement import (Arrangement, SignVector, affine_from_obj,
                           affine_to_obj, arrangement_from_obj, arrangement_to_obj,
                           cone, validate)
-from .chambers import (all_sinks, chamber_from_signs, enumerate_chambers,
-                       flow_to_sink, lex_smallest_chamber)
+from .chambers import all_sinks, chamber_from_signs, flow_to_sink, lex_smallest_chamber
 from .consistency import (DEFAULT_ENUM_LIMIT, REPORT_SET_LIMIT, global_consistency,
-                          sigma_filtration, sigma_strings_parallel)
+                          sigma, sigma_filtration)
 from .errors import HyparrError
 from .lattice import build_lattice, chamber_count_oracle, characteristic_polynomial
 from .obstruction import certify_nontrivial_sphere, detect_obstruction, sample_sphere_points
@@ -140,11 +139,8 @@ def _cmd_lattice(args) -> None:
 def _cmd_chambers(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    if args.jobs > 1:
-        signs = sigma_strings_parallel(A, A.dim, args.jobs, limit=args.limit)
-        chambers = [chamber_from_signs(A, SignVector.from_string(s)) for s in signs]
-    else:
-        chambers = list(enumerate_chambers(A, limit=args.limit))
+    chambers = [chamber_from_signs(A, eps)
+                for eps in sigma(A, A.dim, limit=args.limit, jobs=args.jobs)]
     payload = {
         "count": len(chambers),
         "zaslavsky_chambers": chamber_count_oracle(build_lattice(A)),
@@ -161,7 +157,7 @@ def _cmd_sigma(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
     if args.k is not None:
-        strings = sigma_strings_parallel(A, args.k, args.jobs, limit=args.limit)
+        strings = [str(eps) for eps in sigma(A, args.k, limit=args.limit, jobs=args.jobs)]
         payload = {
             "k": args.k,
             "count": len(strings),
@@ -315,6 +311,16 @@ def _cmd_cone(args) -> None:
     sys.stdout.write(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
 
 
+def _worker_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyparr",
@@ -336,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("chambers", _cmd_chambers, "enumerate chambers with walls")
     sp.add_argument("file")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_worker_count, default=1)
 
     sp = add("sigma", _cmd_sigma, "Sigma filtration counts and witnesses")
     sp.add_argument("file")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--full-sets", action="store_true")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_worker_count, default=1)
 
     sp = add("obstruct", _cmd_obstruct, "detect non-vanishing homotopy groups")
     sp.add_argument("file")

@@ -11,8 +11,10 @@ are memoized across branches.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product, zip_longest
 
 from .arrangement import (Arrangement, SignVector, arrangement_from_obj,
                           arrangement_to_obj, primitive_rows, validate)
@@ -118,31 +120,18 @@ class _SigmaSearch:
             signs.append(s)
             if not self.node_ok(signs):
                 return out
-
-        def dfs():
-            if len(signs) == self.n:
-                out.append(SignVector(tuple(signs)))
-                return
-            for s in (1, -1):
-                signs.append(s)
-                if self.node_ok(signs):
-                    dfs()
-                signs.pop()
-
-        dfs()
+        self._extend(signs, out)
         return out
 
-
-def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
-          limit: int | None = None) -> tuple[SignVector, ...]:
-    """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
-    if not 1 <= k <= A.dim:
-        raise ValueError(f"k must be in 1..{A.dim}")
-    limit = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if A.n > limit:
-        raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    lat = lattice or build_lattice(A)
-    return tuple(_SigmaSearch(A, lat, k).run())
+    def _extend(self, signs: list[int], out: list[SignVector]) -> None:
+        if len(signs) == self.n:
+            out.append(SignVector(tuple(signs)))
+            return
+        for s in (1, -1):
+            signs.append(s)
+            if self.node_ok(signs):
+                self._extend(signs, out)
+            signs.pop()
 
 
 def _sigma_subtree(args):
@@ -153,36 +142,28 @@ def _sigma_subtree(args):
     return [str(sv) for sv in search.run(prefix)]
 
 
-def sigma_strings_parallel(A: Arrangement, k: int, jobs: int,
-                           limit: int | None = None) -> list[str]:
-    """Sigma_k as sorted sign strings, split across worker processes.
+def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
+          limit: int | None = None, jobs: int = 1) -> tuple[SignVector, ...]:
+    """The exact set Sigma_k, lexicographically ordered ('+' < '-').
 
-    The result is independent of the worker count: subtrees are disjoint by
-    sign prefix and the merged list is sorted.
+    jobs > 1 splits the search by sign prefix over at most os.cpu_count()
+    worker processes.  The subtrees are disjoint and visited in prefix
+    order, so the result does not depend on the worker count.
     """
+    if not 1 <= k <= A.dim:
+        raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
         raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        return [str(sv) for sv in sigma(A, k, limit=limit)]
-    depth = min(A.n, max(1, (jobs - 1).bit_length() + 1))
-    prefixes = []
-
-    def grow(p):
-        if len(p) == depth:
-            prefixes.append(tuple(p))
-            return
-        for s in (1, -1):
-            grow(p + [s])
-
-    grow([])
+        return tuple(_SigmaSearch(A, lattice or build_lattice(A), k).run())
+    depth = min(A.n, (jobs - 1).bit_length() + 1)
     obj = arrangement_to_obj(A)
-    tasks = [(obj, k, p) for p in prefixes]
-    out: list[str] = []
+    tasks = [(obj, k, p) for p in product((1, -1), repeat=depth)]
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_sigma_subtree, tasks):
-            out.extend(part)
-    return sorted(out)
+        return tuple(SignVector.from_string(s)
+                     for part in pool.map(_sigma_subtree, tasks) for s in part)
 
 
 @dataclass(frozen=True)
@@ -223,8 +204,9 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
     """Counts of every Sigma_k, plus a witness for each strict drop.
 
     Explicit sorted sets are included when include_sets is true, or by
-    default when n <= REPORT_SET_LIMIT.  jobs > 1 spreads the base
-    enumeration over worker processes; the result does not depend on it.
+    default when n <= REPORT_SET_LIMIT.  Every level k >= 2 is one `sigma`
+    search, spread over `jobs` worker processes; the result does not depend
+    on it.
     """
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
@@ -237,49 +219,20 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
     counts = {1: 2 ** n}
     sets: dict[int, tuple[str, ...]] = {}
     witnesses: dict[int, GapWitness] = {}
-
-    level_sets: dict[int, tuple[SignVector, ...]] = {}
-    prev: tuple[SignVector, ...] | None = None
-    for k in range(2, dim + 1):
-        if prev is None:
-            if jobs > 1:
-                cur = tuple(SignVector.from_string(s)
-                            for s in sigma_strings_parallel(A, k, jobs, limit=limit))
-            else:
-                cur = sigma(A, k, lattice=lat, limit=limit)
-        else:
-            search = _SigmaSearch(A, lat, k)
-            new_checks = [X for X in lat.flats
-                          if X.codim == k and (len(X.contains) > X.codim or k == dim)]
-            new_checks.sort(key=lambda f: f.key())
-            cur = tuple(sv for sv in prev
-                        if all(search.flat_ok(X, sv.signs) for X in new_checks))
-        level_sets[k] = cur
-        counts[k] = len(cur)
-        prev = cur
-
     if include_sets:
-        from itertools import product
-
-        sets[1] = tuple("".join(p) for p in product("+-", repeat=n))
-        for k in range(2, dim + 1):
-            sets[k] = tuple(str(sv) for sv in level_sets[k])
-
-    # witnesses at each strict drop
-    if dim >= 2 and counts[1] > counts[2]:
-        member = {str(sv) for sv in level_sets[2]}
-        from itertools import product
-
-        for p in product("+-", repeat=n):
-            s = "".join(p)
-            if s not in member:
-                witnesses[1] = _gap_witness(A, lat, 1, SignVector.from_string(s))
-                break
-    for k in range(2, dim):
-        if counts[k] > counts[k + 1]:
-            member = {str(sv) for sv in level_sets[k + 1]}
-            eps = next(sv for sv in level_sets[k] if str(sv) not in member)
-            witnesses[k] = _gap_witness(A, lat, k, eps)
+        sets[1] = tuple(map("".join, product("+-", repeat=n)))
+    prev = (SignVector(p) for p in product((1, -1), repeat=n))  # Sigma_1, lazily
+    for k in range(2, dim + 1):
+        cur = sigma(A, k, lattice=lat, limit=limit, jobs=jobs)
+        counts[k] = len(cur)
+        if include_sets:
+            sets[k] = tuple(map(str, cur))
+        if counts[k - 1] > counts[k]:
+            # both levels are sorted, so the first mismatch is the smallest
+            # member of Sigma_(k-1) \ Sigma_k
+            eps = next(a for a, b in zip_longest(prev, cur) if a != b)
+            witnesses[k - 1] = _gap_witness(A, lat, k - 1, eps)
+        prev = cur
 
     if any(counts[k] < counts[k + 1] for k in range(1, dim)):
         raise InternalError(f"Sigma counts {counts} are not decreasing")

@@ -148,12 +148,18 @@ def _bareiss_echelon(a: list[list[int]], ncols: int) -> tuple[list[list[int]], l
     return a, piv_cols
 
 
-def rank(M: RatMatrix) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    if not M.rows:
-        return 0
-    _, piv = _bareiss_echelon(_int_rows(M), M.ncols)
+def int_rank(rows, ncols: int) -> int:
+    """Rank of integer rows over the rationals, by fraction-free elimination.
+
+    The rows are copied, never modified.
+    """
+    _, piv = _bareiss_echelon([list(r) for r in rows], ncols)
     return len(piv)
+
+
+def rank(M: RatMatrix) -> int:
+    """Rank over the rationals: `int_rank` of the primitive integer rows."""
+    return int_rank((primitive_int_vector(r.entries) for r in M.rows), M.ncols)
 
 
 def kernel_basis(M: RatMatrix) -> RatMatrix:

@@ -76,6 +76,15 @@ def test_chambers_and_jobs_independence(tmp_path, capsys):
     assert doc["payload"]["chambers"][0]["walls"] == [1, 2, 3]
 
 
+@pytest.mark.parametrize("command", ["chambers", "sigma"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, command, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main([command, write_generic4(tmp_path), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sigma_cx2_counts(tmp_path, capsys):
     code, out = run_cli(capsys, "sigma", write_cx2(tmp_path))
     assert code == 0
@@ -286,9 +295,11 @@ def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
             assert (r.returncode, doc["error"]["type"]) == (1, "InternalError"), r.stderr
 
 
-# sha256 of stdout on the files `hyparr builtin` prints, taken before the
-# kernel's two elimination loops became one; covers witnesses, walls, flows
-# and deep points
+# sha256 of stdout on the files `hyparr builtin` prints.  The chambers, sink,
+# certify and sphere pins were taken before the kernel's two elimination
+# loops became one and cover witnesses, walls, flows and deep points; the
+# sigma and obstruct pins were taken before every Sigma level became one
+# `sigma` search and cover counts, sets and gap witnesses.
 OUTPUT_SHA256 = {
     ("generic4", "chambers"): "a0ab76a48cd5fd82c981a8bca6003473fe6e7f51758db8f649adb285e537c43f",
     ("cx2", "chambers"): "6ef616c73c5effe3588390e16f4a3b2edbe9e37dc91bf24b8261993dfb661dfa",
@@ -298,10 +309,21 @@ OUTPUT_SHA256 = {
         "2b0923e24854e9c0d92a520814c970e225c5ab03d54485e2b0c322653f96d873",
     ("generic4", "sphere", "--eps=+++-", "--count", "4"):
         "c1fb07e9805037dc6aaf13e48a7cc42acffa6c29c3c71ba63404c59e84a9ac3a",
+    ("generic4", "sigma"): "e2becee0cdbaea908ec0542130abdd6c6f537590ea017a0978612953db3fcfc6",
+    ("cx2", "sigma"): "ac62eabf9fcfb191301e7ea5c8728bdc568c5524d3adbdbded213f6764a5279a",
+    ("generic4", "sigma", "--k=3"):
+        "aac6f2f47435b42122bf8958058d19f303757b1537ae7178fd21552346b980e9",
+    ("generic4", "obstruct"): "d002973bdcd15cd0e8ffd8b3394a6ac4675716dcf4d0953e0a2cc4deaf34f2a6",
+    ("cx2", "obstruct"): "87fd95c502cd1001db7826eaae9800184641272f5191af6328d1e06d2fc128a3",
 }
 
 
-@pytest.mark.parametrize("run", sorted(OUTPUT_SHA256), ids=lambda run: "-".join(run[:2]))
+def _pin_id(run):
+    name, command, *flags = run
+    return "-".join([name, command] + [f"k{f[4:]}" for f in flags if f.startswith("--k=")])
+
+
+@pytest.mark.parametrize("run", sorted(OUTPUT_SHA256), ids=_pin_id)
 def test_output_bytes_are_pinned(run, tmp_path, monkeypatch):
     monkeypatch.delenv("HYPARR_SEED", raising=False)
     name, command, *flags = run

@@ -1,12 +1,17 @@
+import gc
+import os
 import random
+from functools import cache
+from itertools import product
 
 import pytest
 
-from hyparr import catalog
+import oracles
+from hyparr import catalog, consistency
 from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.consistency import (global_consistency, is_consistent_at,
                                 is_globally_consistent, is_locally_consistent,
-                                sigma, sigma_filtration, sigma_strings_parallel)
+                                sigma, sigma_filtration)
 from hyparr.errors import TooLarge
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
@@ -143,10 +148,95 @@ def test_too_large():
         sigma_filtration(B, limit=2)
 
 
-def test_parallel_sigma_matches_serial(generic4, cx2):
+def test_parallel_sigma_matches_serial(generic4, cx2, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on one core too
     for A, k in ((generic4, 2), (generic4, 3), (cx2, 2)):
-        serial = [str(e) for e in sigma(A, k)]
-        assert sigma_strings_parallel(A, k, jobs=2) == serial
+        assert sigma(A, k, jobs=2) == sigma(A, k)
+    for A in (generic4, cx2):
+        assert sigma_filtration(A, jobs=2) == sigma_filtration(A)
+
+
+@pytest.mark.parametrize("cores, workers, tasks", [(3, [3], [8]), (None, [], [])])
+def test_jobs_are_capped_at_the_core_count(generic4, monkeypatch, cores, workers, tasks):
+    asked, sizes = [], []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            sizes.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(consistency.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert sigma(generic4, 3, jobs=10 ** 6) == sigma(generic4, 3)
+    assert (asked, sizes) == (workers, tasks)
+
+
+def test_sigma_leaves_no_garbage(cx2):
+    for k in (2, 3):
+        sigma(cx2, k)  # warm the caches
+    gc.collect()
+    gc.disable()
+    try:
+        for k in (2, 3):
+            sigma(cx2, k)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _oracle_filtration(forms, dim):
+    """Sigma_k for every k by brute force: each sign vector against every
+    flat of codim >= 2 from `oracles.brute_force_flats`, decided by the
+    simplex oracle.  Returns the levels and, per sign vector, the smallest
+    failing flat of each codim."""
+    flats = sorted((tuple(sorted(S)), c)
+                   for S, c in oracles.brute_force_flats(forms, dim).items() if c >= 2)
+
+    @cache
+    def ok(S, local):
+        rows = [[s * v for v in forms[i]] for i, s in zip(S, local)]
+        return oracles.simplex_feasible(rows, dim)
+
+    levels = {k: [] for k in range(1, dim + 1)}
+    failing = {}
+    for signs in product((1, -1), repeat=len(forms)):
+        bad = [(S, c) for S, c in flats if not ok(S, tuple(signs[i] for i in S))]
+        first_codim = min((c for _, c in bad), default=dim + 1)
+        for k in range(1, first_codim):
+            levels[k].append(str(SignVector(signs)))
+        failing[signs] = {c: min(S for S, cc in bad if cc == c) for _, c in bad}
+    return levels, failing
+
+
+def test_filtration_matches_brute_force_on_degenerate_arrangements():
+    rng = random.Random(41)
+    for _ in range(20):
+        dim = rng.randint(3, 4)
+        A = random_arrangement(rng, dim=dim, n=rng.randint(dim + 1, 7), bound=1)
+        forms = [[int(v) for v in h.form] for h in A.hyperplanes]
+        levels, failing = _oracle_filtration(forms, dim)
+        filt = sigma_filtration(A)
+        assert filt.counts == {k: len(v) for k, v in levels.items()}
+        assert filt.sets == {k: tuple(v) for k, v in levels.items()}
+        gaps = {}
+        for k in range(1, dim):
+            below = set(levels[k + 1])
+            gaps.update((k, s) for s in levels[k] if s not in below and k not in gaps)
+        assert {k: str(w.eps) for k, w in filt.witnesses.items()} == gaps
+        for k, w in filt.witnesses.items():
+            assert w.flat.key() == failing[w.eps.signs][k + 1]
 
 
 def test_consistency_at_checks_lattice_membership(generic4):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hyparr.linalg import (RatMatrix, RatVector, express_in_rowspace,
+from hyparr.linalg import (RatMatrix, RatVector, express_in_rowspace, int_rank,
                            invert, kernel_basis, rank)
 from oracles import rref_kernel, rref_rank
 
@@ -69,6 +69,21 @@ def test_rank_plus_nullity_and_exact_kernel():
         # span agreement with the independent kernel
         ok = rref_kernel(rows, d)
         assert len(ok) == K.nrows
+
+
+def test_int_rank_matches_oracle_and_keeps_rows():
+    rng = random.Random(44)
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        d = rng.randint(1, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(m)]
+        if m >= 2 and rng.random() < 0.5:  # a dependent, non-primitive row
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [2 * (a * x + b * y) for x, y in zip(rows[0], rows[1])]
+        copy = [list(r) for r in rows]
+        assert int_rank(rows, d) == rref_rank(rows, d)
+        assert int_rank(map(tuple, rows), d) == rank(RatMatrix.of(rows, d))
+        assert rows == copy
 
 
 def _canonical_by_fractions(v):
