@@ -8,6 +8,7 @@ rescaled or sign-normalized.  Hyperplane indices are 0-based internally and
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -245,10 +246,25 @@ def _require(obj: dict, *keys: str) -> None:
         raise ValueError(f"arrangement object has malformed {', '.join(bad)}")
 
 
+def parse_rational(x) -> Fraction:
+    """A Fraction from an int, a finite float or a string such as '-3/4' or
+    '2.5e-3'.  A zero denominator raises ValueError, and so does a decimal
+    exponent of more than three digits: Fraction would build a power of ten
+    that large, and by default Python prints no int of more than 4300 digits."""
+    if isinstance(x, str):
+        exponent = re.search(r"[eE][-+]?([0-9_]*)", x)
+        if exponent and len(exponent.group(1)) > 3:
+            raise ValueError(f"rational {x[:40]!r} has an exponent of more than 3 digits")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {x!r} has a zero denominator") from None
+
+
 def arrangement_from_obj(obj: dict) -> Arrangement:
     _require(obj, "dim", "forms")
     dim = int(obj["dim"])
-    forms = [[Fraction(x) for x in row] for row in obj["forms"]]
+    forms = [[parse_rational(x) for x in row] for row in obj["forms"]]
     labels = obj.get("labels") or None
     return Arrangement.from_forms(dim, forms, labels)
 
@@ -256,8 +272,8 @@ def arrangement_from_obj(obj: dict) -> Arrangement:
 def affine_from_obj(obj: dict) -> AffineArrangement:
     _require(obj, "dim", "forms", "constants")
     dim = int(obj["dim"])
-    forms = [[Fraction(x) for x in row] for row in obj["forms"]]
-    constants = [Fraction(c) for c in obj["constants"]]
+    forms = [[parse_rational(x) for x in row] for row in obj["forms"]]
+    constants = [parse_rational(c) for c in obj["constants"]]
     labels = obj.get("labels") or None
     return AffineArrangement.of(dim, forms, constants, labels)
 

@@ -10,11 +10,8 @@ parallel classes).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-
-from itertools import product
+from itertools import combinations, product
 
 from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
                           essentialize, validate)
@@ -26,12 +23,7 @@ from .lattice import closed_sets_of_forms
 from .linalg import RatMatrix, RatVector, int_rank, invert, rank
 
 RETRY_BUDGET = 64
-
-
-@dataclass(frozen=True)
-class GenericitySeed:
-    seed: int
-    coefficient_bound: int = 9
+COEFFICIENT_BOUND = 9
 
 
 def boolean(dim: int) -> Arrangement:
@@ -50,20 +42,16 @@ def generic4() -> Arrangement:
         ["x", "y", "z", "x+y+z"]))
 
 
-def generic(n: int, dim: int, seed: int | GenericitySeed,
-            coefficient_bound: int = 9) -> Arrangement:
+def generic(n: int, dim: int, seed: int) -> Arrangement:
     """n random integer forms in R^dim, redrawn until every subset of size
     <= dim is independent (checked by rank).  Deterministic per seed."""
-    if isinstance(seed, GenericitySeed):
-        coefficient_bound = seed.coefficient_bound
-        seed = seed.seed
     if not n >= dim >= 1:
         raise ValueError("need n >= dim >= 1")
     rng = random.Random(seed)
     for _ in range(RETRY_BUDGET):
         forms = []
         for _ in range(n):
-            row = [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(dim)]
+            row = [rng.randint(-COEFFICIENT_BOUND, COEFFICIENT_BOUND) for _ in range(dim)]
             forms.append(row)
         if any(all(v == 0 for v in row) for row in forms):
             continue
@@ -146,7 +134,7 @@ def braid(m: int) -> Arrangement:
 
 
 def generic_union(A: Arrangement, B: Arrangement,
-                  seed: int | GenericitySeed) -> tuple[Arrangement, SignVector]:
+                  seed: int) -> tuple[Arrangement, SignVector]:
     """A union A and g(B) for a seeded random g, with a verified witness.
 
     g is redrawn until it is invertible and every flat of A is in general
@@ -155,11 +143,6 @@ def generic_union(A: Arrangement, B: Arrangement,
     chamber of g(B) on that side.  It is verified locally consistent and
     globally inconsistent before returning.
     """
-    if isinstance(seed, GenericitySeed):
-        bound = seed.coefficient_bound
-        seed = seed.seed
-    else:
-        bound = 9
     if B.n == 0:
         raise ValueError("B must be nonempty")
     if A.dim != B.dim:
@@ -171,8 +154,8 @@ def generic_union(A: Arrangement, B: Arrangement,
     b_forms_raw = B.forms
     failed_witness = False
     for _ in range(RETRY_BUDGET):
-        g = RatMatrix.of([[rng.randint(-bound, bound) for _ in range(dim)]
-                          for _ in range(dim)], dim)
+        g = RatMatrix.of([[rng.randint(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)
+                           for _ in range(dim)] for _ in range(dim)], dim)
         try:
             ginv = invert(g)
         except ValueError:

@@ -17,15 +17,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import catalog
 from .arrangement import (Arrangement, SignVector, affine_from_obj,
                           affine_to_obj, arrangement_from_obj, arrangement_to_obj,
-                          cone, validate)
-from .chambers import all_sinks, chamber_from_signs, flow_to_sink, lex_smallest_chamber
+                          cone, parse_rational, validate)
+from .chambers import (all_sinks, chamber_from_signs, enumerate_chambers, flow_to_sink,
+                       lex_smallest_chamber)
 from .consistency import (DEFAULT_ENUM_LIMIT, REPORT_SET_LIMIT, global_consistency,
                           sigma, sigma_filtration)
 from .errors import HyparrError
@@ -33,11 +33,6 @@ from .lattice import build_lattice, chamber_count_oracle, characteristic_polynom
 from .obstruction import certify_nontrivial_sphere, detect_obstruction, sample_sphere_points
 
 DEFAULT_SEED = 2024
-
-
-def _seed_default() -> int:
-    env = os.environ.get("HYPARR_SEED")
-    return int(env) if env else DEFAULT_SEED
 
 
 def _digest_file(path: str) -> str:
@@ -98,7 +93,10 @@ def _emit(command: str, digest: str, payload: dict, certs: _Certs) -> None:
 
 def _read_object(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError("input nests JSON arrays or objects too deeply") from None
     if not isinstance(obj, dict):
         raise HyparrError(f"input holds a JSON {type(obj).__name__}, not an object")
     return obj
@@ -139,8 +137,7 @@ def _cmd_lattice(args) -> None:
 def _cmd_chambers(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    chambers = [chamber_from_signs(A, eps)
-                for eps in sigma(A, A.dim, limit=args.limit, jobs=args.jobs)]
+    chambers = enumerate_chambers(A, limit=args.limit)
     payload = {
         "count": len(chambers),
         "zaslavsky_chambers": chamber_count_oracle(build_lattice(A)),
@@ -157,7 +154,7 @@ def _cmd_sigma(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
     if args.k is not None:
-        strings = [str(eps) for eps in sigma(A, args.k, limit=args.limit, jobs=args.jobs)]
+        strings = [str(eps) for eps in sigma(A, args.k, limit=args.limit)]
         payload = {
             "k": args.k,
             "count": len(strings),
@@ -166,8 +163,7 @@ def _cmd_sigma(args) -> None:
             payload["set"] = strings
         _emit("sigma", digest, payload, certs)
         return
-    filt = sigma_filtration(A, limit=args.limit,
-                            include_sets=args.full_sets or None, jobs=args.jobs)
+    filt = sigma_filtration(A, limit=args.limit, include_sets=args.full_sets or None)
     witnesses = []
     for k in sorted(filt.witnesses):
         w = filt.witnesses[k]
@@ -240,7 +236,7 @@ def _cmd_certify(args) -> None:
     eps = _signs(A, args.eps, "eps")
     weights = None
     if args.weights:
-        weights = [Fraction(w) for w in args.weights.split(",")]
+        weights = [parse_rational(w) for w in args.weights.split(",")]
     cert = certify_nontrivial_sphere(A, eps, weights=weights)
     dual = global_consistency(A, eps).dual
     cid = certs.add(monodromy={
@@ -311,16 +307,6 @@ def _cmd_cone(args) -> None:
     sys.stdout.write(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
 
 
-def _worker_count(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
-    return jobs
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyparr",
@@ -342,20 +328,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("chambers", _cmd_chambers, "enumerate chambers with walls")
     sp.add_argument("file")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    sp.add_argument("--jobs", type=_worker_count, default=1)
 
     sp = add("sigma", _cmd_sigma, "Sigma filtration counts and witnesses")
     sp.add_argument("file")
     sp.add_argument("--k", type=int, default=None)
     sp.add_argument("--full-sets", action="store_true")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    sp.add_argument("--jobs", type=_worker_count, default=1)
 
     sp = add("obstruct", _cmd_obstruct, "detect non-vanishing homotopy groups")
     sp.add_argument("file")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
     sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = add("sink", _cmd_sink, "flow from a chamber to a sink")
     sp.add_argument("file")
@@ -373,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
     sp.add_argument("--eps", required=True)
     sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = add("builtin", _cmd_builtin, "emit a catalog arrangement as JSON")
     sp.add_argument("name")
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=_seed_default())
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = add("cone", _cmd_cone, "cone an affine arrangement")
     sp.add_argument("file")

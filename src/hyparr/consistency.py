@@ -10,14 +10,11 @@ are memoized across branches.
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, zip_longest
 
-from .arrangement import (Arrangement, SignVector, arrangement_from_obj,
-                          arrangement_to_obj, primitive_rows, validate)
+from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult, _solve_int, signed_system, strict_feasible
 from .lattice import Flat, Lattice, build_lattice, chamber_count_oracle
@@ -113,14 +110,9 @@ class _SigmaSearch:
                 return False
         return True
 
-    def run(self, prefix=()) -> list[SignVector]:
+    def run(self) -> list[SignVector]:
         out: list[SignVector] = []
-        signs = []
-        for s in prefix:
-            signs.append(s)
-            if not self.node_ok(signs):
-                return out
-        self._extend(signs, out)
+        self._extend([], out)
         return out
 
     def _extend(self, signs: list[int], out: list[SignVector]) -> None:
@@ -134,36 +126,15 @@ class _SigmaSearch:
             signs.pop()
 
 
-def _sigma_subtree(args):
-    obj, k, prefix = args
-    A = validate(arrangement_from_obj(obj))
-    lat = build_lattice(A)
-    search = _SigmaSearch(A, lat, k)
-    return [str(sv) for sv in search.run(prefix)]
-
-
 def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
-          limit: int | None = None, jobs: int = 1) -> tuple[SignVector, ...]:
-    """The exact set Sigma_k, lexicographically ordered ('+' < '-').
-
-    jobs > 1 splits the search by sign prefix over at most os.cpu_count()
-    worker processes.  The subtrees are disjoint and visited in prefix
-    order, so the result does not depend on the worker count.
-    """
+          limit: int | None = None) -> tuple[SignVector, ...]:
+    """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
     if not 1 <= k <= A.dim:
         raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
         raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        return tuple(_SigmaSearch(A, lattice or build_lattice(A), k).run())
-    depth = min(A.n, (jobs - 1).bit_length() + 1)
-    obj = arrangement_to_obj(A)
-    tasks = [(obj, k, p) for p in product((1, -1), repeat=depth)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return tuple(SignVector.from_string(s)
-                     for part in pool.map(_sigma_subtree, tasks) for s in part)
+    return tuple(_SigmaSearch(A, lattice or build_lattice(A), k).run())
 
 
 @dataclass(frozen=True)
@@ -199,14 +170,12 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
 
 def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
                      limit: int | None = None,
-                     include_sets: bool | None = None,
-                     jobs: int = 1) -> SigmaFiltration:
+                     include_sets: bool | None = None) -> SigmaFiltration:
     """Counts of every Sigma_k, plus a witness for each strict drop.
 
     Explicit sorted sets are included when include_sets is true, or by
     default when n <= REPORT_SET_LIMIT.  Every level k >= 2 is one `sigma`
-    search, spread over `jobs` worker processes; the result does not depend
-    on it.
+    search.
     """
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
@@ -223,7 +192,7 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
         sets[1] = tuple(map("".join, product("+-", repeat=n)))
     prev = (SignVector(p) for p in product((1, -1), repeat=n))  # Sigma_1, lazily
     for k in range(2, dim + 1):
-        cur = sigma(A, k, lattice=lat, limit=limit, jobs=jobs)
+        cur = sigma(A, k, lattice=lat, limit=limit)
         counts[k] = len(cur)
         if include_sets:
             sets[k] = tuple(map(str, cur))

@@ -4,7 +4,6 @@ import pytest
 
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, validate
-from hyparr.catalog import GenericitySeed
 from hyparr.consistency import (is_globally_consistent, is_locally_consistent,
                                 sigma_filtration)
 from hyparr.lattice import build_lattice, chamber_count_oracle
@@ -35,7 +34,7 @@ def test_generic_lattice_shape_and_determinism():
         L = build_lattice(A)
         assert Counter(f.codim for f in L.flats) == Counter({0: 1, 1: 4, 2: 6, 3: 1})
         assert A == catalog.generic(4, 3, seed)
-    A = catalog.generic(5, 3, GenericitySeed(7, coefficient_bound=5))
+    A = catalog.generic(5, 3, 7)
     for f in build_lattice(A).flats:
         if f.codim < 3:
             assert len(f.contains) == f.codim  # generic: only small circuits

@@ -13,6 +13,7 @@ import hyparr
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj
 from hyparr.cli import main
+from hyparr.consistency import REPORT_SET_LIMIT
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
 from conftest import FAULT8_FORMS
@@ -64,25 +65,13 @@ def test_lattice_payload(tmp_path, capsys):
     assert len(doc["payload"]["flats"]) == 12
 
 
-def test_chambers_and_jobs_independence(tmp_path, capsys):
-    f = write_generic4(tmp_path)
-    code1, out1 = run_cli(capsys, "chambers", f)
-    code2, out2 = run_cli(capsys, "chambers", f, "--jobs", "2")
-    assert code1 == code2 == 0
-    assert out1 == out2
-    doc = json.loads(out1)
+def test_chambers_payload(tmp_path, capsys):
+    code, out = run_cli(capsys, "chambers", write_generic4(tmp_path))
+    assert code == 0
+    doc = json.loads(out)
     assert doc["payload"]["count"] == 14
     assert doc["payload"]["chambers"][0]["signs"] == "++++"
     assert doc["payload"]["chambers"][0]["walls"] == [1, 2, 3]
-
-
-@pytest.mark.parametrize("command", ["chambers", "sigma"])
-@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
-def test_jobs_not_a_positive_integer_is_a_usage_error(tmp_path, capsys, command, jobs):
-    with pytest.raises(SystemExit) as exc:
-        main([command, write_generic4(tmp_path), "--jobs", jobs])
-    assert exc.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
 
 
 def test_sigma_cx2_counts(tmp_path, capsys):
@@ -98,6 +87,20 @@ def test_sigma_single_k(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["payload"]["count"] == 14
     assert "+++-" not in doc["payload"]["set"]
+
+
+def test_full_sets_lists_sets_past_the_report_limit(tmp_path, capsys):
+    A = catalog.generic(17, 2, 3)
+    assert A.n > REPORT_SET_LIMIT
+    f = _write(tmp_path, "g17.json", arrangement_to_obj(A))
+    pay = json.loads(run_cli(capsys, "sigma", f, "--k=2")[1])["payload"]
+    assert (pay["count"], "set" in pay) == (34, False)
+    pay = json.loads(run_cli(capsys, "sigma", f, "--k=2", "--full-sets")[1])["payload"]
+    assert len(pay["set"]) == 34 and pay["set"] == sorted(pay["set"])
+    assert "sets" not in json.loads(run_cli(capsys, "sigma", f)[1])["payload"]
+    sets = json.loads(run_cli(capsys, "sigma", f, "--full-sets")[1])["payload"]["sets"]
+    assert {k: len(v) for k, v in sets.items()} == {"1": 2 ** 17, "2": 34}
+    assert sets["2"] == pay["set"]
 
 
 def test_obstruct_generic4(tmp_path, capsys):
@@ -211,18 +214,16 @@ def test_usage_error_exit_2():
     assert r.returncode == 2
 
 
-def test_hyparr_seed_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("HYPARR_SEED", "17")
-    _, out_env = run_cli(capsys, "builtin", "generic", "--n", "4", "--l", "3")
-    monkeypatch.delenv("HYPARR_SEED")
-    _, out_flag = run_cli(capsys, "builtin", "generic", "--n", "4", "--l", "3",
-                          "--seed", "17")
-    assert out_env == out_flag
+class RawText:
+    """File contents that `_write` writes as they stand, not JSON-encoded."""
+
+    def __init__(self, text):
+        self.text = text
 
 
 def _write(tmp_path, name, obj):
     p = tmp_path / name
-    p.write_text(json.dumps(obj))
+    p.write_text(obj.text if isinstance(obj, RawText) else json.dumps(obj))
     return str(p)
 
 
@@ -243,6 +244,15 @@ GENERIC4 = arrangement_to_obj(catalog.generic4())
     ("cone", {"dim": 2, "constants": ["1"]}, (), "ValueError"),
     ("sink", GENERIC4, ("--eps=+++-", "--start=+-+"), "HyparrError"),
     ("sink", GENERIC4, ("--eps=++-",), "HyparrError"),
+    ("lattice", dict(GENERIC4, forms=[["1/0", "0", "0"]] + GENERIC4["forms"][1:]), (),
+     "ValueError"),
+    ("lattice", dict(GENERIC4, forms=[["1e999999999", "0", "0"]] + GENERIC4["forms"][1:]), (),
+     "ValueError"),
+    ("cone", {"dim": 2, "forms": [["1", "0"], ["0", "1"]], "constants": ["1/0", "1"]}, (),
+     "ValueError"),
+    ("validate", RawText("[" * 100000), (), "ValueError"),
+    ("certify", GENERIC4, ("--eps=+++-", "--weights=1/0,1,1,1"), "ValueError"),
+    ("certify", GENERIC4, ("--eps=+++-", "--weights=1e999999999,1,1,1"), "ValueError"),
 ])
 def test_malformed_input_is_structured_error(tmp_path, capsys, command, obj, extra, error):
     code, out = run_cli(capsys, command, _write(tmp_path, "in.json", obj), *extra)
@@ -324,8 +334,7 @@ def _pin_id(run):
 
 
 @pytest.mark.parametrize("run", sorted(OUTPUT_SHA256), ids=_pin_id)
-def test_output_bytes_are_pinned(run, tmp_path, monkeypatch):
-    monkeypatch.delenv("HYPARR_SEED", raising=False)
+def test_output_bytes_are_pinned(run, tmp_path):
     name, command, *flags = run
     A = catalog.generic4() if name == "generic4" else catalog.x2_coned()
     path = tmp_path / f"{name}.json"

@@ -1,5 +1,4 @@
 import gc
-import os
 import random
 from functools import cache
 from itertools import product
@@ -7,7 +6,7 @@ from itertools import product
 import pytest
 
 import oracles
-from hyparr import catalog, consistency
+from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.consistency import (global_consistency, is_consistent_at,
                                 is_globally_consistent, is_locally_consistent,
@@ -146,41 +145,6 @@ def test_too_large():
         sigma(B, 2, limit=2)
     with pytest.raises(TooLarge):
         sigma_filtration(B, limit=2)
-
-
-def test_parallel_sigma_matches_serial(generic4, cx2, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool on one core too
-    for A, k in ((generic4, 2), (generic4, 3), (cx2, 2)):
-        assert sigma(A, k, jobs=2) == sigma(A, k)
-    for A in (generic4, cx2):
-        assert sigma_filtration(A, jobs=2) == sigma_filtration(A)
-
-
-@pytest.mark.parametrize("cores, workers, tasks", [(3, [3], [8]), (None, [], [])])
-def test_jobs_are_capped_at_the_core_count(generic4, monkeypatch, cores, workers, tasks):
-    asked, sizes = [], []
-
-    class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            items = list(items)
-            sizes.append(len(items))
-            return map(fn, items)
-
-    monkeypatch.setattr(consistency.concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert sigma(generic4, 3, jobs=10 ** 6) == sigma(generic4, 3)
-    assert (asked, sizes) == (workers, tasks)
 
 
 def test_sigma_leaves_no_garbage(cx2):
