@@ -40,8 +40,20 @@ def _digest_file(path: str) -> str:
         return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
+# Python limits printing an int to 4300 digits by default (absent before
+# 3.10.7).  The limit guards parsing input; an exact witness may pass it.
+_get_int_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+
+
 def _vec(v) -> list[str]:
-    return [str(Fraction(x)) for x in v]
+    """Rationals as output strings, printed in full however long."""
+    old = _get_int_digits()
+    _set_int_digits(0)
+    try:
+        return [str(Fraction(x)) for x in v]
+    finally:
+        _set_int_digits(old)
 
 
 def _ones(indices) -> list[int]:

@@ -111,8 +111,10 @@ def interior_witness(sys: StrictSystem) -> RatVector:
     """A deep rational point of the open cone.
 
     The point maximizes, exactly, the smallest slack over the unit
-    cross-polytope, so every slack is at least the best achievable minimum.
-    Raises Infeasible when the system has a dual certificate.
+    cross-polytope, so every slack is at least the best achievable minimum:
+    `maximin_on_cross_polytope` checks the dual bound on that minimum, and
+    here the point is checked to reach it.  Raises Infeasible when the
+    system has a dual certificate.
     """
     if not sys.forms:
         return strict_feasible(sys).witness
@@ -121,10 +123,10 @@ def interior_witness(sys: StrictSystem) -> RatVector:
         raise Infeasible("system has a dual certificate")
     prim = tuple(primitive_int_vector(f.entries) for f in sys.forms)
     t_star, point = _fmpure.maximin_on_cross_polytope(prim, sys.dim)
-    point = RatVector(point)
-    if not (t_star > 0 and all(f.dot(point) > 0 for f in sys.forms)):
-        raise InternalError("the deep point is not strictly inside the cone")
-    return point
+    if not (t_star > 0 and sum(abs(v) for v in point) <= 1
+            and all(sum(a * v for a, v in zip(r, point)) >= t_star for r in prim)):
+        raise InternalError("the deep point does not reach t* inside the cone")
+    return RatVector(point)
 
 
 def signed_system(A, eps, indices=None) -> StrictSystem:

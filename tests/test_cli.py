@@ -274,12 +274,42 @@ def test_sign_vector_after_a_space(tmp_path, capsys, spaced, joined):
     assert outs[0][0] == 0
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=None):
     """`python *argv` in a child that imports the hyparr package under test."""
     env = dict(os.environ)
     pkg_parent = str(Path(hyparr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (pkg_parent, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+def _union(na, nb, dim):
+    """generic(na, dim) united with generic(nb, dim), or with the plane
+    x_1 + ... + x_dim = 0 when nb is 1, by `catalog.generic_union` from
+    catalog seed 2024; returns the arrangement and its witness sign vector."""
+    A = catalog.generic(na, dim, 2024)
+    B = (Arrangement.from_forms(dim, [[1] * dim]) if nb == 1
+         else catalog.generic(nb, dim, 2025))
+    return catalog.generic_union(A, B, 2026)
+
+
+def test_sphere_in_dimension_6(tmp_path):
+    U, eps = _union(7, 1, 6)
+    f = _write(tmp_path, "union6.json", arrangement_to_obj(U))
+    r = _run_module("-m", "hyparr.cli", "sphere", f, f"--eps={eps}", "--count=2", timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["payload"]["verified"] is True
+
+
+def test_witnesses_past_the_int_printing_limit(tmp_path, capsys):
+    # the witnesses of these forms print with more than 4300 digits
+    forms = [["1e-999", "-2", "1e-999"], ["1e-999", "1e-999", "1e999"],
+             ["-1e999", "1e999", "1"], ["1e-999", "1", "1"], ["3", "1", "1e-999"]]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out = run_cli(capsys, "chambers", _write(tmp_path, "big.json", {"dim": 3, "forms": forms}))
+    assert code == 0
+    assert json.loads(out)["payload"]["count"] == 22
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_lattice_checks_stay_on_under_optimize(tmp_path):
@@ -305,11 +335,13 @@ def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
             assert (r.returncode, doc["error"]["type"]) == (1, "InternalError"), r.stderr
 
 
-# sha256 of stdout on the files `hyparr builtin` prints.  The chambers, sink,
-# certify and sphere pins were taken before the kernel's two elimination
-# loops became one and cover witnesses, walls, flows and deep points; the
-# sigma and obstruct pins were taken before every Sigma level became one
-# `sigma` search and cover counts, sets and gap witnesses.
+# sha256 of stdout on the files `hyparr builtin` prints, and on the unions
+# `_union` draws.  The chambers, sink, certify and generic4 sphere pins were
+# taken before the kernel's two elimination loops became one and cover
+# witnesses, walls, flows and deep points; the sigma and obstruct pins were
+# taken before every Sigma level became one `sigma` search and cover counts,
+# sets and gap witnesses; the union sphere pins were taken while the deep
+# point still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
 OUTPUT_SHA256 = {
     ("generic4", "chambers"): "a0ab76a48cd5fd82c981a8bca6003473fe6e7f51758db8f649adb285e537c43f",
     ("cx2", "chambers"): "6ef616c73c5effe3588390e16f4a3b2edbe9e37dc91bf24b8261993dfb661dfa",
@@ -325,6 +357,16 @@ OUTPUT_SHA256 = {
         "aac6f2f47435b42122bf8958058d19f303757b1537ae7178fd21552346b980e9",
     ("generic4", "obstruct"): "d002973bdcd15cd0e8ffd8b3394a6ac4675716dcf4d0953e0a2cc4deaf34f2a6",
     ("cx2", "obstruct"): "87fd95c502cd1001db7826eaae9800184641272f5191af6328d1e06d2fc128a3",
+    ("union(5,4;4)", "sphere", "--eps=+++-+-+++", "--count=4"):
+        "b22178ba89891c452396a213d62649c7e58341943120ea5aefad94959ff8447e",
+    ("union(6,1;5)", "sphere", "--eps=++++-+-", "--count=2"):
+        "4985a3de764289995aec9d0bcb3dec5fd6eea29c6d46f1544963e4bae181de5d",
+}
+PINNED_INPUTS = {
+    "generic4": catalog.generic4,
+    "cx2": catalog.x2_coned,
+    "union(5,4;4)": lambda: _union(5, 4, 4)[0],
+    "union(6,1;5)": lambda: _union(6, 1, 5)[0],
 }
 
 
@@ -336,7 +378,7 @@ def _pin_id(run):
 @pytest.mark.parametrize("run", sorted(OUTPUT_SHA256), ids=_pin_id)
 def test_output_bytes_are_pinned(run, tmp_path):
     name, command, *flags = run
-    A = catalog.generic4() if name == "generic4" else catalog.x2_coned()
+    A = PINNED_INPUTS[name]()
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
     buf = io.StringIO()

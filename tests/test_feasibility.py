@@ -1,13 +1,14 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from hyparr import _fmpure
+from hyparr import _fmpure, _simplex
 from hyparr.errors import Infeasible, InternalError
 from hyparr.feasibility import (FeasibilityResult, StrictSystem, interior_witness,
                                 strict_feasible)
-from hyparr.linalg import RatVector
+from hyparr.linalg import RatVector, primitive_int_vector
 
 from conftest import FAULT8_FORMS
 from oracles import grid_witness, simplex_feasible
@@ -114,6 +115,66 @@ def test_interior_witness_rejects_a_point_outside_the_cone(monkeypatch):
     monkeypatch.setattr(_fmpure, "maximin_on_cross_polytope", off_side)
     with pytest.raises(InternalError):
         interior_witness(StrictSystem.of([[1, 0], [0, 1]], 2))
+
+
+def test_interior_witness_rejects_a_suboptimal_t_star(monkeypatch):
+    maximize = _simplex.maximize
+
+    def short(A, b, c):
+        value, z, y = maximize(A, b, c)
+        return value / 2, z, y
+
+    monkeypatch.setattr(_simplex, "maximize", short)
+    with pytest.raises(InternalError, match="dual"):
+        interior_witness(StrictSystem.of([[1, 0], [0, 1]], 2))
+
+
+def test_simplex_optimum_is_certified_by_its_dual():
+    # z >= 0, A z <= b, y >= 0, y A >= c and c . z == y . b prove optimality
+    rng = random.Random(106)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(1, 6)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)] + [[1] * n]
+        z0 = [rng.randint(0, 2) for _ in range(n)]
+        b = [sum(a * v for a, v in zip(row, z0)) + rng.randint(0, 2) for row in A]
+        c = [rng.randint(-3, 3) for _ in range(n)]
+        value, z, y = _simplex.maximize(A, b, c)
+        assert all(v >= 0 for v in z) and all(v >= 0 for v in y)
+        assert all(sum(a * v for a, v in zip(row, z)) <= bi for row, bi in zip(A, b))
+        assert all(sum(yi * row[j] for yi, row in zip(y, A)) >= c[j] for j in range(n))
+        assert sum(cj * v for cj, v in zip(c, z)) == value == sum(yi * bi for yi, bi in zip(y, b))
+
+
+def test_simplex_reports_an_empty_program():
+    with pytest.raises(InternalError, match="infeasible"):
+        _simplex.maximize([[1], [-1]], [1, -2], [1])
+
+
+def _feasible_systems(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(1, 5)
+        m = rng.randint(1, 8)
+        rows = [primitive_int_vector([rng.randint(-3, 3) for _ in range(d)]) for _ in range(m)]
+        rows = tuple(tuple(r) for r in rows if any(r))
+        if rows and strict_feasible(StrictSystem.of(rows, d)).feasible:
+            out.append((rows, d))
+    return out
+
+
+# sha256 of (t*, point) over 200 feasible systems, taken while the deep point
+# still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
+DEEP_POINTS_SHA256 = "1bbe8018622fea7c752961694dffeb6e1807422d93a06e6fb68ee754677ef157"
+
+
+def test_deep_points_are_pinned():
+    h = hashlib.sha256()
+    for rows, d in _feasible_systems(200, 105):
+        t_star, point = _fmpure.maximin_on_cross_polytope(rows, d)
+        h.update(f"{t_star}:{','.join(map(str, point))}\n".encode())
+    assert h.hexdigest() == DEEP_POINTS_SHA256
 
 
 @pytest.mark.xfail(strict=True, reason="keep-first deduplication with the support "
