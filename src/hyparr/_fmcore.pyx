@@ -3,11 +3,14 @@
 """Compiled int64 twin of the pure Fourier-Motzkin kernel (_fmpure.solve).
 
 Identical algorithm and processing order: rows in input order, last
-coordinate eliminated first, (positive x negative) pair order, keep-first
-deduplication by row direction, joint gcd reduction of row and provenance,
-and the Chernikov/Imbert support bound.  Arithmetic runs on 64-bit integers
-with conservative overflow guards; `solve` returns None whenever a value
-could overflow, and the caller falls back to the pure kernel.
+coordinate eliminated first, (positive x negative) pair order, joint gcd
+reduction of row and provenance, and the Chernikov/Imbert support bound.
+No row is merged with another of the same direction: a duplicate can carry
+a smaller provenance support than the copy that would be kept, and the
+bound could then prune the kept copy, so an infeasible system would read
+feasible.  Arithmetic runs on 64-bit integers with conservative overflow
+guards; `solve` returns None whenever a value could overflow, and the
+caller falls back to the pure kernel.
 """
 
 from cpython cimport array
@@ -33,20 +36,8 @@ cdef inline i64 igcd(i64 a, i64 b) nogil:
     return a
 
 
-cdef object _direction_key_c(i64 *row, int d):
-    cdef int j
-    cdef i64 g = 0
-    for j in range(d):
-        g = igcd(g, row[j])
-        if g == 1:
-            break
-    if g > 1:
-        return tuple([row[j] // g for j in range(d)])
-    return tuple([row[j] for j in range(d)])
-
-
 cdef object _push(i64 *tbuf, int d, int n, i64 *nbuf, int *new_count,
-                  int stride, set seen):
+                  int stride):
     """Append the candidate row+provenance, or return a ("dual", ...) result."""
     cdef int j
     cdef i64 g
@@ -68,12 +59,9 @@ cdef object _push(i64 *tbuf, int d, int n, i64 *nbuf, int *new_count,
     if g > 1:
         for j in range(d + n):
             tbuf[j] //= g
-    key = _direction_key_c(tbuf, d)
-    if key not in seen:
-        seen.add(key)
-        for j in range(d + n):
-            nbuf[new_count[0] * stride + j] = tbuf[j]
-        new_count[0] += 1
+    for j in range(d + n):
+        nbuf[new_count[0] * stride + j] = tbuf[j]
+    new_count[0] += 1
     return None
 
 
@@ -95,22 +83,15 @@ def solve(rows, int dim):
     cap = n if n > 0 else 1
     cur = array.clone(_I64, cap * stride, zero=True)
     cbuf = cur.data.as_longlongs
-    count = 0
-    seen = set()
+    count = n
     for i in range(n):
         row = rows[i]
         for j in range(d):
             pyval = row[j]
             if pyval > LIMIT or pyval < -LIMIT:
                 return None
-            cbuf[count * stride + j] = pyval
-        key = _direction_key_c(cbuf + count * stride, d)
-        if key in seen:
-            continue
-        seen.add(key)
-        for j in range(n):
-            cbuf[count * stride + d + j] = 1 if j == i else 0
-        count += 1
+            cbuf[i * stride + j] = pyval
+        cbuf[i * stride + d + i] = 1
 
     stages = []
     while d > 0:
@@ -138,7 +119,6 @@ def solve(rows, int dim):
         tmp = array.clone(_I64, new_stride if new_stride > 0 else 1, zero=True)
         tbuf = tmp.data.as_longlongs
         new_count = 0
-        seen = set()
 
         for p in range(len(zer)):
             i = zer[p]
@@ -146,7 +126,7 @@ def solve(rows, int dim):
                 tbuf[j] = cbuf[i * stride + j]
             for j in range(n):
                 tbuf[d - 1 + j] = cbuf[i * stride + d + j]
-            res = _push(tbuf, d - 1, n, nbuf, &new_count, new_stride, seen)
+            res = _push(tbuf, d - 1, n, nbuf, &new_count, new_stride)
             if res is not None:
                 return res
 
@@ -178,7 +158,7 @@ def solve(rows, int dim):
                             support += 1
                     if support > elim + 1:
                         continue
-                res = _push(tbuf, d - 1, n, nbuf, &new_count, new_stride, seen)
+                res = _push(tbuf, d - 1, n, nbuf, &new_count, new_stride)
                 if res is not None:
                     return res
 

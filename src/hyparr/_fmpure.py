@@ -12,10 +12,13 @@ point of a strict system.
 
 The loop processes rows in input order and always eliminates the last
 column; pairs combine in (positive-list x negative-list) order, each new row
-is reduced jointly with its provenance by their gcd, duplicates keep the
-first occurrence, and a derived row with a variable left whose provenance
-touches more than (eliminated + 1) original rows is dropped
-(Chernikov/Imbert bound).
+is reduced jointly with its provenance by their gcd, and a derived row with
+a variable left whose provenance touches more than (eliminated + 1) original
+rows is dropped (Chernikov/Imbert bound).  No row is merged with another of
+the same direction: a duplicate can carry a smaller provenance support than
+the copy that would be kept, and the bound could then prune the kept copy
+and with it the only route to 0 > 0, so an infeasible system would read
+feasible.
 
 Every derived row carries a provenance vector: nonnegative integers p with
 sum_i p_i * row_i equal to the derived row.  A derived row with no variable
@@ -31,11 +34,6 @@ from . import _simplex
 from .errors import InternalError
 
 
-def _direction_key(row) -> tuple[int, ...]:
-    g = gcd(*row)
-    return tuple(v // g for v in row) if g > 1 else tuple(row)
-
-
 def solve(rows, dim):
     """Decide {r . x > 0 for r in rows} with rows of primitive integers.
 
@@ -45,13 +43,7 @@ def solve(rows, dim):
     over dim-k coordinates seen before eliminating coordinate dim-1-k.
     """
     n = len(rows)
-    items = []
-    seen = set()
-    for i, r in enumerate(rows):
-        key = _direction_key(r)
-        if key not in seen:
-            seen.add(key)
-            items.append((tuple(r), tuple(int(j == i) for j in range(n))))
+    items = [(tuple(r), tuple(int(j == i) for j in range(n))) for i, r in enumerate(rows)]
     stages = []
     for elim in range(1, dim + 1):
         stages.append([row for row, _ in items])
@@ -60,7 +52,6 @@ def solve(rows, dim):
         neg = [it for it in items if it[0][-1] < 0]
         zer = [(row[:-1], prov) for row, prov in items if row[-1] == 0]
         new_items = []
-        seen = set()
 
         def push(row, prov):
             if not any(row):
@@ -70,10 +61,7 @@ def solve(rows, dim):
             if g > 1:
                 row = tuple(v // g for v in row)
                 prov = tuple(p // g for p in prov)
-            key = _direction_key(row)
-            if key not in seen:
-                seen.add(key)
-                new_items.append((row, prov))
+            new_items.append((row, prov))
             return None
 
         for row, prov in zer:

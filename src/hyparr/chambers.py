@@ -37,28 +37,26 @@ class FlowPath:
         return self.chambers[-1]
 
 
-@lru_cache(maxsize=4096)
-def _hyperplane_basis(A: Arrangement, i: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced integer rows of all other forms on a basis of hyperplane i."""
-    K = kernel_basis(RatMatrix.of([A.hyperplanes[i].form], A.dim))
+@lru_cache(maxsize=256)
+def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per hyperplane i, the integer rows of the other forms, in order,
+    reduced onto a basis of hyperplane i."""
     rows = primitive_rows(A)
-    reduced = []
-    for j in range(A.n):
-        if j == i:
-            reduced.append(())
-            continue
-        reduced.append(tuple(
-            sum(rows[j][t] * int(b[t]) for t in range(A.dim)) for b in K.rows))
-    return tuple(reduced)
+    out = []
+    for i in range(A.n):
+        K = kernel_basis(RatMatrix.of([A.hyperplanes[i].form], A.dim))
+        basis = [[int(v) for v in b] for b in K.rows]
+        out.append(tuple(tuple(sum(r * v for r, v in zip(rows[j], b)) for b in basis)
+                         for j in range(A.n) if j != i))
+    return tuple(out)
 
 
 @lru_cache(maxsize=65536)
 def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
     out = []
-    for i in range(A.n):
-        reduced = _hyperplane_basis(A, i)
-        rows = tuple(tuple(signs[j] * v for v in reduced[j])
-                     for j in range(A.n) if j != i)
+    for i, reduced in enumerate(_hyperplane_basis(A)):
+        others = signs[:i] + signs[i + 1:]
+        rows = tuple(tuple(s * v for v in r) for s, r in zip(others, reduced))
         kind, _ = _solve_int(rows, A.dim - 1)
         if kind != "dual":
             out.append(i)

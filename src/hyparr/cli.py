@@ -289,15 +289,15 @@ def _cmd_sphere(args) -> None:
 def _cmd_builtin(args) -> None:
     name = args.name
     if name == "boolean":
-        A = catalog.boolean(args.l or 2)
+        A = catalog.boolean(2 if args.l is None else args.l)
     elif name == "generic4":
         A = catalog.generic4()
     elif name == "generic":
-        if not args.n or not args.l:
+        if args.n is None or args.l is None:
             raise HyparrError("generic requires --n and --l")
         A = catalog.generic(args.n, args.l, args.seed)
     elif name == "braid":
-        A = catalog.braid(args.n or 4)
+        A = catalog.braid(4 if args.n is None else args.n)
     elif name == "x2":
         obj = affine_to_obj(catalog.x2_affine())
         sys.stdout.write(json.dumps(obj, indent=2) + "\n")

@@ -10,9 +10,10 @@ from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.errors import DuplicateHyperplane, NotEssential, ZeroForm
 
-# The 8-plane arrangement in R^4 on which the Fourier-Motzkin kernel calls
-# the infeasible system {r . x > 0 for r in FAULT8_FORMS} (sign vector
-# ++++++++) feasible: Sigma_4 gets 117 sign vectors against Zaslavsky's 116.
+# A regression input: the 8-plane arrangement in R^4 on which the
+# Fourier-Motzkin kernel, while it still merged rows of the same direction,
+# called the infeasible system {r . x > 0 for r in FAULT8_FORMS} (sign vector
+# ++++++++) feasible, so Sigma_4 got 117 sign vectors against Zaslavsky's 116.
 FAULT8_FORMS = ((0, 0, 2, 1), (3, 2, 0, 3), (-1, 2, 1, -1), (-1, -1, 0, 1),
                 (-3, 1, -2, -1), (1, -2, -3, 2), (2, 1, -1, -1), (-1, -3, 3, -2))
 

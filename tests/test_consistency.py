@@ -14,7 +14,7 @@ from hyparr.consistency import (global_consistency, is_consistent_at,
 from hyparr.errors import TooLarge
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
-from conftest import random_arrangement, random_sign_vector
+from conftest import FAULT8_FORMS, random_arrangement, random_sign_vector
 
 
 def sv(s):
@@ -186,9 +186,13 @@ def _oracle_filtration(forms, dim):
 
 def test_filtration_matches_brute_force_on_degenerate_arrangements():
     rng = random.Random(41)
+    arrangements = []
     for _ in range(20):
         dim = rng.randint(3, 4)
-        A = random_arrangement(rng, dim=dim, n=rng.randint(dim + 1, 7), bound=1)
+        arrangements.append(random_arrangement(rng, dim=dim, n=rng.randint(dim + 1, 7), bound=1))
+    arrangements.append(Arrangement.from_forms(4, FAULT8_FORMS))
+    for A in arrangements:
+        dim = A.dim
         forms = [[int(v) for v in h.form] for h in A.hyperplanes]
         levels, failing = _oracle_filtration(forms, dim)
         filt = sigma_filtration(A)

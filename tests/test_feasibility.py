@@ -177,11 +177,28 @@ def test_deep_points_are_pinned():
     assert h.hexdigest() == DEEP_POINTS_SHA256
 
 
-@pytest.mark.xfail(strict=True, reason="keep-first deduplication with the support "
-                   "bound drops the row that would derive 0 > 0")
+# Infeasible systems that the kernel once called feasible: keep-first
+# deduplication by row direction dropped a duplicate with a smaller provenance
+# support, and the support bound then pruned the copy it kept.
+FAULT_ROWS = (
+    (FAULT8_FORMS, 4),
+    (((-1, -1, 3, 2), (-2, -1, -3, 0), (1, -1, -1, -1), (3, 3, -2, 1),
+      (-3, 2, 0, -3), (1, 1, -1, 0), (0, -2, -3, 1), (0, 0, 1, 1)), 4),
+    (((0, 0, 0, 1), (1, -3, -1, 1), (-2, 0, 0, 1), (1, 1, -3, -3),
+      (-1, 0, 3, 0), (0, 1, 0, -3), (3, 2, 1, 2), (1, 1, -1, 2)), 4),
+    (((-3, -2, 0, 3, -3), (-1, 2, 0, 1, -1), (1, -2, 0, 0, 3), (-2, -3, -2, -1, 1),
+      (1, 0, -1, 1, -1), (1, -2, 0, -2, 1), (1, -2, 0, -3, 1), (1, 0, 1, 2, 0),
+      (-2, -1, -2, -2, 3)), 5),
+)
+
+
 def test_kernel_agrees_with_oracle_on_the_fault_rows():
-    kind, _ = _fmpure.solve(FAULT8_FORMS, 4)
-    assert (kind == "stages") == simplex_feasible(FAULT8_FORMS, 4)
+    for rows, dim in FAULT_ROWS:
+        assert _fmpure.solve(rows, dim)[0] == "dual", rows
+        system = StrictSystem.of(rows, dim)
+        res = strict_feasible(system)
+        assert not res.feasible and res.verify(system), rows
+        assert not simplex_feasible(rows, dim), rows
 
 
 def test_grid_confirms_witness_side():
