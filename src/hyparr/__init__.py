@@ -18,7 +18,7 @@ from .errors import HyparrError
 from .feasibility import (FeasibilityResult, StrictSystem, interior_witness,
                           strict_feasible)
 from .lattice import (Flat, Lattice, build_lattice, chamber_count_oracle,
-                      characteristic_polynomial, localization)
+                      characteristic_polynomial)
 from .linalg import RatMatrix, Rational, RatVector, kernel_basis, rank
 from .obstruction import (ComplexSamplePoint, MonodromyCertificate, ObstructionReport,
                           certify_nontrivial_sphere, detect_obstruction,
@@ -37,7 +37,7 @@ __all__ = [
     "HyparrError",
     "FeasibilityResult", "StrictSystem", "interior_witness", "strict_feasible",
     "Flat", "Lattice", "build_lattice", "chamber_count_oracle",
-    "characteristic_polynomial", "localization",
+    "characteristic_polynomial",
     "RatMatrix", "Rational", "RatVector", "kernel_basis", "rank",
     "ComplexSamplePoint", "MonodromyCertificate", "ObstructionReport",
     "certify_nontrivial_sphere", "detect_obstruction",

@@ -88,13 +88,10 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:
     """Greedy prefix descent; '+' is preferred at every index."""
-    rows = primitive_rows(A)
     signs: list[int] = []
     for i in range(A.n):
         signs.append(1)
-        sys_rows = tuple(tuple(signs[j] * v for v in rows[j]) for j in range(i + 1))
-        kind, _ = _solve_int(sys_rows, A.dim)
-        if kind == "dual":
+        if not strict_feasible(signed_system(A, signs, range(i + 1))).feasible:
             signs[-1] = -1
     return chamber_from_signs(A, SignVector(tuple(signs)))
 

@@ -1,23 +1,32 @@
 """Consistency of half-space systems at flats and the Sigma filtration.
 
 Sigma_k holds the sign vectors whose chosen half-spaces are consistent at
-every flat of codimension at most k.  Sets are enumerated by depth-first sign
-assignment: a branch dies as soon as a fully-assigned localization of
-codimension <= k is infeasible.  Localizations on independent hyperplanes
-are never checked (they are consistent for any signs), and per-flat verdicts
-are memoized across branches.
+every flat of codimension at most k.  By Gordan's alternative, eps fails at X
+iff the rows of A_X, signed by eps, have a nonnegative dependency, and every
+dependency is a conformal sum of circuits (Rockafellar 1969, elementary
+vectors; Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
+Matroids, 1999, ch. 3).  A circuit of size s spans a flat of codimension
+s - 1, so eps is in Sigma_k iff it agrees, up to global sign, with no signed
+circuit of size at most k + 1.  Sets are enumerated by depth-first sign
+assignment against a table of circuits; no solver runs and nothing is
+memoized.  Each circuit's dependency is checked when it is built.  The
+search is checked by two counts: at every dependent flat X of codimension
+at most k below the top, the patterns on A_X that avoid its circuits number
+the chambers of A_X (Zaslavsky), and Sigma_dim numbers the chambers of A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import combinations, product, zip_longest
+from operator import itemgetter
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
-from .feasibility import FeasibilityResult, _solve_int, signed_system, strict_feasible
+from .feasibility import FeasibilityResult, signed_system, strict_feasible
 from .lattice import Flat, Lattice, build_lattice, chamber_count_oracle
+from .linalg import int_kernel_basis
 
 DEFAULT_ENUM_LIMIT = 22
 REPORT_SET_LIMIT = 16
@@ -59,56 +68,40 @@ def is_locally_consistent(A: Arrangement, eps: SignVector,
     return True
 
 
-def _signed_rows(rows, signs, indices):
-    return tuple(tuple(signs[i] * v for v in rows[i]) for i in indices)
+def _circuits(A: Arrangement, lat: Lattice, k: int) -> dict[int, list]:
+    """Signed circuits of size 3..k+1 keyed by their largest index.
 
-
-def _checks_by_last(lat: Lattice, max_codim: int):
-    """Non-independent flats of codim 2..max_codim keyed by largest index."""
-    by_last: dict[int, list[Flat]] = {}
+    A circuit S spans its flat X = closure(S), so |S| = codim X + 1, and it
+    is found once, among the (codim + 1)-subsets of A_X: those whose rows
+    have a one-row integer kernel c with no zero entry.  Each entry is
+    (S, (sign(c), -sign(c))); the dependency c is checked when it is built.
+    """
+    rows = primitive_rows(A)
+    by_last: dict[int, list] = {}
     for X in lat.flats:
-        if not (2 <= X.codim <= max_codim):
+        if not 2 <= X.codim <= k or len(X.contains) <= X.codim:
             continue
-        if len(X.contains) <= X.codim:
-            continue
-        by_last.setdefault(max(X.contains), []).append(X)
-    for v in by_last.values():
-        v.sort(key=lambda f: f.key())
+        for S in combinations(X.key(), X.codim + 1):
+            K = int_kernel_basis([[rows[i][j] for i in S] for j in range(A.dim)], len(S))
+            if len(K) != 1 or 0 in K[0]:
+                continue
+            c = K[0]
+            if any(sum(c_t * rows[i][j] for c_t, i in zip(c, S)) for j in range(A.dim)):
+                raise InternalError(f"{c} is not a dependency of the forms {[i + 1 for i in S]}")
+            pattern = tuple(1 if v > 0 else -1 for v in c)
+            by_last.setdefault(S[-1], []).append((S, (pattern, tuple(-s for s in pattern))))
     return by_last
 
 
 class _SigmaSearch:
-    def __init__(self, A: Arrangement, lat: Lattice, k: int):
-        self.A = A
-        self.n = A.n
-        self.dim = A.dim
-        self.k = k
-        self.rows = primitive_rows(A)
-        self.by_last = _checks_by_last(lat, min(k, A.dim - 1))
-        self.check_full = (k == A.dim)
-        self.memo: dict = {}
+    """Depth-first sign assignment over n positions.  A branch dies when its
+    signs on some circuit's support equal that circuit's pattern or its
+    negation, checked at the circuit's largest index."""
 
-    def flat_ok(self, X: Flat, signs) -> bool:
-        idx = X.key()
-        local = tuple(signs[i] for i in idx)
-        key = (idx, local)
-        hit = self.memo.get(key)
-        if hit is None:
-            kind, _ = _solve_int(_signed_rows(self.rows, signs, idx), self.dim)
-            hit = kind != "dual"
-            self.memo[key] = hit
-        return hit
-
-    def node_ok(self, signs) -> bool:
-        i = len(signs) - 1
-        for X in self.by_last.get(i, ()):
-            if not self.flat_ok(X, signs):
-                return False
-        if self.check_full:
-            kind, _ = _solve_int(_signed_rows(self.rows, signs, range(i + 1)), self.dim)
-            if kind == "dual":
-                return False
-        return True
+    def __init__(self, n: int, by_last: dict[int, list]):
+        self.n = n
+        self.by_last = {i: [(itemgetter(*S), patterns) for S, patterns in entries]
+                        for i, entries in by_last.items()}
 
     def run(self) -> list[SignVector]:
         out: list[SignVector] = []
@@ -121,9 +114,28 @@ class _SigmaSearch:
             return
         for s in (1, -1):
             signs.append(s)
-            if self.node_ok(signs):
+            if not any(get(signs) in patterns
+                       for get, patterns in self.by_last.get(len(signs) - 1, ())):
                 self._extend(signs, out)
             signs.pop()
+
+
+def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None:
+    """The sign patterns on A_X that avoid every circuit inside A_X must be
+    exactly the chambers of A_X, counted by Zaslavsky over the flats below X.
+    A missing circuit makes the count too large, unless other circuits
+    already forbid its patterns, and then it changes no Sigma_k."""
+    pos = {g: t for t, g in enumerate(X.key())}
+    local: dict[int, list] = {}
+    for entries in circuits.values():
+        for S, patterns in entries:
+            if X.contains.issuperset(S):
+                local.setdefault(pos[S[-1]], []).append((tuple(pos[i] for i in S), patterns))
+    count = len(_SigmaSearch(len(pos), local).run())
+    expected = sum(abs(lat.mu(Y)) for Y in lat.flats if Y.contains <= X.contains)
+    if count != expected:
+        raise InternalError(f"{count} sign patterns avoid the circuits at flat "
+                            f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
 
 
 def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
@@ -134,7 +146,16 @@ def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
         raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    return tuple(_SigmaSearch(A, lattice or build_lattice(A), k).run())
+    lat = lattice or build_lattice(A)
+    circuits = _circuits(A, lat, k)
+    for X in lat.flats:
+        if 2 <= X.codim <= min(k, A.dim - 1) and len(X.contains) > X.codim:
+            _check_local_count(lat, X, circuits)
+    out = tuple(_SigmaSearch(A.n, circuits).run())
+    if k == A.dim and len(out) != chamber_count_oracle(lat):
+        raise InternalError(f"Sigma_{k} has {len(out)} sign vectors, but Zaslavsky "
+                            f"counts {chamber_count_oracle(lat)} chambers")
+    return out
 
 
 @dataclass(frozen=True)
@@ -205,7 +226,4 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
 
     if any(counts[k] < counts[k + 1] for k in range(1, dim)):
         raise InternalError(f"Sigma counts {counts} are not decreasing")
-    if counts[dim] != chamber_count_oracle(lat):
-        raise InternalError(f"Sigma_{dim} has {counts[dim]} sign vectors, but Zaslavsky "
-                            f"counts {chamber_count_oracle(lat)} chambers")
     return SigmaFiltration(n, dim, counts, sets, witnesses)

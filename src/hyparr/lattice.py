@@ -18,7 +18,7 @@ from functools import lru_cache
 from operator import mul
 
 from .arrangement import Arrangement
-from .errors import InternalError, UnknownFlat
+from .errors import InternalError
 from .linalg import (RatMatrix, RatVector, canonical_int_vector, kernel_basis,
                      primitive_int_vector)
 
@@ -71,22 +71,6 @@ class Lattice:
 
     def mu(self, X: Flat) -> int:
         return self.moebius[X.key()]
-
-    def flat_for(self, indices) -> Flat:
-        """The flat cut out by the given hyperplanes (its closure is taken)."""
-        A = self.arrangement
-        closed = closure_of_forms(A.forms, A.dim, frozenset(indices))
-        try:
-            return self.by_contains[closed]
-        except KeyError:
-            raise UnknownFlat(f"no flat for indices {sorted(indices)}") from None
-
-
-def localization(L: Lattice, X: Flat) -> frozenset[int]:
-    """Indices of the hyperplanes containing X."""
-    if X.contains not in L.by_contains:
-        raise UnknownFlat(f"flat {sorted(X.contains)} not in the lattice")
-    return X.contains
 
 
 def _levels(forms, dim) -> list[list[Flat]]:

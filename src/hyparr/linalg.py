@@ -50,9 +50,6 @@ class RatVector:
     def one_norm(self) -> Fraction:
         return sum((abs(a) for a in self.entries), Fraction(0))
 
-    def to_strings(self) -> list[str]:
-        return [str(a) for a in self.entries]
-
     def __iter__(self):
         return iter(self.entries)
 
@@ -162,17 +159,13 @@ def rank(M: RatMatrix) -> int:
     return int_rank((primitive_int_vector(r.entries) for r in M.rows), M.ncols)
 
 
-def kernel_basis(M: RatMatrix) -> RatMatrix:
-    """Basis of the right kernel {x : Mx = 0}, one row per free column.
+def int_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel of integer rows, one row per free column.
 
     Rows are canonical: integer entries with gcd 1 and first nonzero entry
-    positive, ordered by free column.  Row count is ncols - rank(M).
+    positive, ordered by free column.  The input rows are not modified.
     """
-    ncols = M.ncols
-    if not M.rows:
-        ident = [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-        return RatMatrix.of(ident, ncols)
-    ech, piv_cols = _bareiss_echelon(_int_rows(M), ncols)
+    ech, piv_cols = _bareiss_echelon([list(r) for r in rows], ncols)
     piv_set = set(piv_cols)
     free_cols = [c for c in range(ncols) if c not in piv_set]
     basis = []
@@ -191,7 +184,14 @@ def kernel_basis(M: RatMatrix) -> RatMatrix:
                 v = [x * m for x in v]
                 v[c] = -(s // g)
         basis.append(canonical_int_vector(v))
-    return RatMatrix.of([[Fraction(a) for a in row] for row in basis], ncols)
+    return basis
+
+
+def kernel_basis(M: RatMatrix) -> RatMatrix:
+    """Basis of the right kernel {x : Mx = 0}: `int_kernel_basis` of the
+    primitive integer rows, as rationals.  Row count is ncols - rank(M)."""
+    basis = int_kernel_basis(_int_rows(M), M.ncols)
+    return RatMatrix.of([[Fraction(a) for a in row] for row in basis], M.ncols)
 
 
 def express_in_rowspace(M: RatMatrix, v: RatVector) -> RatVector | None:

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import random
 from functools import cache
@@ -5,14 +6,17 @@ from itertools import product
 
 import pytest
 
+import hyparr.consistency
+import hyparr.feasibility
 import oracles
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.consistency import (global_consistency, is_consistent_at,
                                 is_globally_consistent, is_locally_consistent,
                                 sigma, sigma_filtration)
-from hyparr.errors import TooLarge
+from hyparr.errors import InternalError, TooLarge
 from hyparr.lattice import build_lattice, chamber_count_oracle
+from hyparr.linalg import int_kernel_basis
 
 from conftest import FAULT8_FORMS, random_arrangement, random_sign_vector
 
@@ -42,7 +46,7 @@ def test_consistent_at_flats(generic4):
 
 def test_boolean_localization_always_consistent(generic4):
     L = build_lattice(generic4)
-    X = L.flat_for({0, 1})
+    X = L.by_contains[frozenset({0, 1})]
     for _ in range(6):
         eps = random_sign_vector(random.Random(_), 4)
         assert is_consistent_at(generic4, eps, X)
@@ -113,12 +117,14 @@ def test_sigma_nesting_and_symmetry():
 def test_consistency_depends_only_on_localization(generic4):
     # add a plane missing the flat {0,1}: verdict at that flat is unchanged
     L4 = build_lattice(generic4)
-    X4 = L4.flat_for({0, 1})
+    X4 = L4.by_contains[frozenset({0, 1})]
     bigger = validate(Arrangement.from_forms(
         3, [list(h.form) for h in generic4.hyperplanes] + [[1, 2, 5]]))
     L5 = build_lattice(bigger)
-    X5 = L5.flat_for({0, 1})
-    assert X5.contains == X4.contains
+    X5 = L5.by_contains[frozenset({0, 1})]
+    # the closure by hand: the new form does not vanish on the line X
+    assert X5.kernel.rows == X4.kernel.rows
+    assert bigger.hyperplanes[4].form.dot(X5.kernel.rows[0]) != 0
     rng = random.Random(33)
     for _ in range(10):
         e4 = random_sign_vector(rng, 4)
@@ -187,10 +193,10 @@ def _oracle_filtration(forms, dim):
 def test_filtration_matches_brute_force_on_degenerate_arrangements():
     rng = random.Random(41)
     arrangements = []
-    for _ in range(20):
+    for _ in range(60):
         dim = rng.randint(3, 4)
         arrangements.append(random_arrangement(rng, dim=dim, n=rng.randint(dim + 1, 7), bound=1))
-    arrangements.append(Arrangement.from_forms(4, FAULT8_FORMS))
+    arrangements += [Arrangement.from_forms(4, FAULT8_FORMS), catalog.braid(4), catalog.x2_coned()]
     for A in arrangements:
         dim = A.dim
         forms = [[int(v) for v in h.form] for h in A.hyperplanes]
@@ -205,6 +211,73 @@ def test_filtration_matches_brute_force_on_degenerate_arrangements():
         assert {k: str(w.eps) for k, w in filt.witnesses.items()} == gaps
         for k, w in filt.witnesses.items():
             assert w.flat.key() == failing[w.eps.signs][k + 1]
+
+
+def test_sigma_makes_no_kernel_call(monkeypatch):
+    arrangements = [catalog.braid(4), catalog.x2_coned(), Arrangement.from_forms(4, FAULT8_FORMS)]
+    before = [{k: sigma(A, k) for k in range(1, A.dim + 1)} for A in arrangements]
+
+    def no_kernel(rows, dim):
+        raise AssertionError("the Sigma search called the feasibility kernel")
+
+    monkeypatch.setattr(hyparr._fmpure, "solve", no_kernel)
+    monkeypatch.setattr(hyparr.feasibility, "_fmcore", None)
+    for A, sets in zip(arrangements, before):
+        assert {k: sigma(A, k) for k in range(1, A.dim + 1)} == sets
+
+
+def _circuit_inputs(A):
+    """The kernel inputs that `sigma(A, dim)` reads as circuits, in order."""
+    found = []
+
+    def spy(rows, ncols):
+        K = int_kernel_basis(rows, ncols)
+        if len(K) == 1 and 0 not in K[0]:
+            found.append(tuple(map(tuple, rows)))
+        return K
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyparr.consistency, "int_kernel_basis", spy)
+        sigma(A, A.dim)
+    return found
+
+
+def _dropping(dropped):
+    """`int_kernel_basis` that returns two rows for one circuit's input."""
+    def lossy(rows, ncols):
+        K = int_kernel_basis(rows, ncols)
+        return K + K if tuple(map(tuple, rows)) == dropped else K
+    return lossy
+
+
+@pytest.mark.parametrize("A", [catalog.braid(4), catalog.braid(5), catalog.x2_coned()],
+                         ids=["braid4", "braid5", "cx2"])
+def test_a_dropped_circuit_is_caught_or_harmless(monkeypatch, A):
+    # A circuit whose patterns other circuits already forbid (a 4-cycle of
+    # braid(4) holds a 3-cycle) changes no Sigma_k; any other must fail a count.
+    exact = {k: sigma(A, k) for k in range(2, A.dim + 1)}
+    inputs = _circuit_inputs(A)
+    for dropped in inputs:
+        monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", _dropping(dropped))
+        with contextlib.suppress(InternalError):
+            for k, expected in exact.items():
+                assert sigma(A, k) == expected
+    # the first circuit built spans a flat below the top; its count catches the loss
+    monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", _dropping(inputs[0]))
+    with pytest.raises(InternalError, match="avoid the circuits"):
+        sigma(A, A.dim)
+
+
+def test_a_false_dependency_is_caught(monkeypatch):
+    def skewed(rows, ncols):
+        K = int_kernel_basis(rows, ncols)
+        if len(K) == 1 and 0 not in K[0]:
+            return [(2 * K[0][0],) + K[0][1:]]
+        return K
+
+    monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", skewed)
+    with pytest.raises(InternalError, match="is not a dependency"):
+        sigma(catalog.braid(4), 3)
 
 
 def test_consistency_at_checks_lattice_membership(generic4):

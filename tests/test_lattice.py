@@ -13,9 +13,9 @@ import hyparr.lattice
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj, validate
 from hyparr.cli import main
-from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, UnknownFlat, ZeroForm
-from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
-                            characteristic_polynomial, closed_sets_of_forms, localization)
+from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
+from hyparr.lattice import (build_lattice, chamber_count_oracle,
+                            characteristic_polynomial, closed_sets_of_forms)
 from hyparr.linalg import RatMatrix, canonical_int_vector, primitive_int_vector, rank
 
 from conftest import random_arrangement
@@ -50,23 +50,6 @@ def test_cx2_flats_match_brute_force(cx2):
     big = sorted(tuple(sorted(i + 1 for i in f.contains))
                  for f in L.flats if f.codim == 2 and len(f.contains) == 3)
     assert big == [(1, 2, 7), (1, 3, 5), (2, 4, 6), (3, 4, 7), (5, 6, 7)]
-
-
-def test_localization(generic4):
-    L = build_lattice(generic4)
-    origin = L.top
-    assert localization(L, origin) == frozenset({0, 1, 2, 3})
-    pair = L.flat_for({0, 1})
-    assert localization(L, pair) == frozenset({0, 1})
-    assert localization(L, L.bottom) == frozenset()
-
-
-def test_localization_unknown_flat(generic4):
-    L = build_lattice(generic4)
-    # {0,1,2} is not closed for generic4: those three forms already cut {0}
-    stray = Flat(frozenset({0, 1, 2}), 3, L.top.kernel)
-    with pytest.raises(UnknownFlat):
-        localization(L, stray)
 
 
 def test_chamber_counts():
