@@ -1,10 +1,20 @@
 """Chambers of the real complement, walls, flows, and sinks.
 
 A chamber is a globally consistent sign vector; its walls are the
-hyperplanes supporting a facet, decided exactly by eliminating the equality
-onto a kernel-basis parametrization of the hyperplane and testing the
-reduced strict system.  A flow crosses, at each step, the lowest-index wall
-whose side disagrees with the target system of half-spaces.
+hyperplanes supporting a facet.  Every verdict behind a wall is checked:
+
+- Enumerated chambers take their walls from sign flips in the certified
+  chamber set Sigma_dim: i is a wall of C iff C with sign i flipped is also
+  a chamber (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
+  Matroids*, 1999; Avis and Fukuda's reverse search, 1996).  No solver is
+  called beyond one checked witness per chamber.
+- A single chamber, built from its signs, decides each wall by eliminating
+  the equality onto a kernel-basis parametrization of the hyperplane and
+  testing the reduced strict system with `strict_feasible`, whose
+  certificate is checked.
+
+A flow crosses, at each step, the lowest-index wall whose side disagrees
+with the target system of half-spaces.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from functools import lru_cache
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import Infeasible, InternalError
-from .feasibility import _solve_int, signed_system, strict_feasible
+from .feasibility import StrictSystem, signed_system, strict_feasible
 from .linalg import RatMatrix, RatVector, kernel_basis
 
 
@@ -57,15 +67,21 @@ def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
     for i, reduced in enumerate(_hyperplane_basis(A)):
         others = signs[:i] + signs[i + 1:]
         rows = tuple(tuple(s * v for v in r) for s, r in zip(others, reduced))
-        kind, _ = _solve_int(rows, A.dim - 1)
-        if kind != "dual":
+        if strict_feasible(StrictSystem.of(rows, A.dim - 1)).feasible:
             out.append(i)
     return frozenset(out)
 
 
 def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
-    """Indices i whose hyperplane supports a facet of the chamber."""
-    signs = chamber_or_signs.signs if isinstance(chamber_or_signs, Chamber) else chamber_or_signs
+    """Indices i whose hyperplane supports a facet of the chamber.
+
+    A Chamber carries its wall set, which is returned as it is.  Signs go
+    through `_wall_set`, which decides one checked reduced system per
+    hyperplane.
+    """
+    if isinstance(chamber_or_signs, Chamber):
+        return chamber_or_signs.walls
+    signs = chamber_or_signs
     if isinstance(signs, SignVector):
         signs = signs.signs
     return _wall_set(A, signs)
@@ -80,10 +96,30 @@ def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
 
 
 def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chamber, ...]:
-    """All chambers in lexicographic sign order, with witness and wall set."""
+    """All chambers in lexicographic sign order, with witness and wall set.
+
+    The walls of each chamber are read from sign flips in S = Sigma_dim.
+    Every member of S gets a checked witness here (an empty member raises
+    InternalError), and `sigma` checks |S| against Zaslavsky's count, so S
+    is exactly the chamber set.  If C and C with sign i flipped have
+    witnesses x and y, every point of the segment [x, y] has the strict
+    sign of both ends on each H_j with j != i, so the point where the
+    segment crosses H_i lies in the relative interior of a facet of C: i is
+    a wall.  Conversely, crossing a facet on H_i leads into the chamber
+    with sign i flipped, which is then in S.
+    """
     from .consistency import sigma
 
-    return tuple(chamber_from_signs(A, sv) for sv in sigma(A, A.dim, limit=limit))
+    S = sigma(A, A.dim, limit=limit)
+    members = set(S)
+    out = []
+    for sv in S:
+        res = strict_feasible(signed_system(A, sv))
+        if not res.feasible:
+            raise InternalError(f"Sigma_{A.dim} holds {sv}, which is not a chamber")
+        out.append(Chamber(sv, res.witness,
+                           frozenset(i for i in range(A.n) if sv.flip(i) in members)))
+    return tuple(out)
 
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:

@@ -27,14 +27,6 @@ def kernel_name() -> str:
     return "pure" if _fmcore is None else "compiled"
 
 
-def _solve_int(rows, dim):
-    if _fmcore is not None:
-        res = _fmcore.solve(rows, dim)
-        if res is not None:
-            return res
-    return _fmpure.solve(rows, dim)
-
-
 @dataclass(frozen=True)
 class StrictSystem:
     """Rows r with the meaning r . x > 0; rows are already sign-adjusted."""
@@ -95,7 +87,10 @@ def strict_feasible(sys: StrictSystem) -> FeasibilityResult:
         prim.append(p)
         j = next(i for i, x in enumerate(p) if x != 0)
         scales.append(Fraction(p[j]) / f[j])
-    kind, data = _solve_int(tuple(prim), sys.dim)
+    prim = tuple(prim)
+    # the compiled kernel returns None on int64 overflow; the pure one then decides
+    out = _fmcore.solve(prim, sys.dim) if _fmcore is not None else None
+    kind, data = out if out is not None else _fmpure.solve(prim, sys.dim)
     if kind == "dual":
         dual = tuple(Fraction(c) * s for c, s in zip(data, scales))
         res = FeasibilityResult(None, dual)

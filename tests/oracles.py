@@ -8,6 +8,9 @@
 - rank/kernel by plain Gauss-Jordan over Fractions (no Bareiss);
 - flats by brute-force closure over all index subsets;
 - walls and flows rebuilt on top of the simplex oracle only.
+
+Their own checks raise AssertionError explicitly, so they stay on under
+`python -O`.
 """
 
 from fractions import Fraction
@@ -42,7 +45,8 @@ def phase1_feasible(eqs, rhs):
                 if best is None or ratio < best[0] or \
                         (ratio == best[0] and basis[r] < best[2]):
                     best = (ratio, r, basis[r])
-        assert best is not None, "phase-1 objective is bounded"
+        if best is None:
+            raise AssertionError("the phase-1 objective must be bounded")
         r = best[1]
         piv = T[r][e]
         T[r] = [x / piv for x in T[r]]
@@ -187,9 +191,11 @@ def oracle_flow(forms, dim, eps, start_signs):
             return path, crossed
         i = bad[0]
         cur = cur[:i] + (-cur[i],) + cur[i + 1:]
-        assert simplex_feasible(
-            [tuple(cur[j] * Fraction(v) for v in forms[j]) for j in range(len(forms))],
-            dim), "crossing a wall lands in a chamber"
+        if not simplex_feasible(
+                [tuple(cur[j] * Fraction(v) for v in forms[j]) for j in range(len(forms))],
+                dim):
+            raise AssertionError("crossing a wall must land in a chamber")
         path.append(cur)
         crossed.append(i)
-        assert len(crossed) <= len(forms)
+        if len(crossed) > len(forms):
+            raise AssertionError("the flow crossed more walls than there are hyperplanes")

@@ -1,11 +1,18 @@
 import random
+from itertools import product
 
+import pytest
+
+import hyparr
 from hyparr import catalog
-from hyparr.arrangement import SignVector
-from hyparr.chambers import (all_sinks, chamber_from_signs, enumerate_chambers,
+from hyparr.arrangement import Arrangement, SignVector
+from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate_chambers,
                              flow_to_sink, is_sink, lex_smallest_chamber, walls)
 from hyparr.consistency import is_globally_consistent
+from hyparr.errors import InternalError
+from hyparr.feasibility import FeasibilityResult
 from hyparr.lattice import build_lattice, chamber_count_oracle
+from hyparr.obstruction import certify_nontrivial_sphere
 
 from conftest import random_arrangement, random_sign_vector
 from oracles import oracle_flow, oracle_walls
@@ -38,13 +45,24 @@ def test_walls_examples(generic4):
     assert walls(generic4, sv("----")) == frozenset({0, 1, 2})
 
 
+def _union(na, nb, dim, seed):
+    """generic(na, dim) united with generic(nb, dim), or with the plane
+    x_1 + ... + x_dim = 0 when nb is 1, and the union's sign vector."""
+    B = (Arrangement.from_forms(dim, [[1] * dim]) if nb == 1
+         else catalog.generic(nb, dim, seed + 1))
+    return catalog.generic_union(catalog.generic(na, dim, seed), B, seed + 2)
+
+
 def test_walls_match_oracle():
     rng = random.Random(51)
-    for _ in range(8):
-        A = random_arrangement(rng, dim=3, n=rng.randint(3, 6))
-        forms = [tuple(int(x) for x in h.form) for h in A.hyperplanes]
+    arrangements = [random_arrangement(rng, dim=d, n=n)
+                    for d, n in ((3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6), (5, 7))]
+    arrangements += [_union(4, 3, 3, 7)[0], _union(4, 1, 4, 8)[0], _union(5, 1, 5, 9)[0]]
+    for A in arrangements:
+        forms = [tuple(h.form) for h in A.hyperplanes]  # unions have rational forms
         for C in enumerate_chambers(A):
-            assert set(C.walls) == oracle_walls(forms, 3, C.signs.signs)
+            assert set(C.walls) == oracle_walls(forms, A.dim, C.signs.signs)
+            assert C.walls == _wall_set(A, C.signs.signs)
 
 
 def test_walls_antipodal_symmetry():
@@ -133,3 +151,56 @@ def test_sink_property_random():
         assert len(sinks) >= 1
         if is_globally_consistent(A, eps):
             assert len(sinks) == 1 and sinks[0].signs == eps
+
+
+def _counting(monkeypatch):
+    """Count pure-kernel calls and certificate checks; the compiled kernel is off."""
+    counts = {"kernel": 0, "verify": 0}
+    solve, verify = hyparr._fmpure.solve, FeasibilityResult.verify
+
+    def counted_solve(rows, dim):
+        counts["kernel"] += 1
+        return solve(rows, dim)
+
+    def counted_verify(self, sys):
+        counts["verify"] += 1
+        return verify(self, sys)
+
+    monkeypatch.setattr(hyparr.feasibility, "_fmcore", None)
+    monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
+    monkeypatch.setattr(FeasibilityResult, "verify", counted_verify)
+    return counts
+
+
+def test_every_kernel_verdict_is_checked(monkeypatch):
+    A, eps = _union(5, 3, 3, 21)
+    _wall_set.cache_clear()
+    counts = _counting(monkeypatch)
+    enumerate_chambers(A)
+    flow_to_sink(A, eps, lex_smallest_chamber(A))
+    certify_nontrivial_sphere(A, eps)
+    assert counts["kernel"] > 0
+    assert counts["kernel"] == counts["verify"]
+
+
+def test_enumeration_makes_one_kernel_call_per_chamber(monkeypatch, generic4, braid4):
+    arrangements = [generic4, braid4, _union(4, 3, 3, 7)[0]]
+    counts = _counting(monkeypatch)
+    for A in arrangements:
+        before = counts["kernel"]
+        chambers = enumerate_chambers(A)
+        assert counts["kernel"] - before == len(chambers)
+
+
+def test_a_bogus_chamber_is_caught(monkeypatch, generic4):
+    sigma = hyparr.consistency.sigma
+    S = sigma(generic4, 3)
+    bogus = [SignVector(s) for s in product((1, -1), repeat=4) if SignVector(s) not in S]
+    assert len(bogus) == 2
+
+    def padded(A, k, lattice=None, limit=None):
+        return sigma(A, k, lattice=lattice, limit=limit) + (bogus[0],)
+
+    monkeypatch.setattr(hyparr.consistency, "sigma", padded)
+    with pytest.raises(InternalError):
+        enumerate_chambers(generic4)
