@@ -6,8 +6,11 @@ hyperplanes supporting a facet.  Every verdict behind a wall is checked:
 - Enumerated chambers take their walls from sign flips in the certified
   chamber set Sigma_dim: i is a wall of C iff C with sign i flipped is also
   a chamber (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
-  Matroids*, 1999; Avis and Fukuda's reverse search, 1996).  No solver is
-  called beyond one checked witness per chamber.
+  Matroids*, 1999; Avis and Fukuda's reverse search, 1996).  Their
+  witnesses come from the lattice's lines with no solver: every tope is the
+  composition of the cocircuits that conform to it (ibid., ch. 3-4), so the
+  sum of those line directions is a strict interior point, and an exact
+  integer sign test checks it.
 - A single chamber, built from its signs, decides each wall by eliminating
   the equality onto a kernel-basis parametrization of the hyperplane and
   testing the reduced strict system with `strict_feasible`, whose
@@ -21,11 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import Infeasible, InternalError
 from .feasibility import StrictSystem, signed_system, strict_feasible
-from .linalg import RatMatrix, RatVector, kernel_basis
+from .lattice import Lattice, build_lattice
+from .linalg import RatMatrix, RatVector, kernel_basis, primitive_int_vector
 
 
 @dataclass(frozen=True)
@@ -95,29 +100,60 @@ def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
     return Chamber(eps, res.witness, _wall_set(A, eps.signs))
 
 
+def _cocircuits(A: Arrangement, lat: Lattice) -> list[tuple[tuple[int, ...], int, int]]:
+    """Both signed cocircuits of every line (flat of codim dim - 1): the
+    primitive direction v and the bitmasks of the rows positive and
+    negative at v."""
+    rows = primitive_rows(A)
+    out = []
+    for X in lat.flats_of_codim(A.dim - 1):
+        v = primitive_int_vector(X.kernel.rows[0].entries)
+        pos = neg = 0
+        for i, r in enumerate(rows):
+            s = sum(map(mul, r, v))
+            if s > 0:
+                pos |= 1 << i
+            elif s < 0:
+                neg |= 1 << i
+        out.append((v, pos, neg))
+        out.append((tuple(-a for a in v), neg, pos))
+    return out
+
+
 def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chamber, ...]:
     """All chambers in lexicographic sign order, with witness and wall set.
 
-    The walls of each chamber are read from sign flips in S = Sigma_dim.
-    Every member of S gets a checked witness here (an empty member raises
-    InternalError), and `sigma` checks |S| against Zaslavsky's count, so S
-    is exactly the chamber set.  If C and C with sign i flipped have
-    witnesses x and y, every point of the segment [x, y] has the strict
-    sign of both ends on each H_j with j != i, so the point where the
-    segment crosses H_i lies in the relative interior of a facet of C: i is
-    a wall.  Conversely, crossing a facet on H_i leads into the chamber
-    with sign i flipped, which is then in S.
+    S = Sigma_dim, and `sigma` checks |S| against Zaslavsky's count.  The
+    witness of a member T is the integer sum of the cocircuits conforming to
+    T: the closed chamber of an essential arrangement is a pointed cone
+    spanned by its extreme rays, each of them such a cocircuit, and every
+    other conforming one lies in the closed cone, so the sum is interior.
+    Each witness passes an exact integer sign test (a member whose sum
+    fails it, so one that is not a chamber, raises InternalError), hence S
+    is exactly the chamber set.  The walls of each chamber are read from
+    sign flips in S: if C and C with sign i flipped have witnesses x and y,
+    every point of the segment [x, y] has the strict sign of both ends on
+    each H_j with j != i, so the point where the segment crosses H_i lies
+    in the relative interior of a facet of C: i is a wall.  Conversely,
+    crossing a facet on H_i leads into the chamber with sign i flipped,
+    which is then in S.
     """
     from .consistency import sigma
 
     S = sigma(A, A.dim, limit=limit)
+    rows = primitive_rows(A)
+    cocircuits = _cocircuits(A, build_lattice(A))
     members = set(S)
     out = []
     for sv in S:
-        res = strict_feasible(signed_system(A, sv))
-        if not res.feasible:
+        plus = sum(1 << i for i, s in enumerate(sv.signs) if s > 0)
+        w = [0] * A.dim
+        for v, pos, neg in cocircuits:
+            if not (pos & ~plus or neg & plus):
+                w = [a + b for a, b in zip(w, v)]
+        if not all(s * sum(map(mul, r, w)) > 0 for s, r in zip(sv.signs, rows)):
             raise InternalError(f"Sigma_{A.dim} holds {sv}, which is not a chamber")
-        out.append(Chamber(sv, res.witness,
+        out.append(Chamber(sv, RatVector.of(w),
                            frozenset(i for i in range(A.n) if sv.flip(i) in members)))
     return tuple(out)
 

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from . import _fmpure
 from .errors import Infeasible, InternalError
@@ -44,6 +47,11 @@ class StrictSystem:
                 raise ValueError(f"row {i} is zero")
         return cls(forms, dim)
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows scaled by positive rationals to primitive integers."""
+        return tuple(primitive_int_vector(f.entries) for f in self.forms)
+
 
 @dataclass(frozen=True)
 class FeasibilityResult:
@@ -57,9 +65,17 @@ class FeasibilityResult:
         return self.witness is not None
 
     def verify(self, sys: StrictSystem) -> bool:
-        """Re-check the certificate against the system by direct arithmetic."""
+        """Re-check the certificate against the system by direct arithmetic.
+
+        A witness is checked in integers: its denominators are cleared once
+        and it is tested against the primitive integer rows.  Both scalings
+        are positive, so no sign changes.
+        """
         if self.witness is not None:
-            return all(f.dot(self.witness) > 0 for f in sys.forms)
+            den = lcm(*(x.denominator for x in self.witness))
+            point = [x.numerator * (den // x.denominator) for x in self.witness]
+            return (len(point) == sys.dim
+                    and all(sum(map(mul, r, point)) > 0 for r in sys.int_rows))
         if self.dual is None or len(self.dual) != len(sys.forms):
             return False
         if any(y < 0 for y in self.dual) or all(y == 0 for y in self.dual):
@@ -80,14 +96,11 @@ def strict_feasible(sys: StrictSystem) -> FeasibilityResult:
             return FeasibilityResult(RatVector(()), None)
         point = (Fraction(1),) + tuple(Fraction(0) for _ in range(sys.dim - 1))
         return FeasibilityResult(RatVector(point), None)
-    prim = []
+    prim = sys.int_rows
     scales = []
-    for f in sys.forms:
-        p = primitive_int_vector(f.entries)
-        prim.append(p)
+    for p, f in zip(prim, sys.forms):
         j = next(i for i, x in enumerate(p) if x != 0)
         scales.append(Fraction(p[j]) / f[j])
-    prim = tuple(prim)
     # the compiled kernel returns None on int64 overflow; the pure one then decides
     out = _fmcore.solve(prim, sys.dim) if _fmcore is not None else None
     kind, data = out if out is not None else _fmpure.solve(prim, sys.dim)
@@ -116,7 +129,7 @@ def interior_witness(sys: StrictSystem) -> RatVector:
     res = strict_feasible(sys)
     if not res.feasible:
         raise Infeasible("system has a dual certificate")
-    prim = tuple(primitive_int_vector(f.entries) for f in sys.forms)
+    prim = sys.int_rows
     t_star, point = _fmpure.maximin_on_cross_polytope(prim, sys.dim)
     if not (t_star > 0 and sum(abs(v) for v in point) <= 1
             and all(sum(a * v for a, v in zip(r, point)) >= t_star for r in prim)):

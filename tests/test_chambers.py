@@ -1,21 +1,26 @@
+import contextlib
+import io
+import json
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 import hyparr
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, SignVector
+from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj, sign_vector_of_point
 from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate_chambers,
                              flow_to_sink, is_sink, lex_smallest_chamber, walls)
+from hyparr.cli import main
 from hyparr.consistency import is_globally_consistent
 from hyparr.errors import InternalError
 from hyparr.feasibility import FeasibilityResult
 from hyparr.lattice import build_lattice, chamber_count_oracle
 from hyparr.obstruction import certify_nontrivial_sphere
 
-from conftest import random_arrangement, random_sign_vector
-from oracles import oracle_flow, oracle_walls
+from conftest import FAULT8_FORMS, random_arrangement, random_sign_vector
+from oracles import oracle_flow, oracle_walls, simplex_feasible
 
 
 def sv(s):
@@ -183,13 +188,57 @@ def test_every_kernel_verdict_is_checked(monkeypatch):
     assert counts["kernel"] == counts["verify"]
 
 
-def test_enumeration_makes_one_kernel_call_per_chamber(monkeypatch, generic4, braid4):
+def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):
+    # built before counting: generic_union decides its witness with the kernel
     arrangements = [generic4, braid4, _union(4, 3, 3, 7)[0]]
     counts = _counting(monkeypatch)
     for A in arrangements:
-        before = counts["kernel"]
         chambers = enumerate_chambers(A)
-        assert counts["kernel"] - before == len(chambers)
+        assert len(chambers) == chamber_count_oracle(build_lattice(A))
+        for C in chambers:
+            assert sign_vector_of_point(A, C.witness) == C.signs
+    assert counts["kernel"] == 0
+
+
+def _oracle_inputs():
+    """About 200 seeded arrangements in dims 2-5 with at most 10 planes (the
+    random ones at most 8, since the oracle below tries 2^(n-1) sign vectors);
+    small coefficients make most of them non-generic."""
+    rng = random.Random(61)
+    out = [catalog.braid(3), catalog.braid(4), catalog.braid(5), catalog.x2_coned(),
+           Arrangement.from_forms(4, FAULT8_FORMS), _union(4, 3, 3, 7)[0],
+           _union(4, 1, 4, 8)[0], _union(5, 1, 5, 9)[0], _union(5, 4, 4, 5)[0]]
+    while len(out) < 200:
+        d = rng.randint(2, 5)
+        bound = rng.choice((1, 2, 3) if d > 2 else (2, 3))  # R^2 has 4 planes of bound 1
+        out.append(random_arrangement(rng, dim=d, n=rng.randint(d, min(d + 4, 8)),
+                                      bound=bound))
+    return out
+
+
+def test_chambers_match_brute_force_oracle(tmp_path):
+    path = tmp_path / "A.json"
+    for A in _oracle_inputs():
+        forms = [tuple(h.form) for h in A.hyperplanes]
+        # a sign vector is a chamber iff its negation is, so half the 2^n suffice
+        half = [signs for signs in product((1, -1), repeat=A.n - 1)
+                if simplex_feasible([tuple(s * a for a in f) for s, f in zip((1,) + signs, forms)],
+                                    A.dim)]
+        expected = sorted("".join("+" if t * s > 0 else "-" for s in (1,) + signs)
+                          for signs in half for t in (1, -1))
+        path.write_text(json.dumps(arrangement_to_obj(A)))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["chambers", str(path)]) == 0
+        doc = json.loads(buf.getvalue())
+        chambers = doc["payload"]["chambers"]
+        assert [c["signs"] for c in chambers] == expected, forms
+        points = {c["id"]: c["witness"] for c in doc["certificates"]}
+        for c in chambers:
+            w = [Fraction(x) for x in points[c["certificate"]]]
+            for ch, f in zip(c["signs"], forms):
+                value = sum(Fraction(a) * b for a, b in zip(f, w))
+                assert (value > 0 if ch == "+" else value < 0), (forms, c)
 
 
 def test_a_bogus_chamber_is_caught(monkeypatch, generic4):

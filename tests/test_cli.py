@@ -349,8 +349,8 @@ def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
 # sets and gap witnesses; the union sphere pins were taken while the deep
 # point still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
 OUTPUT_SHA256 = {
-    ("generic4", "chambers"): "a0ab76a48cd5fd82c981a8bca6003473fe6e7f51758db8f649adb285e537c43f",
-    ("cx2", "chambers"): "6ef616c73c5effe3588390e16f4a3b2edbe9e37dc91bf24b8261993dfb661dfa",
+    ("generic4", "chambers"): "aa30a421085a2a7072e810746f87bddd62b7f0a8881fc2bd013ad72aeae415cd",
+    ("cx2", "chambers"): "af8c7921229519fc998e6aa0be05b4a1268acc37f770c610430cd354cb3c3f88",
     ("generic4", "sink", "--eps=+++-"):
         "5ebc63043a3280261ac2e6bfc44806a2eb207551affedbed3efa7094e090e21a",
     ("generic4", "certify", "--eps=+++-"):
