@@ -1,11 +1,10 @@
 """Pure-Python Fourier-Motzkin elimination over integer rows, and the deep
 point of a strict system.
 
-- `solve` decides a strict homogeneous system {r . x > 0}.  It is the hot
-  path; the compiled twin (_fmcore) implements the identical loop with
-  int64 arithmetic and falls back here on overflow, and the two must give
-  identical output.  `witness_from_stages` back-substitutes a point from
-  the elimination stages of a feasible system.
+- `solve` decides a strict homogeneous system {r . x > 0} in exact
+  integers, so coefficients of any size are decided.  `witness_from_stages`
+  back-substitutes a point from the elimination stages of a feasible
+  system.
 - `maximin_on_cross_polytope` computes the deep point of such a system:
   the best minimum slack on |x|_1 <= 1 and a point that attains it, from
   2 * dim + 1 small exact linear programs (`_simplex`).

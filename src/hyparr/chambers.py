@@ -159,13 +159,23 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:
-    """Greedy prefix descent; '+' is preferred at every index."""
+    """Greedy prefix descent; '+' is preferred at every index.
+
+    When the last sign stays '+', the last prefix system is the full signed
+    system, already decided with a checked certificate; its witness is the
+    one `chamber_from_signs` would compute.
+    """
     signs: list[int] = []
+    res = None
     for i in range(A.n):
         signs.append(1)
-        if not strict_feasible(signed_system(A, signs, range(i + 1))).feasible:
+        res = strict_feasible(signed_system(A, signs, range(i + 1)))
+        if not res.feasible:
             signs[-1] = -1
-    return chamber_from_signs(A, SignVector(tuple(signs)))
+    eps = SignVector(tuple(signs))
+    if res is None or not res.feasible:
+        return chamber_from_signs(A, eps)
+    return Chamber(eps, res.witness, _wall_set(A, eps.signs))
 
 
 def is_sink(A: Arrangement, eps: SignVector, C: Chamber) -> bool:

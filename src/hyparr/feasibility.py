@@ -2,10 +2,10 @@
 
 Either side of Gordan's alternative is returned as exact data: a rational
 point making every row strictly positive, or a nonnegative nonzero rational
-combination of the rows equal to zero.  The decision kernel is compiled
-(hyparr._fmcore) when the extension built, with the pure-Python twin as
-fallback.  Every certificate is re-checked by exact arithmetic; a failed
-check raises InternalError, also under `python -O`.
+combination of the rows equal to zero.  The decision kernel is
+Fourier-Motzkin elimination in `_fmpure`.  Every certificate is re-checked
+by exact arithmetic; a failed check raises InternalError, also under
+`python -O`.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from . import _fmpure
 from .errors import Infeasible, InternalError
 from .linalg import RatVector, primitive_int_vector
 
-try:
-    from . import _fmcore
-except ImportError:  # extension not built
-    _fmcore = None
+# read by perfbench/layers.py; goes with the benchmark change (ROADMAP direction 2)
+_fmcore = None
 
 
 def kernel_name() -> str:
-    return "pure" if _fmcore is None else "compiled"
+    # read by perfbench/run.py; goes with the benchmark change (ROADMAP direction 2)
+    return "pure"
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,7 @@ def strict_feasible(sys: StrictSystem) -> FeasibilityResult:
     for p, f in zip(prim, sys.forms):
         j = next(i for i, x in enumerate(p) if x != 0)
         scales.append(Fraction(p[j]) / f[j])
-    # the compiled kernel returns None on int64 overflow; the pure one then decides
-    out = _fmcore.solve(prim, sys.dim) if _fmcore is not None else None
-    kind, data = out if out is not None else _fmpure.solve(prim, sys.dim)
+    kind, data = _fmpure.solve(prim, sys.dim)
     if kind == "dual":
         dual = tuple(Fraction(c) * s for c, s in zip(data, scales))
         res = FeasibilityResult(None, dual)
@@ -122,15 +119,16 @@ def interior_witness(sys: StrictSystem) -> RatVector:
     cross-polytope, so every slack is at least the best achievable minimum:
     `maximin_on_cross_polytope` checks the dual bound on that minimum, and
     here the point is checked to reach it.  Raises Infeasible when the
-    system has a dual certificate.
+    certified best minimum slack is 0: the dual bound then reads
+    sum_i y_i r_i = 0 with y >= 0 and sum_i y_i = 1, which is Gordan's dual
+    certificate.
     """
     if not sys.forms:
         return strict_feasible(sys).witness
-    res = strict_feasible(sys)
-    if not res.feasible:
-        raise Infeasible("system has a dual certificate")
     prim = sys.int_rows
     t_star, point = _fmpure.maximin_on_cross_polytope(prim, sys.dim)
+    if t_star == 0:
+        raise Infeasible("system has a dual certificate")
     if not (t_star > 0 and sum(abs(v) for v in point) <= 1
             and all(sum(a * v for a, v in zip(r, point)) >= t_star for r in prim)):
         raise InternalError("the deep point does not reach t* inside the cone")

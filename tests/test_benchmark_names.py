@@ -1,8 +1,9 @@
 """The benchmark finds every hyparr name it looks up.
 
 `perfbench/layers.py` wraps hyparr functions that it looks up by name, and
-`perfbench/run.py` clears hyparr caches by name.  A renamed function would
-break only a run of `perfbench/run.py`; this test breaks first.
+`perfbench/run.py` clears hyparr caches and reads the kernel's name by name.
+A renamed function would break only a run of `perfbench/run.py`; this test
+breaks first.
 """
 
 import importlib
@@ -29,3 +30,4 @@ def test_tracer_and_cache_names_resolve(monkeypatch):
     # the deep point is timed where the tracer looks for it
     assert tracer.calls["feasibility.interior"] == tracer.calls["feasibility.maximin"] == 1
     run._clear_caches(hyparr)
+    assert run.environment(hyparr)["kernel"] == "pure"

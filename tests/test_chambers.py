@@ -159,7 +159,7 @@ def test_sink_property_random():
 
 
 def _counting(monkeypatch):
-    """Count pure-kernel calls and certificate checks; the compiled kernel is off."""
+    """Count kernel calls and certificate checks."""
     counts = {"kernel": 0, "verify": 0}
     solve, verify = hyparr._fmpure.solve, FeasibilityResult.verify
 
@@ -171,7 +171,6 @@ def _counting(monkeypatch):
         counts["verify"] += 1
         return verify(self, sys)
 
-    monkeypatch.setattr(hyparr.feasibility, "_fmcore", None)
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
     monkeypatch.setattr(FeasibilityResult, "verify", counted_verify)
     return counts
@@ -186,6 +185,14 @@ def test_every_kernel_verdict_is_checked(monkeypatch):
     certify_nontrivial_sphere(A, eps)
     assert counts["kernel"] > 0
     assert counts["kernel"] == counts["verify"]
+
+
+def test_lex_smallest_chamber_solves_each_prefix_once(monkeypatch, generic4):
+    # the full signed system is the last prefix; built first, the wall set is cached
+    expected = chamber_from_signs(generic4, sv("++++"))
+    counts = _counting(monkeypatch)
+    assert lex_smallest_chamber(generic4) == expected
+    assert counts["kernel"] == counts["verify"] == generic4.n
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import hyparr.consistency
-import hyparr.feasibility
+import hyparr._fmpure
 import oracles
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, validate
@@ -221,7 +221,6 @@ def test_sigma_makes_no_kernel_call(monkeypatch):
         raise AssertionError("the Sigma search called the feasibility kernel")
 
     monkeypatch.setattr(hyparr._fmpure, "solve", no_kernel)
-    monkeypatch.setattr(hyparr.feasibility, "_fmcore", None)
     for A, sets in zip(arrangements, before):
         assert {k: sigma(A, k) for k in range(1, A.dim + 1)} == sets
 

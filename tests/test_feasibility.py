@@ -15,9 +15,13 @@ from oracles import grid_witness, simplex_feasible
 
 
 def test_opposite_rows_dual():
-    res = strict_feasible(StrictSystem.of([[1], [-1]], 1))
-    assert not res.feasible
-    assert res.dual == (1, 1)
+    # exact integers: a 2**70 coefficient is decided like any other
+    for rows, dim in (([[1], [-1]], 1), ([[2 ** 70, 1], [-2 ** 70, -1]], 2)):
+        sys = StrictSystem.of(rows, dim)
+        res = strict_feasible(sys)
+        assert not res.feasible
+        assert res.dual == (1, 1)
+        assert res.verify(sys)
 
 
 def test_generic4_negative_orthant_dual():
@@ -32,6 +36,9 @@ def test_open_quadrant_witness():
     res = strict_feasible(sys)
     assert res.feasible
     assert all(x > 0 for x in res.witness)
+    sys = StrictSystem.of([[2 ** 70, 1], [-1, -1]], 2)
+    res = strict_feasible(sys)
+    assert res.feasible and res.verify(sys)
 
 
 def test_empty_system_stand_in_witness():
@@ -47,6 +54,16 @@ def test_interior_witness_examples():
     assert all(x > 0 for x in w)
     with pytest.raises(Infeasible):
         interior_witness(StrictSystem.of([[1], [-1]], 1))
+
+
+def test_interior_witness_makes_no_kernel_call(monkeypatch):
+    # the deep point's first program decides the system
+    def no_kernel(rows, dim):
+        raise AssertionError("interior_witness called the feasibility kernel")
+
+    monkeypatch.setattr(_fmpure, "solve", no_kernel)
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    assert all(x > 0 for x in interior_witness(StrictSystem.of(rows, 3)))
 
 
 def test_interior_witness_is_maximin_deep():
