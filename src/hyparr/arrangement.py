@@ -15,7 +15,8 @@ from functools import lru_cache
 from math import isfinite
 
 from .errors import DuplicateHyperplane, InternalError, NotEssential, OnHyperplane, ZeroForm
-from .linalg import RatMatrix, RatVector, canonical_int_vector, primitive_int_vector, rank
+from .linalg import (RatMatrix, RatVector, canonical_int_vector, int_rank,
+                     primitive_int_vector, rank)
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def validate(A: Arrangement) -> Arrangement:
             if keys[i] == keys[j]:
                 raise DuplicateHyperplane(
                     f"hyperplanes {i + 1} and {j + 1} are proportional")
-    r = rank(RatMatrix.of(A.forms, A.dim))
+    r = int_rank(primitive_rows(A), A.dim)
     if r < A.dim:
         raise NotEssential(f"forms span rank {r} < {A.dim}")
     return A

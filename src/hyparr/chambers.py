@@ -30,7 +30,7 @@ from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import Infeasible, InternalError
 from .feasibility import StrictSystem, signed_system, strict_feasible
 from .lattice import Lattice, build_lattice
-from .linalg import RatMatrix, RatVector, kernel_basis, primitive_int_vector
+from .linalg import RatVector, int_kernel_basis
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
     rows = primitive_rows(A)
     out = []
     for i in range(A.n):
-        K = kernel_basis(RatMatrix.of([A.hyperplanes[i].form], A.dim))
-        basis = [[int(v) for v in b] for b in K.rows]
-        out.append(tuple(tuple(sum(r * v for r, v in zip(rows[j], b)) for b in basis)
+        basis = int_kernel_basis([rows[i]], A.dim)
+        out.append(tuple(tuple(sum(map(mul, rows[j], b)) for b in basis)
                          for j in range(A.n) if j != i))
     return tuple(out)
 
@@ -107,7 +106,7 @@ def _cocircuits(A: Arrangement, lat: Lattice) -> list[tuple[tuple[int, ...], int
     rows = primitive_rows(A)
     out = []
     for X in lat.flats_of_codim(A.dim - 1):
-        v = primitive_int_vector(X.kernel.rows[0].entries)
+        v = X.kernel[0]
         pos = neg = 0
         for i, r in enumerate(rows):
             s = sum(map(mul, r, v))

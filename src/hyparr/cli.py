@@ -26,8 +26,7 @@ from .arrangement import (Arrangement, SignVector, affine_from_obj,
                           cone, parse_rational, validate)
 from .chambers import (all_sinks, chamber_from_signs, enumerate_chambers, flow_to_sink,
                        lex_smallest_chamber)
-from .consistency import (DEFAULT_ENUM_LIMIT, REPORT_SET_LIMIT, global_consistency,
-                          sigma, sigma_filtration)
+from .consistency import DEFAULT_ENUM_LIMIT, REPORT_SET_LIMIT, sigma, sigma_filtration
 from .errors import HyparrError
 from .lattice import build_lattice, chamber_count_oracle, characteristic_polynomial
 from .obstruction import certify_nontrivial_sphere, detect_obstruction, sample_sphere_points
@@ -64,7 +63,7 @@ def _flat_obj(X) -> dict:
     return {
         "contains": _ones(X.contains),
         "codim": X.codim,
-        "kernel": [_vec(r) for r in X.kernel.rows],
+        "kernel": [_vec(r) for r in X.kernel],
     }
 
 
@@ -250,7 +249,6 @@ def _cmd_certify(args) -> None:
     if args.weights:
         weights = [parse_rational(w) for w in args.weights.split(",")]
     cert = certify_nontrivial_sphere(A, eps, weights=weights)
-    dual = global_consistency(A, eps).dual
     cid = certs.add(monodromy={
         "sink": str(cert.sink.signs),
         "separating": _ones(cert.separating),
@@ -266,7 +264,7 @@ def _cmd_certify(args) -> None:
         "rotation": str(cert.rotation),
         "nonvanishing": f"1 - e^(2*pi*i*{cert.rotation}) != 0",
         "certificate": cid,
-        "global_inconsistency_certificate": certs.dual(dual),
+        "global_inconsistency_certificate": certs.dual(cert.dual),
     }
     _emit("certify", digest, payload, certs)
 

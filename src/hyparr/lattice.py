@@ -17,33 +17,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, primitive_rows
 from .errors import InternalError
-from .linalg import (RatMatrix, RatVector, canonical_int_vector, kernel_basis,
-                     primitive_int_vector)
+from .linalg import canonical_int_vector, int_kernel_basis, primitive_int_vector
 
 
-def closure_of_forms(forms, dim, indices: frozenset[int]) -> frozenset[int]:
-    """Indices j whose form vanishes on the intersection of the given ones."""
-    if indices:
-        sub = RatMatrix.of([forms[i] for i in sorted(indices)], dim)
-    else:
-        sub = RatMatrix((), dim)
-    K = kernel_basis(sub)
-    out = []
-    for j, f in enumerate(forms):
-        if all(f.dot(row) == 0 for row in K.rows):
-            out.append(j)
-    return frozenset(out)
+def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
+    """Indices j whose integer row vanishes on the intersection of the given ones."""
+    K = int_kernel_basis([rows[i] for i in sorted(indices)], dim)
+    return frozenset(j for j, r in enumerate(rows)
+                     if not any(sum(map(mul, r, k)) for k in K))
 
 
 @dataclass(frozen=True)
 class Flat:
-    """An intersection subspace with its closed index set and kernel basis."""
+    """An intersection subspace with its closed index set and kernel basis.
+
+    The kernel is the `int_kernel_basis` of the forms in `contains`: its
+    dim - codim rows are primitive integer vectors, each with its first
+    nonzero entry positive.
+    """
 
     contains: frozenset[int]
     codim: int
-    kernel: RatMatrix
+    kernel: tuple[tuple[int, ...], ...]
 
     def key(self) -> tuple[int, ...]:
         return tuple(sorted(self.contains))
@@ -73,26 +70,24 @@ class Lattice:
         return self.moebius[X.key()]
 
 
-def _levels(forms, dim) -> list[list[Flat]]:
-    """The flats of a central family of RatVector forms, one list per codim,
-    each sorted by key; the family need not be essential."""
-    rows = [primitive_int_vector(f) for f in forms]
+def _levels(rows, dim) -> list[list[Flat]]:
+    """The flats of a central family of primitive integer rows, one list per
+    codim, each sorted by key; the family need not be essential."""
 
     def make_flat(closed: frozenset[int], codim: int) -> Flat:
-        K = kernel_basis(RatMatrix.of([forms[i] for i in sorted(closed)], dim))
-        if K.nrows != dim - codim:
-            raise InternalError(f"flat {sorted(closed)} has {K.nrows} kernel rows, "
+        K = tuple(int_kernel_basis([rows[i] for i in sorted(closed)], dim))
+        if len(K) != dim - codim:
+            raise InternalError(f"flat {sorted(closed)} has {len(K)} kernel rows, "
                                 f"expected {dim - codim}")
         return Flat(closed, codim, K)
 
-    levels = [[make_flat(closure_of_forms(forms, dim, frozenset()), 0)]]
+    levels = [[make_flat(closure_of_forms(rows, dim, frozenset()), 0)]]
     while True:
         new = set()
         for X in levels[-1]:
-            basis = [[int(a) for a in k] for k in X.kernel.rows]
             covers: dict[tuple[int, ...], set[int]] = {}
             for i, r in enumerate(rows):
-                restricted = [sum(map(mul, r, k)) for k in basis]
+                restricted = [sum(map(mul, r, k)) for k in X.kernel]
                 if any(restricted) == (i in X.contains):
                     raise InternalError(f"kernel of flat {sorted(X.contains)} "
                                         f"disagrees with form {i + 1}")
@@ -107,14 +102,14 @@ def _levels(forms, dim) -> list[list[Flat]]:
 def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
     """All closed index sets of a central (not necessarily essential) family,
     mapped to their rank."""
-    forms = [f if isinstance(f, RatVector) else RatVector.of(f) for f in forms]
-    return {X.contains: X.codim for level in _levels(forms, dim) for X in level}
+    rows = [primitive_int_vector(f) for f in forms]
+    return {X.contains: X.codim for level in _levels(rows, dim) for X in level}
 
 
 @lru_cache(maxsize=256)
 def build_lattice(A: Arrangement) -> Lattice:
     """Flats level by level by the restriction rule, then Moebius values."""
-    levels = _levels(A.forms, A.dim)
+    levels = _levels(primitive_rows(A), A.dim)
     flats = [X for level in levels for X in level]
     # mu(V) = 1, and mu(X) is minus the sum of mu(Y) over the flats Y that
     # strictly contain X.  Those Y are on lower levels, and Y contains X iff

@@ -88,11 +88,14 @@ def primitive_int_vector(values) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to primitive integers.
 
     Returns the zero tuple unchanged.  The scaling is positive, so signs and
-    the solution set of `v . x > 0` are preserved.
+    the solution set of `v . x > 0` are preserved.  Integer entries need
+    only the division by their gcd.
     """
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    den = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (den // f.denominator) for f in fracs]
+    ints = list(values)
+    if not all(type(v) is int for v in ints):
+        fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in ints]
+        den = lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (den // f.denominator) for f in fracs]
     g = gcd(*ints)
     return tuple(a // g for a in ints) if g else tuple(ints)
 

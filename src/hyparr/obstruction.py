@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, SignVector
+from .arrangement import Arrangement, SignVector, primitive_rows
 from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
 from .consistency import (DEFAULT_ENUM_LIMIT, GapWitness, consistency_at,
                           global_consistency, is_locally_consistent,
@@ -25,7 +25,7 @@ from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
                      TooLarge, WeightConditionViolated)
 from .feasibility import interior_witness, signed_system
 from .lattice import Flat, build_lattice
-from .linalg import RatMatrix, RatVector, rank
+from .linalg import RatVector, int_rank
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,15 @@ class ObstructionReport:
 
 @dataclass(frozen=True)
 class MonodromyCertificate:
+    """Rotation data of the sink, and the checked dual certificate that the
+    full signed system is inconsistent."""
+
     sink: Chamber
     separating: frozenset[int]
     weights: tuple[Fraction, ...]
     rotation: Fraction
     path: FlowPath
+    dual: tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,7 @@ def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,
             f"separating sum {t_sum} is an integer; 1 - lambda vanishes")
     if not 0 < rotation < 1:
         raise InternalError(f"rotation {rotation} lies outside (0, 1)")
-    return MonodromyCertificate(sink, T, weights, rotation, path)
+    return MonodromyCertificate(sink, T, weights, rotation, path, res.dual)
 
 
 def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
@@ -215,9 +219,9 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
         while x is None:
             if proper and j % 2 == 1:
                 X = proper[rng.randrange(len(proper))]
-                coeffs = [rng.randint(-9, 9) for _ in range(X.kernel.nrows)]
+                coeffs = [rng.randint(-9, 9) for _ in range(len(X.kernel))]
                 cand = RatVector.of([
-                    sum(c * int(row[t]) for c, row in zip(coeffs, X.kernel.rows))
+                    sum(c * row[t] for c, row in zip(coeffs, X.kernel))
                     for t in range(A.dim)])
             else:
                 cand = RatVector.of([rng.randint(-9, 9) for _ in range(A.dim)])
@@ -234,6 +238,7 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
 def _near_set(A: Arrangement, x: RatVector) -> frozenset[int]:
     """Hyperplanes within the widest threshold that keeps the set's common
     intersection nonzero: {i : |form_i(x)| < delta(x)}."""
+    rows = primitive_rows(A)
     vals = [abs(h.form.dot(x)) for h in A.hyperplanes]
     order = sorted(range(A.n), key=lambda i: vals[i])
     chosen: list[int] = []
@@ -243,8 +248,7 @@ def _near_set(A: Arrangement, x: RatVector) -> frozenset[int]:
         while pos + len(group) < A.n and vals[order[pos + len(group)]] == vals[order[pos]]:
             group.append(order[pos + len(group)])
         cand = chosen + group
-        M = RatMatrix.of([A.hyperplanes[i].form for i in cand], A.dim)
-        if rank(M) >= A.dim:
+        if int_rank([rows[i] for i in cand], A.dim) >= A.dim:
             break
         chosen = cand
         pos += len(group)

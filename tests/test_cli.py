@@ -11,9 +11,10 @@ import pytest
 
 import hyparr
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, arrangement_to_obj
+from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj
 from hyparr.cli import main
 from hyparr.consistency import REPORT_SET_LIMIT
+from hyparr.feasibility import signed_system
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
 from conftest import FAULT8_FORMS
@@ -146,6 +147,28 @@ def test_certify(tmp_path, capsys):
     assert pay["weights"] == ["1/4", "1/4", "1/4", "1/4"]
     assert any("monodromy" in c for c in doc["certificates"])
     assert any("dual" in c for c in doc["certificates"])
+
+
+def test_certify_decides_the_full_system_once(tmp_path, capsys, monkeypatch):
+    A, eps = catalog.generic4(), SignVector.from_string("+++-")
+    full = signed_system(A, eps)
+    real = hyparr.feasibility.strict_feasible
+    calls = []
+
+    def spy(system):
+        calls.append(system == full)
+        return real(system)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hyparr.") and getattr(module, "strict_feasible", None) is real:
+            monkeypatch.setattr(module, "strict_feasible", spy)
+    code, out = run_cli(capsys, "certify", write_generic4(tmp_path), "--eps", str(eps))
+    assert code == 0
+    assert calls.count(True) == 1
+    doc = json.loads(out)
+    cid = doc["payload"]["global_inconsistency_certificate"]
+    dual = next(c["dual"] for c in doc["certificates"] if c["id"] == cid)
+    assert dual == [str(c) for c in real(full).dual]
 
 
 def test_certify_consistent_is_domain_error(tmp_path, capsys):

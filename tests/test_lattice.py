@@ -14,9 +14,10 @@ from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj, validate
 from hyparr.cli import main
 from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
-from hyparr.lattice import (build_lattice, chamber_count_oracle,
+from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
                             characteristic_polynomial, closed_sets_of_forms)
-from hyparr.linalg import RatMatrix, canonical_int_vector, primitive_int_vector, rank
+from hyparr.linalg import (RatMatrix, RatVector, canonical_int_vector, int_kernel_basis,
+                           primitive_int_vector, rank)
 
 from conftest import random_arrangement
 from oracles import brute_force_flats
@@ -148,9 +149,12 @@ def test_nongeneric_lattice_matches_brute_force():
         mu = _moebius_by_definition(L.flats)
         for X in L.flats:
             assert L.mu(X) == mu[X.contains]
-            assert X.kernel.nrows == A.dim - X.codim
+            assert len(X.kernel) == A.dim - X.codim
+            for k in X.kernel:
+                assert type(k) is tuple and all(type(a) is int for a in k)
+                assert gcd(*k) == 1 and next(a for a in k if a) > 0
             for i, f in enumerate(A.forms):
-                vanishes = all(f.dot(k) == 0 for k in X.kernel.rows)
+                vanishes = all(f.dot(RatVector.of(k)) == 0 for k in X.kernel)
                 assert vanishes == (i in X.contains)
             multiple_points += X.codim == 2 and len(X.contains) > 2
     assert multiple_points >= 10  # the draws are far from generic
@@ -223,16 +227,14 @@ def test_primitive_int_vector_matches_fraction_reference():
 
 
 def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, capsys):
-    real = hyparr.lattice.kernel_basis
-
-    def short_kernel(M):
-        K = real(M)
-        return RatMatrix(K.rows[:-1], K.ncols) if M.rows else K
+    def short_kernel(rows, ncols):
+        K = int_kernel_basis(rows, ncols)
+        return K[:-1] if rows else K
 
     path = tmp_path / "generic4.json"
     path.write_text(json.dumps(arrangement_to_obj(catalog.generic4())))
     build_lattice.cache_clear()
-    monkeypatch.setattr(hyparr.lattice, "kernel_basis", short_kernel)
+    monkeypatch.setattr(hyparr.lattice, "int_kernel_basis", short_kernel)
     try:
         with pytest.raises(InternalError):
             build_lattice(catalog.generic4())
@@ -241,3 +243,34 @@ def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, caps
         build_lattice.cache_clear()
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["type"] == "InternalError"
+
+
+def _rotated_kernel(rows, ncols):
+    """Kernel rows of the right count, with coordinates rotated by one."""
+    K = int_kernel_basis(rows, ncols)
+    return [k[1:] + k[:1] for k in K] if rows else K
+
+
+_REAL_LEVELS = hyparr.lattice._levels
+
+
+def _levels_with_a_stray_flat(rows, dim):
+    """The true levels, plus a codim-2 flat above a codim-2 flat they hold."""
+    levels = _REAL_LEVELS(rows, dim)
+    X = levels[2][0]
+    levels[2].append(Flat(X.contains | {max(X.contains) + 1}, 2, X.kernel))
+    return levels
+
+
+@pytest.mark.parametrize("attr, fake, message", [
+    ("int_kernel_basis", _rotated_kernel, "disagrees with form"),
+    ("_levels", _levels_with_a_stray_flat, "Moebius sum up to flat"),
+])
+def test_lattice_checks_fire(monkeypatch, attr, fake, message):
+    build_lattice.cache_clear()
+    monkeypatch.setattr(hyparr.lattice, attr, fake)
+    try:
+        with pytest.raises(InternalError, match=message):
+            build_lattice(catalog.generic4())
+    finally:
+        build_lattice.cache_clear()
