@@ -1,20 +1,20 @@
 """Chambers of the real complement, walls, flows, and sinks.
 
 A chamber is a globally consistent sign vector; its walls are the
-hyperplanes supporting a facet.  Every verdict behind a wall is checked:
+hyperplanes supporting a facet.  Every verdict behind a chamber or a wall
+comes from the lattice's cocircuits and circuits, with no solver, and is
+checked in integers (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
+*Oriented Matroids*, 1999, ch. 3-4):
 
-- Enumerated chambers take their walls from sign flips in the certified
-  chamber set Sigma_dim: i is a wall of C iff C with sign i flipped is also
-  a chamber (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
-  Matroids*, 1999; Avis and Fukuda's reverse search, 1996).  Their
-  witnesses come from the lattice's lines with no solver: every tope is the
-  composition of the cocircuits that conform to it (ibid., ch. 3-4), so the
-  sum of those line directions is a strict interior point, and an exact
-  integer sign test checks it.
-- A single chamber, built from its signs, decides each wall by eliminating
-  the equality onto a kernel-basis parametrization of the hyperplane and
-  testing the reduced strict system with `strict_feasible`, whose
-  certificate is checked.
+- Every tope is the composition of the cocircuits that conform to it, so
+  the sum of those line directions is a strict interior point, and an
+  exact integer sign test checks it.  A sign vector that is no tope matches
+  a circuit, whose checked dependency is Gordan's dual
+  (`consistency.global_consistency`).
+- i is a wall of C iff C with sign i flipped is also a chamber (Avis and
+  Fukuda's reverse search, 1996).  Enumerated chambers read their walls from
+  sign flips in the certified chamber set Sigma_dim; a single chamber, built
+  from its signs, decides each flip with the tope test.
 
 A flow crosses, at each step, the lowest-index wall whose side disagrees
 with the target system of half-spaces.
@@ -27,9 +27,9 @@ from functools import lru_cache
 from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
+from .consistency import global_consistency, lex_smallest_tope, witness_at
 from .errors import Infeasible, InternalError
-from .feasibility import StrictSystem, signed_system, strict_feasible
-from .lattice import Lattice, build_lattice
+from .lattice import build_lattice
 from .linalg import RatVector, int_kernel_basis
 
 
@@ -55,7 +55,8 @@ class FlowPath:
 @lru_cache(maxsize=256)
 def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per hyperplane i, the integer rows of the other forms, in order,
-    reduced onto a basis of hyperplane i."""
+    reduced onto a basis of hyperplane i.  Unused; `perfbench/run.py`
+    clears its cache by name."""
     rows = primitive_rows(A)
     out = []
     for i in range(A.n):
@@ -67,21 +68,18 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
 
 @lru_cache(maxsize=65536)
 def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
-    out = []
-    for i, reduced in enumerate(_hyperplane_basis(A)):
-        others = signs[:i] + signs[i + 1:]
-        rows = tuple(tuple(s * v for v in r) for s, r in zip(others, reduced))
-        if strict_feasible(StrictSystem.of(rows, A.dim - 1)).feasible:
-            out.append(i)
-    return frozenset(out)
+    """The i for which signs with sign i flipped passes the tope test."""
+    lat = build_lattice(A)
+    return frozenset(i for i in range(A.n)
+                     if global_consistency(A, signs[:i] + (-signs[i],) + signs[i + 1:],
+                                           lat).feasible)
 
 
 def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
     """Indices i whose hyperplane supports a facet of the chamber.
 
     A Chamber carries its wall set, which is returned as it is.  Signs go
-    through `_wall_set`, which decides one checked reduced system per
-    hyperplane.
+    through `_wall_set`, which decides one checked tope test per hyperplane.
     """
     if isinstance(chamber_or_signs, Chamber):
         return chamber_or_signs.walls
@@ -93,30 +91,10 @@ def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
 
 def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
     """Build the chamber with the given signs; Infeasible when it is empty."""
-    res = strict_feasible(signed_system(A, eps))
+    res = global_consistency(A, eps)
     if not res.feasible:
         raise Infeasible(f"{eps} is not a chamber")
     return Chamber(eps, res.witness, _wall_set(A, eps.signs))
-
-
-def _cocircuits(A: Arrangement, lat: Lattice) -> list[tuple[tuple[int, ...], int, int]]:
-    """Both signed cocircuits of every line (flat of codim dim - 1): the
-    primitive direction v and the bitmasks of the rows positive and
-    negative at v."""
-    rows = primitive_rows(A)
-    out = []
-    for X in lat.flats_of_codim(A.dim - 1):
-        v = X.kernel[0]
-        pos = neg = 0
-        for i, r in enumerate(rows):
-            s = sum(map(mul, r, v))
-            if s > 0:
-                pos |= 1 << i
-            elif s < 0:
-                neg |= 1 << i
-        out.append((v, pos, neg))
-        out.append((tuple(-a for a in v), neg, pos))
-    return out
 
 
 def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chamber, ...]:
@@ -140,17 +118,12 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
     from .consistency import sigma
 
     S = sigma(A, A.dim, limit=limit)
-    rows = primitive_rows(A)
-    cocircuits = _cocircuits(A, build_lattice(A))
+    lat = build_lattice(A)
     members = set(S)
     out = []
     for sv in S:
-        plus = sum(1 << i for i, s in enumerate(sv.signs) if s > 0)
-        w = [0] * A.dim
-        for v, pos, neg in cocircuits:
-            if not (pos & ~plus or neg & plus):
-                w = [a + b for a, b in zip(w, v)]
-        if not all(s * sum(map(mul, r, w)) > 0 for s, r in zip(sv.signs, rows)):
+        w = witness_at(lat, sv, lat.top)
+        if w is None:
             raise InternalError(f"Sigma_{A.dim} holds {sv}, which is not a chamber")
         out.append(Chamber(sv, RatVector.of(w),
                            frozenset(i for i in range(A.n) if sv.flip(i) in members)))
@@ -158,22 +131,15 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:
-    """Greedy prefix descent; '+' is preferred at every index.
-
-    When the last sign stays '+', the last prefix system is the full signed
-    system, already decided with a checked certificate; its witness is the
-    one `chamber_from_signs` would compute.
-    """
-    signs: list[int] = []
-    res = None
-    for i in range(A.n):
-        signs.append(1)
-        res = strict_feasible(signed_system(A, signs, range(i + 1)))
-        if not res.feasible:
-            signs[-1] = -1
-    eps = SignVector(tuple(signs))
-    if res is None or not res.feasible:
-        return chamber_from_signs(A, eps)
+    """The chamber of `consistency.lex_smallest_tope`, the greedy pass over
+    the circuits that prefers '+' at every index.  Its witness certifies
+    every sign the pass kept, and its walls are checked like any other
+    chamber's."""
+    eps = lex_smallest_tope(build_lattice(A))
+    res = global_consistency(A, eps)
+    if not res.feasible:
+        raise InternalError(f"the greedy pass over the circuits ends at {eps}, "
+                            "which is not a chamber")
     return Chamber(eps, res.witness, _wall_set(A, eps.signs))
 
 

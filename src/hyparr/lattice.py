@@ -9,12 +9,19 @@ Restricting every form to X's integer kernel rows therefore finds all
 covers of X at once, with integer dot products and one kernel basis per
 flat.  The Moebius-based region count is the independent cross-check for
 the chamber enumeration elsewhere.
+
+Sign-vector questions are answered from two more tables of the lattice,
+each built for a flat on first use and kept on the `Lattice`: the signed
+cocircuits of each localization A_Y, and the signed circuits that span each
+flat (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
+Matroids*, 1999, ch. 3-4).  `build_lattice` builds neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 from operator import mul
 
 from .arrangement import Arrangement, primitive_rows
@@ -46,17 +53,102 @@ class Flat:
         return tuple(sorted(self.contains))
 
 
+Cocircuit = tuple[tuple[int, ...], int, int]
+Circuit = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 class Lattice:
-    """All flats of a central essential arrangement, with Moebius values."""
+    """All flats of a central essential arrangement, with Moebius values.
+
+    Flats are ordered by codim, and by key within a codim.
+    """
 
     def __init__(self, arrangement: Arrangement, flats, moebius):
         self.arrangement = arrangement
         self.flats = tuple(flats)
         self.moebius = moebius  # key() -> int
         self.by_contains = {f.contains: f for f in self.flats}
+        self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
+        self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The arrangement's forms as primitive integer rows."""
+        return primitive_rows(self.arrangement)
+
+    @cached_property
+    def _by_codim(self) -> dict[int, tuple[Flat, ...]]:
+        out: dict[int, list[Flat]] = {}
+        for f in self.flats:
+            out.setdefault(f.codim, []).append(f)
+        return {c: tuple(fs) for c, fs in out.items()}
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
-        return tuple(f for f in self.flats if f.codim == c)
+        return self._by_codim.get(c, ())
+
+    def cocircuits(self, Y: Flat) -> tuple[Cocircuit, ...]:
+        """Both signed cocircuits of every line of the localization A_Y.
+
+        A line of A_Y is a flat Z of codim(Y) - 1 below Y (Z.contains is a
+        proper subset of Y.contains).  Each entry is (v, pos, neg): v is the
+        first row of Z.kernel that some form of Y does not vanish on, and
+        pos and neg are the bitmasks of the forms of Y positive and negative
+        at v, or the negation of all three.  The forms of Y take the same
+        signs, up to one global sign, at every point of Z outside Y.  For
+        the top these are the cocircuits of the lines of A.
+        """
+        table = self._cocircuits.get(Y.contains)
+        if table is None:
+            out = []
+            for Z in self.flats_of_codim(Y.codim - 1):
+                if not Z.contains < Y.contains:
+                    continue
+                # within Z, each form of Y outside Z vanishes exactly on Y
+                outside = [i for i in sorted(Y.contains) if i not in Z.contains]
+                v = next((k for k in Z.kernel if sum(map(mul, self.rows[outside[0]], k))), None)
+                values = [] if v is None else [sum(map(mul, self.rows[i], v)) for i in outside]
+                if not values or 0 in values:
+                    raise InternalError(f"flat {sorted(Z.contains)} is no line of the "
+                                        f"localization at {sorted(Y.contains)}")
+                pos = sum(1 << i for i, s in zip(outside, values) if s > 0)
+                neg = sum(1 << i for i in outside) ^ pos
+                out += [(v, pos, neg), (tuple(-a for a in v), neg, pos)]
+            table = self._cocircuits[Y.contains] = tuple(out)
+        return table
+
+    def circuits(self, X: Flat) -> tuple[Circuit, ...]:
+        """The signed circuits that span X, in lexicographic order.
+
+        A circuit S spans its flat X = closure(S), so |S| = codim X + 1, and
+        it is found once, among the (codim + 1)-subsets of A_X: those whose
+        rows have a one-row integer kernel c with no zero entry, so that
+        sum_t c[t] * rows[S[t]] = 0 and every proper subset of S is
+        independent.  Each entry is (S, c); c is checked when it is built.
+        """
+        table = self._circuits.get(X.contains)
+        if table is None:
+            table = self._circuits[X.contains] = tuple(self._spanning_circuits(X))
+        return table
+
+    def first_circuit(self, X: Flat, wanted) -> Circuit | None:
+        """The first circuit spanning X for which wanted(circuit) holds: read
+        from the table when it is built, and otherwise built one subset at a
+        time, leaving the table unbuilt."""
+        table = self._circuits.get(X.contains)
+        return next(filter(wanted, self._spanning_circuits(X) if table is None else table),
+                    None)
+
+    def _spanning_circuits(self, X: Flat):
+        dim = self.arrangement.dim
+        for S in combinations(X.key(), X.codim + 1):
+            K = int_kernel_basis([[self.rows[i][j] for i in S] for j in range(dim)], len(S))
+            if len(K) != 1 or 0 in K[0]:
+                continue
+            c = K[0]
+            if any(sum(c_t * self.rows[i][j] for c_t, i in zip(c, S)) for j in range(dim)):
+                raise InternalError(f"{c} is not a dependency of the forms "
+                                    f"{[i + 1 for i in S]}")
+            yield S, c
 
     @property
     def bottom(self) -> Flat:

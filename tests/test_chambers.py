@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import hyparr
+import hyparr.consistency
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj, sign_vector_of_point
 from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate_chambers,
@@ -15,7 +16,6 @@ from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate
 from hyparr.cli import main
 from hyparr.consistency import is_globally_consistent
 from hyparr.errors import InternalError
-from hyparr.feasibility import FeasibilityResult
 from hyparr.lattice import build_lattice, chamber_count_oracle
 from hyparr.obstruction import certify_nontrivial_sphere
 
@@ -159,40 +159,73 @@ def test_sink_property_random():
 
 
 def _counting(monkeypatch):
-    """Count kernel calls and certificate checks."""
-    counts = {"kernel": 0, "verify": 0}
-    solve, verify = hyparr._fmpure.solve, FeasibilityResult.verify
+    """Count kernel calls and the integer checks of witnesses and duals."""
+    counts = {"kernel": 0, "witness": 0, "dual": 0}
+    solve = hyparr._fmpure.solve
+    check_witness, check_dual = hyparr.consistency._check_witness, hyparr.consistency._check_dual
 
     def counted_solve(rows, dim):
         counts["kernel"] += 1
         return solve(rows, dim)
 
-    def counted_verify(self, sys):
-        counts["verify"] += 1
-        return verify(self, sys)
+    def counted_witness(*args):
+        counts["witness"] += 1
+        return check_witness(*args)
+
+    def counted_dual(*args):
+        counts["dual"] += 1
+        return check_dual(*args)
 
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
-    monkeypatch.setattr(FeasibilityResult, "verify", counted_verify)
+    monkeypatch.setattr(hyparr.consistency, "_check_witness", counted_witness)
+    monkeypatch.setattr(hyparr.consistency, "_check_dual", counted_dual)
     return counts
 
 
-def test_every_kernel_verdict_is_checked(monkeypatch):
+def _taken(counts):
+    """The counts so far, which then restart at zero."""
+    out = dict(counts)
+    counts.update(dict.fromkeys(counts, 0))
+    return out
+
+
+def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
+    # every proper flat of a generic union is independent, so each tope test
+    # is one verdict: a checked witness, or a checked circuit at the top
     A, eps = _union(5, 3, 3, 21)
+    assert all(len(X.contains) == X.codim for X in build_lattice(A).flats[:-1])
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
-    enumerate_chambers(A)
-    flow_to_sink(A, eps, lex_smallest_chamber(A))
-    certify_nontrivial_sphere(A, eps)
-    assert counts["kernel"] > 0
-    assert counts["kernel"] == counts["verify"]
+    start = lex_smallest_chamber(A)
+    # a circuit for each '-' of the greedy pass, the chamber itself, then one
+    # tope test per hyperplane for its walls
+    minus = start.signs.signs.count(-1)
+    assert minus > 0
+    assert _taken(counts) == {"kernel": 0, "witness": 1 + len(start.walls),
+                              "dual": minus + A.n - len(start.walls)}
+    far = chamber_from_signs(A, -start.signs)
+    assert _taken(counts) == {"kernel": 0, "witness": 1 + len(far.walls),
+                              "dual": A.n - len(far.walls)}
+    path = flow_to_sink(A, eps, far)
+    assert len(path.chambers) > 2
+    new = path.chambers[1:]
+    assert _taken(counts) == {"kernel": 0, "witness": sum(1 + len(C.walls) for C in new),
+                              "dual": sum(A.n - len(C.walls) for C in new)}
+    cert = certify_nontrivial_sphere(A, eps)
+    # the global dual, the greedy pass, then the chambers of the flow from the
+    # lex-smallest one, whose walls are cached
+    assert cert.path.chambers[0] == start
+    assert _taken(counts) == {"kernel": 0, "witness": len(cert.path.chambers),
+                              "dual": 1 + minus}
 
 
-def test_lex_smallest_chamber_solves_each_prefix_once(monkeypatch, generic4):
-    # the full signed system is the last prefix; built first, the wall set is cached
-    expected = chamber_from_signs(generic4, sv("++++"))
+def test_lex_smallest_chamber_is_one_greedy_pass(monkeypatch, generic4):
+    _wall_set.cache_clear()
     counts = _counting(monkeypatch)
-    assert lex_smallest_chamber(generic4) == expected
-    assert counts["kernel"] == counts["verify"] == generic4.n
+    C = lex_smallest_chamber(generic4)
+    # ++++ and its walls 1, 2, 3 are witnessed; +++- is refuted by the circuit 1234
+    assert _taken(counts) == {"kernel": 0, "witness": 4, "dual": 1}
+    assert C == enumerate_chambers(generic4)[0] == chamber_from_signs(generic4, sv("++++"))
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):

@@ -7,17 +7,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import hyparr
+import hyparr.chambers
+import hyparr.consistency
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj
+from hyparr.arrangement import Arrangement, arrangement_to_obj
 from hyparr.cli import main
 from hyparr.consistency import REPORT_SET_LIMIT
-from hyparr.feasibility import signed_system
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
 from conftest import FAULT8_FORMS
+from oracles import rref_rank
 
 
 def run_cli(capsys, *argv):
@@ -149,26 +153,37 @@ def test_certify(tmp_path, capsys):
     assert any("dual" in c for c in doc["certificates"])
 
 
-def test_certify_decides_the_full_system_once(tmp_path, capsys, monkeypatch):
-    A, eps = catalog.generic4(), SignVector.from_string("+++-")
-    full = signed_system(A, eps)
-    real = hyparr.feasibility.strict_feasible
-    calls = []
+def test_certify_prints_a_checked_circuit_as_its_dual(tmp_path, capsys, monkeypatch):
+    U, eps = _union(5, 4, 4)  # built first: generic_union decides its witness with the kernel
+    checked = []
+    check_dual = hyparr.consistency._check_dual
 
-    def spy(system):
-        calls.append(system == full)
-        return real(system)
+    def spy(rows, signs, circuit):
+        checked.append(circuit)
+        return check_dual(rows, signs, circuit)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hyparr.") and getattr(module, "strict_feasible", None) is real:
-            monkeypatch.setattr(module, "strict_feasible", spy)
-    code, out = run_cli(capsys, "certify", write_generic4(tmp_path), "--eps", str(eps))
+    def no_kernel(rows, dim):
+        raise AssertionError("certify called the feasibility kernel")
+
+    monkeypatch.setattr(hyparr.consistency, "_check_dual", spy)
+    monkeypatch.setattr(hyparr._fmpure, "solve", no_kernel)
+    hyparr.chambers._wall_set.cache_clear()
+    code, out = run_cli(capsys, "certify", _write(tmp_path, "u.json", arrangement_to_obj(U)),
+                        f"--eps={eps}")
     assert code == 0
-    assert calls.count(True) == 1
     doc = json.loads(out)
     cid = doc["payload"]["global_inconsistency_certificate"]
-    dual = next(c["dual"] for c in doc["certificates"] if c["id"] == cid)
-    assert dual == [str(c) for c in real(full).dual]
+    dual = [Fraction(y) for y in next(c["dual"] for c in doc["certificates"] if c["id"] == cid)]
+    assert len(dual) == U.n and all(y >= 0 for y in dual)
+    for j in range(U.dim):
+        assert sum(y * s * h.form[j] for y, s, h in zip(dual, eps.signs, U.hyperplanes)) == 0
+    # minimal support: the forms on it have rank one less than its size, so
+    # the dual, which is nonzero on all of them, spans their dependencies
+    support = [i for i, y in enumerate(dual) if y]
+    assert rref_rank([list(U.hyperplanes[i].form) for i in support], U.dim) == len(support) - 1
+    assert len(support) < U.n
+    # the first dual checked is the printed one
+    assert checked[0][0] == tuple(support)
 
 
 def test_certify_consistent_is_domain_error(tmp_path, capsys):
@@ -367,10 +382,14 @@ def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
 # sha256 of stdout on the files `hyparr builtin` prints, and on the unions
 # `_union` draws.  The chambers, sink, certify and generic4 sphere pins were
 # taken before the kernel's two elimination loops became one and cover
-# witnesses, walls, flows and deep points; the sigma and obstruct pins were
-# taken before every Sigma level became one `sigma` search and cover counts,
-# sets and gap witnesses; the union sphere pins were taken while the deep
-# point still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
+# witnesses, walls, flows and deep points; the sigma and cx2 obstruct pins
+# were taken before every Sigma level became one `sigma` search and cover
+# counts, sets and gap witnesses; the union sphere pins were taken while the
+# deep point still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
+# The generic4 obstruct pin was re-taken when the upper witnesses became sums
+# of localized cocircuits: only witness coordinates moved.  The sink witness,
+# the certify dual and the sigma duals came out byte-identical from the
+# lattice's cocircuits and circuits.
 OUTPUT_SHA256 = {
     ("generic4", "chambers"): "aa30a421085a2a7072e810746f87bddd62b7f0a8881fc2bd013ad72aeae415cd",
     ("cx2", "chambers"): "af8c7921229519fc998e6aa0be05b4a1268acc37f770c610430cd354cb3c3f88",
@@ -384,7 +403,7 @@ OUTPUT_SHA256 = {
     ("cx2", "sigma"): "ac62eabf9fcfb191301e7ea5c8728bdc568c5524d3adbdbded213f6764a5279a",
     ("generic4", "sigma", "--k=3"):
         "aac6f2f47435b42122bf8958058d19f303757b1537ae7178fd21552346b980e9",
-    ("generic4", "obstruct"): "d002973bdcd15cd0e8ffd8b3394a6ac4675716dcf4d0953e0a2cc4deaf34f2a6",
+    ("generic4", "obstruct"): "697f88758db407e2f5b07f8954d67d08725f9f4fdb4e52c90bd3ac5702f9b02e",
     ("cx2", "obstruct"): "87fd95c502cd1001db7826eaae9800184641272f5191af6328d1e06d2fc128a3",
     ("union(5,4;4)", "sphere", "--eps=+++-+-+++", "--count=4"):
         "b22178ba89891c452396a213d62649c7e58341943120ea5aefad94959ff8447e",

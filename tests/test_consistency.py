@@ -2,11 +2,13 @@ import contextlib
 import gc
 import random
 from functools import cache
+from math import comb
 from itertools import product
 
 import pytest
 
 import hyparr.consistency
+import hyparr.lattice
 import hyparr._fmpure
 import oracles
 from hyparr import catalog
@@ -225,6 +227,12 @@ def test_sigma_makes_no_kernel_call(monkeypatch):
         assert {k: sigma(A, k) for k in range(1, A.dim + 1)} == sets
 
 
+def _fresh_lattice(A):
+    """A lattice of A outside `build_lattice`'s cache, so its circuit table is
+    still empty: the lattice builds each flat's circuits once and keeps them."""
+    return build_lattice.__wrapped__(A)
+
+
 def _circuit_inputs(A):
     """The kernel inputs that `sigma(A, dim)` reads as circuits, in order."""
     found = []
@@ -235,9 +243,10 @@ def _circuit_inputs(A):
             found.append(tuple(map(tuple, rows)))
         return K
 
+    lat = _fresh_lattice(A)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.consistency, "int_kernel_basis", spy)
-        sigma(A, A.dim)
+        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
+        sigma(A, A.dim, lattice=lat)
     return found
 
 
@@ -251,20 +260,24 @@ def _dropping(dropped):
 
 @pytest.mark.parametrize("A", [catalog.braid(4), catalog.braid(5), catalog.x2_coned()],
                          ids=["braid4", "braid5", "cx2"])
-def test_a_dropped_circuit_is_caught_or_harmless(monkeypatch, A):
+def test_a_dropped_circuit_is_caught_or_harmless(A):
     # A circuit whose patterns other circuits already forbid (a 4-cycle of
     # braid(4) holds a 3-cycle) changes no Sigma_k; any other must fail a count.
+    # Each lattice is built before the lossy kernel is in place.
     exact = {k: sigma(A, k) for k in range(2, A.dim + 1)}
     inputs = _circuit_inputs(A)
     for dropped in inputs:
-        monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", _dropping(dropped))
-        with contextlib.suppress(InternalError):
+        lat = _fresh_lattice(A)
+        with pytest.MonkeyPatch.context() as mp, contextlib.suppress(InternalError):
+            mp.setattr(hyparr.lattice, "int_kernel_basis", _dropping(dropped))
             for k, expected in exact.items():
-                assert sigma(A, k) == expected
+                assert sigma(A, k, lattice=lat) == expected
     # the first circuit built spans a flat below the top; its count catches the loss
-    monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", _dropping(inputs[0]))
-    with pytest.raises(InternalError, match="avoid the circuits"):
-        sigma(A, A.dim)
+    lat = _fresh_lattice(A)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyparr.lattice, "int_kernel_basis", _dropping(inputs[0]))
+        with pytest.raises(InternalError, match="avoid the circuits"):
+            sigma(A, A.dim, lattice=lat)
 
 
 def test_a_false_dependency_is_caught(monkeypatch):
@@ -274,9 +287,33 @@ def test_a_false_dependency_is_caught(monkeypatch):
             return [(2 * K[0][0],) + K[0][1:]]
         return K
 
-    monkeypatch.setattr(hyparr.consistency, "int_kernel_basis", skewed)
+    A = catalog.braid(4)
+    lat = _fresh_lattice(A)
+    monkeypatch.setattr(hyparr.lattice, "int_kernel_basis", skewed)
     with pytest.raises(InternalError, match="is not a dependency"):
-        sigma(catalog.braid(4), 3)
+        sigma(A, 3, lattice=lat)
+
+
+def test_each_flat_builds_its_circuits_once():
+    # sigma(A, k) alone builds no circuit above codim k, and the filtration
+    # then tests each (codim + 1)-subset of each remaining flat once
+    A = catalog.braid(5)
+    lat = _fresh_lattice(A)
+    sizes = []
+
+    def spy(rows, ncols):
+        sizes.append(ncols)
+        return int_kernel_basis(rows, ncols)
+
+    def subsets(codims):
+        return sum(comb(len(X.contains), X.codim + 1) for X in lat.flats if X.codim in codims)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
+        sigma(A, 2, lattice=lat)
+        assert len(sizes) == subsets({2}) and set(sizes) == {3}
+        sigma_filtration(A, lattice=lat)
+    assert len(sizes) == subsets({2, 3, 4}) and set(sizes) == {3, 4, 5}
 
 
 def test_consistency_at_checks_lattice_membership(generic4):
