@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isfinite
 
 from .errors import DuplicateHyperplane, InternalError, NotEssential, OnHyperplane, ZeroForm
@@ -59,6 +59,15 @@ class Arrangement:
 
     dim: int
     hyperplanes: tuple[Hyperplane, ...]
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # an arrangement keys the lattice, wall-set and row caches; hashing
+        # its Fraction entries anew on every lookup costs tens of microseconds
+        return hash((self.dim, self.hyperplanes))
 
     @classmethod
     def from_forms(cls, dim, forms, labels=None) -> "Arrangement":

@@ -69,10 +69,8 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
 @lru_cache(maxsize=65536)
 def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
     """The i for which signs with sign i flipped passes the tope test."""
-    lat = build_lattice(A)
     return frozenset(i for i in range(A.n)
-                     if global_consistency(A, signs[:i] + (-signs[i],) + signs[i + 1:],
-                                           lat).feasible)
+                     if global_consistency(A, signs[:i] + (-signs[i],) + signs[i + 1:]).feasible)
 
 
 def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import product, zip_longest
 from operator import itemgetter, mul
 
-from .arrangement import Arrangement, SignVector
+from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult, signed_system, strict_feasible
 from .lattice import Circuit, Flat, Lattice, build_lattice, chamber_count_oracle
@@ -67,7 +67,7 @@ def witness_at(lat: Lattice, eps, Y: Flat) -> list[int] | None:
             covered |= pos | neg
     if covered != sum(1 << i for i in Y.contains):
         return None
-    _check_witness(lat.rows, eps, Y.contains, w)
+    _check_witness(primitive_rows(lat.arrangement), eps, Y.contains, w)
     return w
 
 
@@ -88,7 +88,7 @@ def _matched_circuit(lat: Lattice, eps, X: Flat) -> Circuit | None:
     with its dual checked; None when there is none."""
     circuit = lat.first_circuit(X, lambda sc: _matches(eps, sc))
     if circuit is not None:
-        _check_dual(lat.rows, eps, circuit)
+        _check_dual(primitive_rows(lat.arrangement), eps, circuit)
     return circuit
 
 
@@ -109,10 +109,11 @@ def _first_failure(lat: Lattice, eps, max_codim: int) -> tuple[Flat, Circuit] | 
     return None
 
 
-def _dual(A: Arrangement, rows, circuit: Circuit, indices) -> tuple[Fraction, ...]:
+def _dual(A: Arrangement, circuit: Circuit, indices) -> tuple[Fraction, ...]:
     """Gordan's dual over the given indices: |c_t| times the positive factor
     that takes form S[t] to its primitive row, and 0 off the circuit."""
     S, c = circuit
+    rows = primitive_rows(A)
     y = dict(zip(S, c))
     out = []
     for i in indices:
@@ -124,19 +125,18 @@ def _dual(A: Arrangement, rows, circuit: Circuit, indices) -> tuple[Fraction, ..
     return tuple(out)
 
 
-def global_consistency(A: Arrangement, eps: SignVector,
-                       lattice: Lattice | None = None) -> FeasibilityResult:
+def global_consistency(A: Arrangement, eps: SignVector) -> FeasibilityResult:
     """Feasibility of the full signed system, with certificate: the checked
     sum of the conforming cocircuits, or the checked dependency of a circuit
     that eps matches, at the first flat where eps fails."""
-    lat = lattice or build_lattice(A)
+    lat = build_lattice(A)
     w = witness_at(lat, eps, lat.top)
     if w is not None:
         return FeasibilityResult(RatVector.of(w), None)
     failure = _first_failure(lat, eps, A.dim)
     if failure is None:
         raise InternalError(f"{eps} fails the tope test but at no flat")
-    return FeasibilityResult(None, _dual(A, lat.rows, failure[1], range(A.n)))
+    return FeasibilityResult(None, _dual(A, failure[1], range(A.n)))
 
 
 def is_globally_consistent(A: Arrangement, eps: SignVector) -> bool:
@@ -191,7 +191,7 @@ def lex_smallest_tope(lat: Lattice) -> SignVector:
         signs.append(1)
         circuit = next((sc for sc in by_last.get(i, ()) if _matches(signs, sc)), None)
         if circuit is not None:
-            _check_dual(lat.rows, signs, circuit)
+            _check_dual(primitive_rows(lat.arrangement), signs, circuit)
             signs[-1] = -1
     return SignVector(tuple(signs))
 
@@ -290,7 +290,7 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
     for X in sorted(lat.flats_of_codim(k + 1), key=lambda f: f.key()):
         circuit = _matched_circuit(lat, eps, X)
         if circuit is not None:
-            return GapWitness(k, eps, X, _dual(A, lat.rows, circuit, sorted(X.contains)))
+            return GapWitness(k, eps, X, _dual(A, circuit, sorted(X.contains)))
     raise InternalError(f"{eps} left Sigma_{k + 1} but no flat of codim {k + 1} fails")
 
 

@@ -70,11 +70,7 @@ class Lattice:
         self.by_contains = {f.contains: f for f in self.flats}
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The arrangement's forms as primitive integer rows."""
-        return primitive_rows(self.arrangement)
+        self._scanned: set[frozenset[int]] = set()
 
     @cached_property
     def _by_codim(self) -> dict[int, tuple[Flat, ...]]:
@@ -99,14 +95,15 @@ class Lattice:
         """
         table = self._cocircuits.get(Y.contains)
         if table is None:
+            rows = primitive_rows(self.arrangement)
             out = []
             for Z in self.flats_of_codim(Y.codim - 1):
                 if not Z.contains < Y.contains:
                     continue
                 # within Z, each form of Y outside Z vanishes exactly on Y
                 outside = [i for i in sorted(Y.contains) if i not in Z.contains]
-                v = next((k for k in Z.kernel if sum(map(mul, self.rows[outside[0]], k))), None)
-                values = [] if v is None else [sum(map(mul, self.rows[i], v)) for i in outside]
+                v = next((k for k in Z.kernel if sum(map(mul, rows[outside[0]], k))), None)
+                values = [] if v is None else [sum(map(mul, rows[i], v)) for i in outside]
                 if not values or 0 in values:
                     raise InternalError(f"flat {sorted(Z.contains)} is no line of the "
                                         f"localization at {sorted(Y.contains)}")
@@ -131,21 +128,26 @@ class Lattice:
         return table
 
     def first_circuit(self, X: Flat, wanted) -> Circuit | None:
-        """The first circuit spanning X for which wanted(circuit) holds: read
-        from the table when it is built, and otherwise built one subset at a
-        time, leaving the table unbuilt."""
-        table = self._circuits.get(X.contains)
-        return next(filter(wanted, self._spanning_circuits(X) if table is None else table),
-                    None)
+        """The first circuit spanning X for which wanted(circuit) holds.
+
+        The first request for X builds circuits one subset at a time, up to
+        the answer, and leaves the table unbuilt, so that a one-off question
+        pays only for the subsets before its answer; a later request reads
+        the table, which it builds if need be.
+        """
+        if X.contains in self._circuits or X.contains in self._scanned:
+            return next(filter(wanted, self.circuits(X)), None)
+        self._scanned.add(X.contains)
+        return next(filter(wanted, self._spanning_circuits(X)), None)
 
     def _spanning_circuits(self, X: Flat):
-        dim = self.arrangement.dim
+        rows, dim = primitive_rows(self.arrangement), self.arrangement.dim
         for S in combinations(X.key(), X.codim + 1):
-            K = int_kernel_basis([[self.rows[i][j] for i in S] for j in range(dim)], len(S))
+            K = int_kernel_basis([[rows[i][j] for i in S] for j in range(dim)], len(S))
             if len(K) != 1 or 0 in K[0]:
                 continue
             c = K[0]
-            if any(sum(c_t * self.rows[i][j] for c_t, i in zip(c, S)) for j in range(dim)):
+            if any(sum(c_t * rows[i][j] for c_t, i in zip(c, S)) for j in range(dim)):
                 raise InternalError(f"{c} is not a dependency of the forms "
                                     f"{[i + 1 for i in S]}")
             yield S, c

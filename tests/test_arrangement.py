@@ -19,6 +19,18 @@ def test_validate_accepts_boolean():
     assert validate(A) is A
 
 
+def test_equal_arrangements_share_their_caches():
+    # the hash is kept after its first use; equal arrangements must still
+    # hash alike, and unequal ones compare unequal
+    A = Arrangement.from_forms(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    B = Arrangement.from_forms(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+    assert A is not B and A == B
+    assert hash(A) == hash(A) == hash(B) == hash((A.dim, A.hyperplanes))
+    assert build_lattice(A) is build_lattice(B)
+    C = Arrangement.from_forms(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1]])
+    assert C != A and build_lattice(C) is not build_lattice(A)
+
+
 def test_validate_rejects_proportional():
     with pytest.raises(DuplicateHyperplane):
         validate(Arrangement.from_forms(1, [[1], [2]]))

@@ -316,6 +316,31 @@ def test_each_flat_builds_its_circuits_once():
     assert len(sizes) == subsets({2, 3, 4}) and set(sizes) == {3, 4, 5}
 
 
+def test_a_flat_asked_twice_builds_its_circuits_once():
+    # every 4-subset of a generic arrangement in R^3 is a circuit; the first
+    # question scans the subsets up to its answer, the second builds the
+    # table, and later ones read it
+    A = catalog.generic(7, 3, 2024)
+    lat = _fresh_lattice(A)
+    calls = []
+
+    def spy(rows, ncols):
+        calls.append(ncols)
+        return int_kernel_basis(rows, ncols)
+
+    def wanted(circuit):
+        return 6 in circuit[0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
+        first = lat.first_circuit(lat.top, wanted)
+        assert first[0] == (0, 1, 2, 6) and len(calls) == 4
+        assert lat.first_circuit(lat.top, wanted) == first
+        assert len(calls) == 4 + comb(7, 4)
+        assert lat.first_circuit(lat.top, wanted) == first
+        assert len(calls) == 4 + comb(7, 4)
+
+
 def test_consistency_at_checks_lattice_membership(generic4):
     from hyparr.errors import UnknownFlat
     from hyparr.lattice import Flat
