@@ -19,7 +19,7 @@ from .feasibility import (FeasibilityResult, StrictSystem, interior_witness,
                           strict_feasible)
 from .lattice import (Flat, Lattice, build_lattice, chamber_count_oracle,
                       characteristic_polynomial)
-from .linalg import RatMatrix, Rational, RatVector, kernel_basis, rank
+from .linalg import RatVector, coordinates, kernel_basis, rank
 from .obstruction import (ComplexSamplePoint, MonodromyCertificate, ObstructionReport,
                           certify_nontrivial_sphere, detect_obstruction,
                           sample_sphere_points, verify_sample_points)
@@ -38,7 +38,7 @@ __all__ = [
     "FeasibilityResult", "StrictSystem", "interior_witness", "strict_feasible",
     "Flat", "Lattice", "build_lattice", "chamber_count_oracle",
     "characteristic_polynomial",
-    "RatMatrix", "Rational", "RatVector", "kernel_basis", "rank",
+    "RatVector", "coordinates", "kernel_basis", "rank",
     "ComplexSamplePoint", "MonodromyCertificate", "ObstructionReport",
     "certify_nontrivial_sphere", "detect_obstruction",
     "sample_sphere_points", "verify_sample_points",

@@ -15,8 +15,8 @@ from functools import cached_property, lru_cache
 from math import isfinite
 
 from .errors import DuplicateHyperplane, InternalError, NotEssential, OnHyperplane, ZeroForm
-from .linalg import (RatMatrix, RatVector, canonical_int_vector, int_rank,
-                     primitive_int_vector, rank)
+from .linalg import (RatVector, canonical_int_vector, coordinates, primitive_int_vector,
+                     rank)
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def validate(A: Arrangement) -> Arrangement:
             if keys[i] == keys[j]:
                 raise DuplicateHyperplane(
                     f"hyperplanes {i + 1} and {j + 1} are proportional")
-    r = int_rank(primitive_rows(A), A.dim)
+    r = rank(primitive_rows(A), A.dim)
     if r < A.dim:
         raise NotEssential(f"forms span rank {r} < {A.dim}")
     return A
@@ -185,17 +185,16 @@ def essentialize(forms, dim: int, labels=None) -> Arrangement:
                 raise DuplicateHyperplane(f"forms {i + 1} and {j + 1} are proportional")
     # greedy basis among the input forms
     basis: list[RatVector] = []
+    basis_rows: list[tuple[int, ...]] = []
     for f in forms:
-        cand = RatMatrix.of(basis + [f], dim)
-        if rank(cand) > len(basis):
+        row = primitive_int_vector(f.entries)
+        if rank(basis_rows + [row], dim) > len(basis):
             basis.append(f)
+            basis_rows.append(row)
     r = len(basis)
-    B = RatMatrix.of(basis, dim)
-    from .linalg import express_in_rowspace
-
     new_forms = []
     for f in forms:
-        c = express_in_rowspace(B, f)
+        c = coordinates(basis, f)
         if c is None:
             raise InternalError("a form lies outside the span of the greedy basis")
         new_forms.append(c)

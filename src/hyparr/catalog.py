@@ -20,7 +20,7 @@ from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
 from .feasibility import StrictSystem, strict_feasible
 from .lattice import closed_sets_of_forms
-from .linalg import RatMatrix, RatVector, int_rank, invert, rank
+from .linalg import RatVector, coordinates, primitive_int_vector, rank
 
 RETRY_BUDGET = 64
 COEFFICIENT_BOUND = 9
@@ -63,7 +63,7 @@ def generic(n: int, dim: int, seed: int) -> Arrangement:
 def _all_small_subsets_independent(forms, dim) -> bool:
     size = min(dim, len(forms))
     for S in combinations(range(len(forms)), size):
-        if int_rank([forms[i] for i in S], dim) < size:
+        if rank([forms[i] for i in S], dim) < size:
             return False
     return True
 
@@ -137,7 +137,7 @@ def generic_union(A: Arrangement, B: Arrangement,
                   seed: int) -> tuple[Arrangement, SignVector]:
     """A union A and g(B) for a seeded random g, with a verified witness.
 
-    g is redrawn until it is invertible and every flat of A is in general
+    g is redrawn until it has rank dim and every flat of A is in general
     position with every flat of g(B); the returned sign vector takes a
     chamber of A, the side of g(B)'s first hyperplane away from it, and a
     chamber of g(B) on that side.  It is verified locally consistent and
@@ -154,15 +154,12 @@ def generic_union(A: Arrangement, B: Arrangement,
     b_forms_raw = B.forms
     failed_witness = False
     for _ in range(RETRY_BUDGET):
-        g = RatMatrix.of([[rng.randint(-COEFFICIENT_BOUND, COEFFICIENT_BOUND)
-                           for _ in range(dim)] for _ in range(dim)], dim)
-        try:
-            ginv = invert(g)
-        except ValueError:
+        g = [[rng.randint(-COEFFICIENT_BOUND, COEFFICIENT_BOUND) for _ in range(dim)]
+             for _ in range(dim)]
+        if rank(g, dim) < dim:
             continue
-        gb_forms = [RatVector(tuple(sum(f[i] * ginv.rows[i][j] for i in range(dim))
-                                    for j in range(dim)))
-                    for f in b_forms_raw]
+        # the forms of g(B) are f . g^-1: the coordinates of f in g's rows
+        gb_forms = [coordinates(g, f) for f in b_forms_raw]
         union_forms = list(A.forms) + gb_forms
         try:
             union = validate(Arrangement.from_forms(
@@ -185,12 +182,14 @@ def generic_union(A: Arrangement, B: Arrangement,
 
 
 def _flats_in_general_position(a_forms, gb_forms, a_flats, gb_flats, dim) -> bool:
+    a_rows = [primitive_int_vector(f) for f in a_forms]
+    gb_rows = [primitive_int_vector(f) for f in gb_forms]
     for S, ra in a_flats.items():
         for T, rb in gb_flats.items():
-            rows = [a_forms[i] for i in sorted(S)] + [gb_forms[j] for j in sorted(T)]
+            rows = [a_rows[i] for i in sorted(S)] + [gb_rows[j] for j in sorted(T)]
             if not rows:
                 continue
-            if rank(RatMatrix.of(rows, dim)) != min(ra + rb, dim):
+            if rank(rows, dim) != min(ra + rb, dim):
                 return False
     return True
 

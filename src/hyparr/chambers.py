@@ -30,7 +30,7 @@ from .arrangement import Arrangement, SignVector, primitive_rows
 from .consistency import global_consistency, lex_smallest_tope, witness_at
 from .errors import Infeasible, InternalError
 from .lattice import build_lattice
-from .linalg import RatVector, int_kernel_basis
+from .linalg import RatVector, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
     rows = primitive_rows(A)
     out = []
     for i in range(A.n):
-        basis = int_kernel_basis([rows[i]], A.dim)
+        basis = kernel_basis([rows[i]], A.dim)
         out.append(tuple(tuple(sum(map(mul, rows[j], b)) for b in basis)
                          for j in range(A.n) if j != i))
     return tuple(out)

@@ -46,7 +46,7 @@ _set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def _vec(v) -> list[str]:
-    """Rationals as output strings, printed in full however long."""
+    """Exact fractions as output strings, printed in full however long."""
     old = _get_int_digits()
     _set_int_digits(0)
     try:

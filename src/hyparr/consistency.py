@@ -143,26 +143,23 @@ def is_globally_consistent(A: Arrangement, eps: SignVector) -> bool:
     return global_consistency(A, eps).feasible
 
 
-def consistency_at(A: Arrangement, eps: SignVector, X: Flat,
-                   lattice: Lattice | None = None) -> FeasibilityResult:
-    """Feasibility of the subsystem over the hyperplanes containing X."""
-    if lattice is not None and X.contains not in lattice.by_contains:
+def consistency_at(A: Arrangement, eps: SignVector, X: Flat) -> FeasibilityResult:
+    """Feasibility of the subsystem over the hyperplanes containing X, which
+    must be a flat of A's lattice (UnknownFlat otherwise)."""
+    if X.contains not in build_lattice(A).by_contains:
         raise UnknownFlat(f"flat {sorted(X.contains)} not in the lattice")
     return strict_feasible(signed_system(A, eps, sorted(X.contains)))
 
 
-def is_consistent_at(A: Arrangement, eps: SignVector, X: Flat,
-                     lattice: Lattice | None = None) -> bool:
-    return consistency_at(A, eps, X, lattice).feasible
+def is_consistent_at(A: Arrangement, eps: SignVector, X: Flat) -> bool:
+    return consistency_at(A, eps, X).feasible
 
 
-def is_locally_consistent(A: Arrangement, eps: SignVector,
-                          lattice: Lattice | None = None) -> bool:
+def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
     """Consistent at every flat except the origin: each dependent proper
     flat, by codim, gets a checked witness from `witness_at`, and a "no"
     comes with a checked circuit that spans the first failing flat."""
-    lat = lattice or build_lattice(A)
-    return _first_failure(lat, eps, A.dim - 1) is None
+    return _first_failure(build_lattice(A), eps, A.dim - 1) is None
 
 
 def _circuits_by_last(lat: Lattice, k: int) -> dict[int, list[Circuit]]:
@@ -241,15 +238,14 @@ def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None
                             f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
 
 
-def sigma(A: Arrangement, k: int, lattice: Lattice | None = None,
-          limit: int | None = None) -> tuple[SignVector, ...]:
+def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
     """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
     if not 1 <= k <= A.dim:
         raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
         raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    lat = lattice or build_lattice(A)
+    lat = build_lattice(A)
     circuits = _circuits_by_last(lat, k)
     for X in lat.flats:
         if 2 <= X.codim <= min(k, A.dim - 1) and len(X.contains) > X.codim:
@@ -294,8 +290,7 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
     raise InternalError(f"{eps} left Sigma_{k + 1} but no flat of codim {k + 1} fails")
 
 
-def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
-                     limit: int | None = None,
+def sigma_filtration(A: Arrangement, limit: int | None = None,
                      include_sets: bool | None = None) -> SigmaFiltration:
     """Counts of every Sigma_k, plus a witness for each strict drop.
 
@@ -306,7 +301,7 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
         raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    lat = lattice or build_lattice(A)
+    lat = build_lattice(A)
     n, dim = A.n, A.dim
     if include_sets is None:
         include_sets = n <= REPORT_SET_LIMIT
@@ -318,7 +313,7 @@ def sigma_filtration(A: Arrangement, lattice: Lattice | None = None,
         sets[1] = tuple(map("".join, product("+-", repeat=n)))
     prev = (SignVector(p) for p in product((1, -1), repeat=n))  # Sigma_1, lazily
     for k in range(2, dim + 1):
-        cur = sigma(A, k, lattice=lat, limit=limit)
+        cur = sigma(A, k, limit=limit)
         counts[k] = len(cur)
         if include_sets:
             sets[k] = tuple(map(str, cur))

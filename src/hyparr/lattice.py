@@ -25,13 +25,13 @@ from itertools import combinations
 from operator import mul
 
 from .arrangement import Arrangement, primitive_rows
-from .errors import InternalError
-from .linalg import canonical_int_vector, int_kernel_basis, primitive_int_vector
+from .errors import InternalError, NotEssential
+from .linalg import canonical_int_vector, kernel_basis, primitive_int_vector
 
 
 def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
     """Indices j whose integer row vanishes on the intersection of the given ones."""
-    K = int_kernel_basis([rows[i] for i in sorted(indices)], dim)
+    K = kernel_basis([rows[i] for i in sorted(indices)], dim)
     return frozenset(j for j, r in enumerate(rows)
                      if not any(sum(map(mul, r, k)) for k in K))
 
@@ -40,7 +40,7 @@ def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
 class Flat:
     """An intersection subspace with its closed index set and kernel basis.
 
-    The kernel is the `int_kernel_basis` of the forms in `contains`: its
+    The kernel is the `kernel_basis` of the forms in `contains`: its
     dim - codim rows are primitive integer vectors, each with its first
     nonzero entry positive.
     """
@@ -60,7 +60,8 @@ Circuit = tuple[tuple[int, ...], tuple[int, ...]]
 class Lattice:
     """All flats of a central essential arrangement, with Moebius values.
 
-    Flats are ordered by codim, and by key within a codim.
+    Flats are ordered by codim, and by key within a codim, so the top (the
+    origin) is the last.
     """
 
     def __init__(self, arrangement: Arrangement, flats, moebius):
@@ -143,7 +144,7 @@ class Lattice:
     def _spanning_circuits(self, X: Flat):
         rows, dim = primitive_rows(self.arrangement), self.arrangement.dim
         for S in combinations(X.key(), X.codim + 1):
-            K = int_kernel_basis([[rows[i][j] for i in S] for j in range(dim)], len(S))
+            K = kernel_basis([[rows[i][j] for i in S] for j in range(dim)], len(S))
             if len(K) != 1 or 0 in K[0]:
                 continue
             c = K[0]
@@ -158,7 +159,7 @@ class Lattice:
 
     @property
     def top(self) -> Flat:
-        return next(f for f in self.flats if f.codim == self.arrangement.dim)
+        return self.flats[-1]
 
     def mu(self, X: Flat) -> int:
         return self.moebius[X.key()]
@@ -169,7 +170,7 @@ def _levels(rows, dim) -> list[list[Flat]]:
     codim, each sorted by key; the family need not be essential."""
 
     def make_flat(closed: frozenset[int], codim: int) -> Flat:
-        K = tuple(int_kernel_basis([rows[i] for i in sorted(closed)], dim))
+        K = tuple(kernel_basis([rows[i] for i in sorted(closed)], dim))
         if len(K) != dim - codim:
             raise InternalError(f"flat {sorted(closed)} has {len(K)} kernel rows, "
                                 f"expected {dim - codim}")
@@ -202,8 +203,13 @@ def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
 
 @lru_cache(maxsize=256)
 def build_lattice(A: Arrangement) -> Lattice:
-    """Flats level by level by the restriction rule, then Moebius values."""
+    """Flats level by level by the restriction rule, then Moebius values.
+
+    Raises NotEssential when the forms meet in more than the origin, so
+    that the top, the last flat, is the origin."""
     levels = _levels(primitive_rows(A), A.dim)
+    if len(levels) <= A.dim:
+        raise NotEssential(f"forms span rank {len(levels) - 1} < {A.dim}")
     flats = [X for level in levels for X in level]
     # mu(V) = 1, and mu(X) is minus the sum of mu(Y) over the flats Y that
     # strictly contain X.  Those Y are on lower levels, and Y contains X iff

@@ -1,9 +1,12 @@
-"""Exact rational linear algebra: vectors, matrices, rank, kernel bases.
+"""Exact linear algebra: rational vectors, and rank and kernel bases of
+integer rows.
 
 Scalars are `fractions.Fraction` (canonical: positive denominator, reduced).
-Rank and echelon forms use fraction-free Bareiss elimination on primitive
-integer rows so intermediate entries stay bounded; no floating point appears
-anywhere.
+There is no matrix type: a rational row is scaled to primitive integers
+(`primitive_int_vector`), which changes neither its sign nor its kernel, and
+`rank` and `kernel_basis` eliminate integer rows by fraction-free Bareiss
+elimination, so intermediate entries stay bounded.  No floating point
+appears anywhere.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -60,30 +61,6 @@ class RatVector:
         return self.entries[i]
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Immutable matrix stored as a tuple of equal-length RatVector rows."""
-
-    rows: tuple[RatVector, ...]
-    ncols: int
-
-    @classmethod
-    def of(cls, rows, ncols=None) -> "RatMatrix":
-        rs = tuple(r if isinstance(r, RatVector) else RatVector.of(r) for r in rows)
-        if ncols is None:
-            if not rs:
-                raise ValueError("ncols required for an empty matrix")
-            ncols = rs[0].dim
-        for r in rs:
-            if r.dim != ncols:
-                raise ValueError("ragged rows")
-        return cls(rs, ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
 def primitive_int_vector(values) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to primitive integers.
 
@@ -109,10 +86,6 @@ def canonical_int_vector(values) -> tuple[int, ...]:
         if a < 0:
             return tuple(-x for x in ints)
     return ints
-
-
-def _int_rows(M: RatMatrix) -> list[list[int]]:
-    return [list(primitive_int_vector(r.entries)) for r in M.rows]
 
 
 def _bareiss_echelon(a: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -148,7 +121,7 @@ def _bareiss_echelon(a: list[list[int]], ncols: int) -> tuple[list[list[int]], l
     return a, piv_cols
 
 
-def int_rank(rows, ncols: int) -> int:
+def rank(rows, ncols: int) -> int:
     """Rank of integer rows over the rationals, by fraction-free elimination.
 
     The rows are copied, never modified.
@@ -157,12 +130,7 @@ def int_rank(rows, ncols: int) -> int:
     return len(piv)
 
 
-def rank(M: RatMatrix) -> int:
-    """Rank over the rationals: `int_rank` of the primitive integer rows."""
-    return int_rank((primitive_int_vector(r.entries) for r in M.rows), M.ncols)
-
-
-def int_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
+def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel of integer rows, one row per free column.
 
     Rows are canonical: integer entries with gcd 1 and first nonzero entry
@@ -190,59 +158,22 @@ def int_kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def kernel_basis(M: RatMatrix) -> RatMatrix:
-    """Basis of the right kernel {x : Mx = 0}: `int_kernel_basis` of the
-    primitive integer rows, as rationals.  Row count is ncols - rank(M)."""
-    basis = int_kernel_basis(_int_rows(M), M.ncols)
-    return RatMatrix.of([[Fraction(a) for a in row] for row in basis], M.ncols)
 
 
-def express_in_rowspace(M: RatMatrix, v: RatVector) -> RatVector | None:
-    """Coefficients c with c @ M.rows == v, or None if v is not in the span."""
-    m = M.nrows
-    ncols = M.ncols
-    # Gaussian elimination on the transposed system (ncols equations, m unknowns).
-    aug = [[M.rows[i][j] for i in range(m)] + [v[j]] for j in range(ncols)]
-    r = 0
-    piv = []
-    for c in range(m):
-        pr = next((i for i in range(r, ncols) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        p = aug[r][c]
-        aug[r] = [x / p for x in aug[r]]
-        for i in range(ncols):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, ncols):
-        if aug[i][m] != 0:
-            return None
-    coeffs = [Fraction(0)] * m
-    for i, c in enumerate(piv):
-        coeffs[c] = aug[i][m]
-    return RatVector(tuple(coeffs))
+def coordinates(rows, v) -> RatVector | None:
+    """Coefficients c with sum_t c[t] * rows[t] == v, for independent
+    rational rows; None when v is outside their span.
 
-
-def invert(M: RatMatrix) -> RatMatrix:
-    """Exact inverse of a square matrix; raises ValueError when singular."""
-    n = M.ncols
-    if M.nrows != n:
-        raise ValueError("inverse of a non-square matrix")
-    a = [[Fraction(M.rows[i][j]) for j in range(n)]
-         + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("singular matrix")
-        a[c], a[pr] = a[pr], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return RatMatrix.of([row[n:] for row in a], n)
+    The coefficients and a multiplier of v span the kernel of one equation
+    per coordinate, each scaled to primitive integers.  Raises ValueError
+    when the rows are dependent.
+    """
+    m = len(rows)
+    eqs = [primitive_int_vector([r[j] for r in rows] + [-v[j]]) for j in range(len(v))]
+    K = kernel_basis(eqs, m + 1)
+    if len(K) > 1 or (K and not K[0][m]):
+        raise ValueError("coordinates in dependent rows")
+    if not K:
+        return None
+    k = K[0]
+    return RatVector(tuple(Fraction(a, k[m]) for a in k[:m]))

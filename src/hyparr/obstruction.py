@@ -33,7 +33,7 @@ from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
                      TooLarge, WeightConditionViolated)
 from .feasibility import interior_witness, signed_system
 from .lattice import Flat, build_lattice
-from .linalg import RatVector, int_rank
+from .linalg import RatVector, rank
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def detect_obstruction(A: Arrangement, limit: int | None = None,
                            " pass a sample budget for a witness search")
         return _detect_sampled(A, sample, seed)
     lat = build_lattice(A)
-    filt = sigma_filtration(A, lattice=lat, limit=limit)
+    filt = sigma_filtration(A, limit=limit)
     gaps = tuple(_enrich_gap(A, lat, filt.witnesses[k])
                  for k in sorted(filt.witnesses) if k >= 2)
     minimal_k = gaps[0].k if gaps else None
@@ -257,7 +257,7 @@ def _near_set(A: Arrangement, x: RatVector) -> frozenset[int]:
         while pos + len(group) < A.n and vals[order[pos + len(group)]] == vals[order[pos]]:
             group.append(order[pos + len(group)])
         cand = chosen + group
-        if int_rank([rows[i] for i in cand], A.dim) >= A.dim:
+        if rank([rows[i] for i in cand], A.dim) >= A.dim:
             break
         chosen = cand
         pos += len(group)

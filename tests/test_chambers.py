@@ -287,8 +287,8 @@ def test_a_bogus_chamber_is_caught(monkeypatch, generic4):
     bogus = [SignVector(s) for s in product((1, -1), repeat=4) if SignVector(s) not in S]
     assert len(bogus) == 2
 
-    def padded(A, k, lattice=None, limit=None):
-        return sigma(A, k, lattice=lattice, limit=limit) + (bogus[0],)
+    def padded(A, k, limit=None):
+        return sigma(A, k, limit=limit) + (bogus[0],)
 
     monkeypatch.setattr(hyparr.consistency, "sigma", padded)
     with pytest.raises(InternalError):

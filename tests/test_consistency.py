@@ -18,7 +18,7 @@ from hyparr.consistency import (global_consistency, is_consistent_at,
                                 sigma, sigma_filtration)
 from hyparr.errors import InternalError, TooLarge
 from hyparr.lattice import build_lattice, chamber_count_oracle
-from hyparr.linalg import RatVector, int_kernel_basis
+from hyparr.linalg import RatVector, kernel_basis
 
 from conftest import FAULT8_FORMS, random_arrangement, random_sign_vector
 
@@ -227,10 +227,21 @@ def test_sigma_makes_no_kernel_call(monkeypatch):
         assert {k: sigma(A, k) for k in range(1, A.dim + 1)} == sets
 
 
+@pytest.fixture
+def uncached_lattices():
+    """`build_lattice`'s cache is cleared before and after the test, so that no
+    lattice it builds, or tampers with, reaches another test."""
+    build_lattice.cache_clear()
+    yield
+    build_lattice.cache_clear()
+
+
 def _fresh_lattice(A):
-    """A lattice of A outside `build_lattice`'s cache, so its circuit table is
-    still empty: the lattice builds each flat's circuits once and keeps them."""
-    return build_lattice.__wrapped__(A)
+    """A new lattice of A in `build_lattice`'s cache, built with the true
+    kernel, so its circuit table is still empty: the lattice builds each
+    flat's circuits once and keeps them."""
+    build_lattice.cache_clear()
+    return build_lattice(A)
 
 
 def _circuit_inputs(A):
@@ -238,26 +249,27 @@ def _circuit_inputs(A):
     found = []
 
     def spy(rows, ncols):
-        K = int_kernel_basis(rows, ncols)
+        K = kernel_basis(rows, ncols)
         if len(K) == 1 and 0 not in K[0]:
             found.append(tuple(map(tuple, rows)))
         return K
 
-    lat = _fresh_lattice(A)
+    _fresh_lattice(A)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
-        sigma(A, A.dim, lattice=lat)
+        mp.setattr(hyparr.lattice, "kernel_basis", spy)
+        sigma(A, A.dim)
     return found
 
 
 def _dropping(dropped):
-    """`int_kernel_basis` that returns two rows for one circuit's input."""
+    """`kernel_basis` that returns two rows for one circuit's input."""
     def lossy(rows, ncols):
-        K = int_kernel_basis(rows, ncols)
+        K = kernel_basis(rows, ncols)
         return K + K if tuple(map(tuple, rows)) == dropped else K
     return lossy
 
 
+@pytest.mark.usefixtures("uncached_lattices")
 @pytest.mark.parametrize("A", [catalog.braid(4), catalog.braid(5), catalog.x2_coned()],
                          ids=["braid4", "braid5", "cx2"])
 def test_a_dropped_circuit_is_caught_or_harmless(A):
@@ -267,33 +279,35 @@ def test_a_dropped_circuit_is_caught_or_harmless(A):
     exact = {k: sigma(A, k) for k in range(2, A.dim + 1)}
     inputs = _circuit_inputs(A)
     for dropped in inputs:
-        lat = _fresh_lattice(A)
+        _fresh_lattice(A)
         with pytest.MonkeyPatch.context() as mp, contextlib.suppress(InternalError):
-            mp.setattr(hyparr.lattice, "int_kernel_basis", _dropping(dropped))
+            mp.setattr(hyparr.lattice, "kernel_basis", _dropping(dropped))
             for k, expected in exact.items():
-                assert sigma(A, k, lattice=lat) == expected
+                assert sigma(A, k) == expected
     # the first circuit built spans a flat below the top; its count catches the loss
-    lat = _fresh_lattice(A)
+    _fresh_lattice(A)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "int_kernel_basis", _dropping(inputs[0]))
+        mp.setattr(hyparr.lattice, "kernel_basis", _dropping(inputs[0]))
         with pytest.raises(InternalError, match="avoid the circuits"):
-            sigma(A, A.dim, lattice=lat)
+            sigma(A, A.dim)
 
 
+@pytest.mark.usefixtures("uncached_lattices")
 def test_a_false_dependency_is_caught(monkeypatch):
     def skewed(rows, ncols):
-        K = int_kernel_basis(rows, ncols)
+        K = kernel_basis(rows, ncols)
         if len(K) == 1 and 0 not in K[0]:
             return [(2 * K[0][0],) + K[0][1:]]
         return K
 
     A = catalog.braid(4)
-    lat = _fresh_lattice(A)
-    monkeypatch.setattr(hyparr.lattice, "int_kernel_basis", skewed)
+    _fresh_lattice(A)
+    monkeypatch.setattr(hyparr.lattice, "kernel_basis", skewed)
     with pytest.raises(InternalError, match="is not a dependency"):
-        sigma(A, 3, lattice=lat)
+        sigma(A, 3)
 
 
+@pytest.mark.usefixtures("uncached_lattices")
 def test_each_flat_builds_its_circuits_once():
     # sigma(A, k) alone builds no circuit above codim k, and the filtration
     # then tests each (codim + 1)-subset of each remaining flat once
@@ -303,19 +317,20 @@ def test_each_flat_builds_its_circuits_once():
 
     def spy(rows, ncols):
         sizes.append(ncols)
-        return int_kernel_basis(rows, ncols)
+        return kernel_basis(rows, ncols)
 
     def subsets(codims):
         return sum(comb(len(X.contains), X.codim + 1) for X in lat.flats if X.codim in codims)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
-        sigma(A, 2, lattice=lat)
+        mp.setattr(hyparr.lattice, "kernel_basis", spy)
+        sigma(A, 2)
         assert len(sizes) == subsets({2}) and set(sizes) == {3}
-        sigma_filtration(A, lattice=lat)
+        sigma_filtration(A)
     assert len(sizes) == subsets({2, 3, 4}) and set(sizes) == {3, 4, 5}
 
 
+@pytest.mark.usefixtures("uncached_lattices")
 def test_a_flat_asked_twice_builds_its_circuits_once():
     # every 4-subset of a generic arrangement in R^3 is a circuit; the first
     # question scans the subsets up to its answer, the second builds the
@@ -326,13 +341,13 @@ def test_a_flat_asked_twice_builds_its_circuits_once():
 
     def spy(rows, ncols):
         calls.append(ncols)
-        return int_kernel_basis(rows, ncols)
+        return kernel_basis(rows, ncols)
 
     def wanted(circuit):
         return 6 in circuit[0]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "int_kernel_basis", spy)
+        mp.setattr(hyparr.lattice, "kernel_basis", spy)
         first = lat.first_circuit(lat.top, wanted)
         assert first[0] == (0, 1, 2, 6) and len(calls) == 4
         assert lat.first_circuit(lat.top, wanted) == first
@@ -348,4 +363,4 @@ def test_consistency_at_checks_lattice_membership(generic4):
     L = build_lattice(generic4)
     stray = Flat(frozenset({0, 1, 2}), 3, L.top.kernel)
     with pytest.raises(UnknownFlat):
-        is_consistent_at(generic4, sv("++++"), stray, lattice=L)
+        is_consistent_at(generic4, sv("++++"), stray)

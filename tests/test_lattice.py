@@ -16,11 +16,11 @@ from hyparr.cli import main
 from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
 from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
                             characteristic_polynomial, closed_sets_of_forms)
-from hyparr.linalg import (RatMatrix, RatVector, canonical_int_vector, int_kernel_basis,
-                           primitive_int_vector, rank)
+from hyparr.linalg import (RatVector, canonical_int_vector, kernel_basis,
+                           primitive_int_vector)
 
 from conftest import random_arrangement
-from oracles import brute_force_flats
+from oracles import brute_force_flats, rref_rank
 
 
 def _forms_int(A):
@@ -97,14 +97,21 @@ def test_codim_equals_rank_and_distinct_contains():
             assert X.contains not in seen
             seen.add(X.contains)
             if X.contains:
-                sub = RatMatrix.of([A.hyperplanes[i].form for i in sorted(X.contains)],
-                                   A.dim)
-                assert rank(sub) == X.codim
+                sub = [A.hyperplanes[i].form for i in sorted(X.contains)]
+                assert rref_rank(sub, A.dim) == X.codim
             else:
                 assert X.codim == 0
         assert len(L.flats_of_codim(1)) == A.n
         assert len(L.flats_of_codim(0)) == 1
         assert len(L.flats_of_codim(A.dim)) == 1
+
+
+def test_top_is_the_last_flat_and_a_lattice_needs_an_origin(generic4):
+    L = build_lattice(generic4)
+    assert L.top is L.flats[-1] and L.top.codim == 3 and L.top.contains == {0, 1, 2, 3}
+    # two planes in R^3 meet in a line, so no flat is the origin
+    with pytest.raises(NotEssential):
+        build_lattice(Arrangement.from_forms(3, [[1, 0, 0], [0, 1, 0]]))
 
 
 def test_characteristic_polynomial_generic4(generic4):
@@ -175,7 +182,7 @@ def test_closed_sets_of_non_essential_family():
                 forms.append(f)
         closed = closed_sets_of_forms(forms, 4)
         assert closed == brute_force_flats(forms, 4)
-        assert max(closed.values()) == rank(RatMatrix.of(forms, 4)) == 3
+        assert max(closed.values()) == rref_rank(forms, 4) == 3
 
 
 # sha256 of `hyparr lattice` stdout on the files `hyparr builtin` prints
@@ -228,13 +235,13 @@ def test_primitive_int_vector_matches_fraction_reference():
 
 def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, capsys):
     def short_kernel(rows, ncols):
-        K = int_kernel_basis(rows, ncols)
+        K = kernel_basis(rows, ncols)
         return K[:-1] if rows else K
 
     path = tmp_path / "generic4.json"
     path.write_text(json.dumps(arrangement_to_obj(catalog.generic4())))
     build_lattice.cache_clear()
-    monkeypatch.setattr(hyparr.lattice, "int_kernel_basis", short_kernel)
+    monkeypatch.setattr(hyparr.lattice, "kernel_basis", short_kernel)
     try:
         with pytest.raises(InternalError):
             build_lattice(catalog.generic4())
@@ -247,7 +254,7 @@ def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, caps
 
 def _rotated_kernel(rows, ncols):
     """Kernel rows of the right count, with coordinates rotated by one."""
-    K = int_kernel_basis(rows, ncols)
+    K = kernel_basis(rows, ncols)
     return [k[1:] + k[:1] for k in K] if rows else K
 
 
@@ -263,7 +270,7 @@ def _levels_with_a_stray_flat(rows, dim):
 
 
 @pytest.mark.parametrize("attr, fake, message", [
-    ("int_kernel_basis", _rotated_kernel, "disagrees with form"),
+    ("kernel_basis", _rotated_kernel, "disagrees with form"),
     ("_levels", _levels_with_a_stray_flat, "Moebius sum up to flat"),
 ])
 def test_lattice_checks_fire(monkeypatch, attr, fake, message):

@@ -2,48 +2,48 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from hyparr.linalg import (RatMatrix, RatVector, express_in_rowspace, int_rank,
-                           invert, kernel_basis, rank)
+import pytest
+
+from hyparr.linalg import RatVector, coordinates, kernel_basis, primitive_int_vector, rank
 from oracles import rref_kernel, rref_rank
 
 
 def test_rank_identity():
-    assert rank(RatMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(RatMatrix.of([[0, 0, 0, 0], [0, 0, 0, 0]], 4)) == 0
+    assert rank([[0, 0, 0, 0], [0, 0, 0, 0]], 4) == 0
 
 
 def test_rank_dependent_fourth_row():
-    M = RatMatrix.of([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    assert rank(M) == 3
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    assert rank(rows, 3) == 3
 
 
 def test_kernel_identity_empty():
-    K = kernel_basis(RatMatrix.of([[1, 0], [0, 1]]))
-    assert K.nrows == 0
+    K = kernel_basis([[1, 0], [0, 1]], 2)
+    assert len(K) == 0
 
 
 def test_kernel_single_row():
-    K = kernel_basis(RatMatrix.of([[1, 1, 1]]))
-    assert K.nrows == 2
-    for row in K.rows:
-        assert sum(row.entries) == 0
+    K = kernel_basis([[1, 1, 1]], 3)
+    assert len(K) == 2
+    for row in K:
+        assert sum(row) == 0
 
 
 def test_kernel_two_differences():
-    K = kernel_basis(RatMatrix.of([[1, -1, 0], [0, 1, -1]]))
-    assert K.nrows == 1
-    assert tuple(K.rows[0]) == (1, 1, 1)
+    K = kernel_basis([[1, -1, 0], [0, 1, -1]], 3)
+    assert len(K) == 1
+    assert tuple(K[0]) == (1, 1, 1)
 
 
 def test_kernel_rows_canonical():
-    M = RatMatrix.of([[Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5)]])
-    K = kernel_basis(M)
-    for row in K.rows:
-        ints = [int(x) for x in row]
-        assert all(Fraction(x) == x and x.denominator == 1 for x in row.entries)
+    row = primitive_int_vector([Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5)])
+    K = kernel_basis([row], 3)
+    for ints in K:
+        assert all(type(x) is int for x in ints)
         nz = [v for v in ints if v]
         assert nz[0] > 0
         g = 0
@@ -53,25 +53,26 @@ def test_kernel_rows_canonical():
 
 
 def test_rank_plus_nullity_and_exact_kernel():
+    # rational rows scaled to primitive integers keep their rank and kernel
     rng = random.Random(42)
     for _ in range(200):
         m = rng.randint(1, 5)
         d = rng.randint(1, 5)
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
                 for _ in range(m)]
-        M = RatMatrix.of(rows, d)
-        r = rank(M)
-        K = kernel_basis(M)
-        assert r + K.nrows == d
+        ints = [primitive_int_vector(row) for row in rows]
+        r = rank(ints, d)
+        K = kernel_basis(ints, d)
+        assert r + len(K) == d
         assert r == rref_rank(rows, d)
-        for v in K.rows:
-            assert all(RatVector.of(row).dot(v) == 0 for row in rows)
+        for v in K:
+            assert all(RatVector.of(row).dot(RatVector.of(v)) == 0 for row in rows)
         # span agreement with the independent kernel
         ok = rref_kernel(rows, d)
-        assert len(ok) == K.nrows
+        assert len(ok) == len(K)
 
 
-def test_int_rank_matches_oracle_and_keeps_rows():
+def test_rank_matches_oracle_and_keeps_rows():
     rng = random.Random(44)
     for _ in range(300):
         m = rng.randint(0, 6)
@@ -81,8 +82,8 @@ def test_int_rank_matches_oracle_and_keeps_rows():
             a, b = rng.randint(-3, 3), rng.randint(-3, 3)
             rows[-1] = [2 * (a * x + b * y) for x, y in zip(rows[0], rows[1])]
         copy = [list(r) for r in rows]
-        assert int_rank(rows, d) == rref_rank(rows, d)
-        assert int_rank(map(tuple, rows), d) == rank(RatMatrix.of(rows, d))
+        assert rank(rows, d) == rref_rank(rows, d)
+        assert rank(map(tuple, rows), d) == rank(rows, d)
         assert rows == copy
 
 
@@ -109,9 +110,9 @@ def test_kernel_rows_are_the_scaled_oracle_rows():
         d = rng.randint(1, 7)
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(d)]
                 for _ in range(m)]
-        K = kernel_basis(RatMatrix.of(rows, d))
+        K = kernel_basis([primitive_int_vector(row) for row in rows], d)
         expected = [_canonical_by_fractions(v) for v in rref_kernel(rows, d)]
-        assert [tuple(int(x) for x in row) for row in K.rows] == expected
+        assert K == expected
 
 
 def test_fraction_canonical_invariant():
@@ -124,14 +125,34 @@ def test_fraction_canonical_invariant():
             assert gcd(abs(v.numerator), v.denominator) == 1
 
 
-def test_express_in_rowspace():
-    B = RatMatrix.of([[1, 0, 1], [0, 1, 1]])
-    c = express_in_rowspace(B, RatVector.of([2, 3, 5]))
+def test_coordinates_in_rowspace():
+    B = [[1, 0, 1], [0, 1, 1]]
+    c = coordinates(B, [2, 3, 5])
     assert tuple(c) == (2, 3)
-    assert express_in_rowspace(B, RatVector.of([0, 0, 1])) is None
+    assert coordinates(B, [0, 0, 1]) is None
 
 
-def test_invert():
-    M = RatMatrix.of([[2, 1], [1, 1]])
-    Minv = invert(M)
-    assert [tuple(r) for r in Minv.rows] == [(1, -1), (-1, 2)]
+def test_coordinates_of_unit_vectors_are_the_inverse_rows():
+    g = [[2, 1], [1, 1]]
+    assert [tuple(coordinates(g, e)) for e in ([1, 0], [0, 1])] == [(1, -1), (-1, 2)]
+
+
+def test_coordinates_match_oracle():
+    rng = random.Random(45)
+    for _ in range(200):
+        d = rng.randint(1, 5)
+        m = rng.randint(1, d)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+                for _ in range(m)]
+        if rref_rank(rows, d) < m:
+            with pytest.raises(ValueError):
+                coordinates(rows, [rng.randint(-4, 4) for _ in range(d)])
+            continue
+        c = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(m)]
+        v = [sum(c_t * row[j] for c_t, row in zip(c, rows)) for j in range(d)]
+        assert tuple(coordinates(rows, v)) == tuple(c)
+        outside = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)]
+        if rref_rank(rows + [outside], d) > m:
+            assert coordinates(rows, outside) is None
+        with pytest.raises(ValueError):  # the first row repeated, scaled
+            coordinates(rows + [[3 * x for x in rows[0]]], v)
