@@ -136,9 +136,8 @@ def _cmd_validate(args) -> None:
 def _cmd_lattice(args) -> None:
     A, digest = _load(args.file)
     L = build_lattice(A)
-    flats = sorted(L.flats, key=lambda f: (f.codim, f.key()))
     payload = {
-        "flats": [dict(_flat_obj(X), mu=L.mu(X)) for X in flats],
+        "flats": [dict(_flat_obj(X), mu=L.mu(X)) for X in L.flats],
         "characteristic_polynomial": list(reversed(characteristic_polynomial(L))),
         "zaslavsky_chambers": chamber_count_oracle(L),
     }

@@ -232,7 +232,7 @@ def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None
             if X.contains.issuperset(S):
                 local.setdefault(pos[S[-1]], []).append((tuple(pos[i] for i in S), c))
     count = len(_SigmaSearch(len(pos), local).run())
-    expected = sum(abs(lat.mu(Y)) for Y in lat.flats if Y.contains <= X.contains)
+    expected = abs(lat.mu(X)) + sum(abs(lat.mu(Y)) for Y in lat.below(X))
     if count != expected:
         raise InternalError(f"{count} sign patterns avoid the circuits at flat "
                             f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
@@ -283,7 +283,7 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
     """The lexicographically smallest span of a circuit of size k + 2 that
     eps matches, with that circuit's checked dependency as the dual.  eps is
     in Sigma_k, so its failing flats of codim k + 1 are exactly those spans."""
-    for X in sorted(lat.flats_of_codim(k + 1), key=lambda f: f.key()):
+    for X in lat.flats_of_codim(k + 1):
         circuit = _matched_circuit(lat, eps, X)
         if circuit is not None:
             return GapWitness(k, eps, X, _dual(A, circuit, sorted(X.contains)))

@@ -1,4 +1,4 @@
-"""Intersection lattice: flats, localizations, Moebius function, region count.
+"""Intersection lattice: flats, covers, Moebius function, region count.
 
 Flats are identified by their closed index set {i : X is inside H_i}; two
 flats are equal iff those sets are.  Flats are built level by level from the
@@ -7,8 +7,14 @@ are the intersections of X with H_i for i outside X, and two of them
 coincide exactly when forms i and j, restricted to X, are proportional.
 Restricting every form to X's integer kernel rows therefore finds all
 covers of X at once, with integer dot products and one kernel basis per
-flat.  The Moebius-based region count is the independent cross-check for
-the chamber enumeration elsewhere.
+flat.  The level loop keeps, for each new flat, the flats that generated
+it: exactly its lower covers.  Each flat's strict down-set is the union of
+its lower covers' down-sets, and its Moebius value is minus the sum over
+that down-set.  The covers are checked against the restriction rule (the
+upper covers of X split the forms outside X into their groups), and every
+value against Rota's sign theorem, (-1)^codim X * mu(X) > 0 on a geometric
+lattice (Rota 1964).  The Moebius-based region count is the independent
+cross-check for the chamber enumeration elsewhere.
 
 Sign-vector questions are answered from two more tables of the lattice,
 each built for a flat on first use and kept on the `Lattice`: the signed
@@ -58,16 +64,23 @@ Circuit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class Lattice:
-    """All flats of a central essential arrangement, with Moebius values.
+    """All flats of a central essential arrangement, with covers and Moebius
+    values.
 
     Flats are ordered by codim, and by key within a codim, so the top (the
-    origin) is the last.
+    origin) is the last.  `lower[t]` and `upper[t]` are the indices of the
+    flats that flat t covers and that cover it, ascending; `down[t]` is the
+    strict down-set of flat t as a bitmask over flat indices.
     """
 
-    def __init__(self, arrangement: Arrangement, flats, moebius):
+    def __init__(self, arrangement: Arrangement, flats, lower, upper, down, moebius):
         self.arrangement = arrangement
         self.flats = tuple(flats)
-        self.moebius = moebius  # key() -> int
+        self.lower = lower
+        self.upper = upper
+        self.down = down
+        self.moebius = moebius  # contains -> int
+        self.index = {f.contains: t for t, f in enumerate(self.flats)}
         self.by_contains = {f.contains: f for f in self.flats}
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
@@ -82,6 +95,14 @@ class Lattice:
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
         return self._by_codim.get(c, ())
+
+    def lower_covers(self, X: Flat) -> tuple[Flat, ...]:
+        return tuple(self.flats[s] for s in self.lower[self.index[X.contains]])
+
+    def below(self, X: Flat) -> tuple[Flat, ...]:
+        """The flats strictly below X (contains a proper subset of X's), by
+        codim and then key."""
+        return tuple(self.flats[s] for s in _bits(self.down[self.index[X.contains]]))
 
     def cocircuits(self, Y: Flat) -> tuple[Cocircuit, ...]:
         """Both signed cocircuits of every line of the localization A_Y.
@@ -98,9 +119,7 @@ class Lattice:
         if table is None:
             rows = primitive_rows(self.arrangement)
             out = []
-            for Z in self.flats_of_codim(Y.codim - 1):
-                if not Z.contains < Y.contains:
-                    continue
+            for Z in self.lower_covers(Y):
                 # within Z, each form of Y outside Z vanishes exactly on Y
                 outside = [i for i in sorted(Y.contains) if i not in Z.contains]
                 v = next((k for k in Z.kernel if sum(map(mul, rows[outside[0]], k))), None)
@@ -162,12 +181,23 @@ class Lattice:
         return self.flats[-1]
 
     def mu(self, X: Flat) -> int:
-        return self.moebius[X.key()]
+        return self.moebius[X.contains]
 
 
-def _levels(rows, dim) -> list[list[Flat]]:
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]]]:
     """The flats of a central family of primitive integer rows, one list per
-    codim, each sorted by key; the family need not be essential."""
+    codim, each sorted by key, and the lower covers of every flat but the
+    bottom, by closed index set: the indices, in the order of all flats, of
+    the flats one level down whose restriction groups gave it, ascending.
+    The family need not be essential."""
 
     def make_flat(closed: frozenset[int], codim: int) -> Flat:
         K = tuple(kernel_basis([rows[i] for i in sorted(closed)], dim))
@@ -177,20 +207,25 @@ def _levels(rows, dim) -> list[list[Flat]]:
         return Flat(closed, codim, K)
 
     levels = [[make_flat(closure_of_forms(rows, dim, frozenset()), 0)]]
+    lower: dict[frozenset[int], list[int]] = {}
+    base = 0  # the index of levels[-1][0] among all flats
     while True:
-        new = set()
-        for X in levels[-1]:
-            covers: dict[tuple[int, ...], set[int]] = {}
+        new: dict[frozenset[int], list[int]] = {}
+        for t, X in enumerate(levels[-1], base):
+            groups: dict[tuple[int, ...], set[int]] = {}
             for i, r in enumerate(rows):
                 restricted = [sum(map(mul, r, k)) for k in X.kernel]
                 if any(restricted) == (i in X.contains):
                     raise InternalError(f"kernel of flat {sorted(X.contains)} "
                                         f"disagrees with form {i + 1}")
                 if i not in X.contains:
-                    covers.setdefault(canonical_int_vector(restricted), set()).add(i)
-            new.update(X.contains.union(group) for group in covers.values())
+                    groups.setdefault(canonical_int_vector(restricted), set()).add(i)
+            for group in groups.values():
+                new.setdefault(X.contains.union(group), []).append(t)
         if not new:
-            return levels
+            return levels, lower
+        lower.update(new)
+        base += len(levels[-1])
         levels.append([make_flat(c, len(levels)) for c in sorted(new, key=sorted)])
 
 
@@ -198,33 +233,66 @@ def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
     """All closed index sets of a central (not necessarily essential) family,
     mapped to their rank."""
     rows = [primitive_int_vector(f) for f in forms]
-    return {X.contains: X.codim for level in _levels(rows, dim) for X in level}
+    return {X.contains: X.codim for level in _levels(rows, dim)[0] for X in level}
+
+
+def _moebius(down: list[int]) -> list[int]:
+    """mu(bottom) = 1, mu(X) = -(the sum of mu over X's strict down-set), and
+    mu(top) = -(the sum of all other values); down holds the down-sets as
+    bitmasks over flat indices, ordered so that each lies before its flat."""
+    values = [1]
+    for mask in down[1:-1]:
+        values.append(-sum(values[s] for s in _bits(mask)))
+    values.append(-sum(values))
+    return values
 
 
 @lru_cache(maxsize=256)
 def build_lattice(A: Arrangement) -> Lattice:
-    """Flats level by level by the restriction rule, then Moebius values.
+    """Flats and their lower covers level by level by the restriction rule,
+    then down-sets and Moebius values from the covers.
+
+    The checks, each O(number of covers) or O(F): every flat but the bottom
+    has a lower cover; every cover is one codim down with a strictly smaller
+    closed set; the upper covers of each flat X split the forms outside X
+    into disjoint groups (the restriction rule, so no cover is missing); and
+    every Moebius value is nonzero with the sign (-1)^codim (Rota).
 
     Raises NotEssential when the forms meet in more than the origin, so
     that the top, the last flat, is the origin."""
-    levels = _levels(primitive_rows(A), A.dim)
+    levels, covers = _levels(primitive_rows(A), A.dim)
     if len(levels) <= A.dim:
         raise NotEssential(f"forms span rank {len(levels) - 1} < {A.dim}")
     flats = [X for level in levels for X in level]
-    # mu(V) = 1, and mu(X) is minus the sum of mu(Y) over the flats Y that
-    # strictly contain X.  Those Y are on lower levels, and Y contains X iff
-    # Y's bitmask is inside X's.  The check sums over every flat instead.
-    masks, values = [], []
-    for level in levels:
-        above = list(zip(masks, values))
-        for X in level:
-            m = sum(1 << i for i in X.contains)
-            masks.append(m)
-            values.append(-sum(v for b, v in above if b & m == b) if above else 1)
-    for X, m in zip(flats[1:], masks[1:]):
-        if sum(v for b, v in zip(masks, values) if b & m == b) != 0:
-            raise InternalError(f"Moebius sum up to flat {sorted(X.contains)} is not 0")
-    return Lattice(A, flats, {X.key(): v for X, v in zip(flats, values)})
+    lower = tuple(tuple(covers.get(X.contains, ())) for X in flats)
+    upper: list[list[int]] = [[] for _ in flats]
+    down: list[int] = []
+    for t, X in enumerate(flats):
+        if t and not lower[t]:
+            raise InternalError(f"flat {sorted(X.contains)} has no lower cover")
+        mask = 0
+        for s in lower[t]:
+            Z = flats[s]
+            if Z.codim != X.codim - 1 or not Z.contains < X.contains:
+                raise InternalError(f"flat {sorted(Z.contains)} is no lower cover "
+                                    f"of flat {sorted(X.contains)}")
+            mask |= down[s] | 1 << s
+            upper[s].append(t)
+        down.append(mask)
+    everything = frozenset(range(A.n))
+    for X, ups in zip(flats, upper):
+        groups = [flats[t].contains - X.contains for t in ups]
+        if (len(X.contains) + sum(map(len, groups)) != A.n
+                or X.contains.union(*groups) != everything):
+            raise InternalError(f"the upper covers of flat {sorted(X.contains)} do not "
+                                f"split the forms outside it")
+    values = _moebius(down)
+    for X, v in zip(flats, values):
+        if v * (-1) ** X.codim <= 0:
+            raise InternalError(f"Moebius value {v} at flat {sorted(X.contains)} "
+                                f"breaks Rota's sign rule")
+    return Lattice(A, flats, lower, tuple(map(tuple, upper)), tuple(down),
+                   {X.contains: v for X, v in zip(flats, values)})
 
 
 def chamber_count_oracle(L: Lattice) -> int:

@@ -158,8 +158,6 @@ def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     return basis
 
 
-
-
 def coordinates(rows, v) -> RatVector | None:
     """Coefficients c with sum_t c[t] * rows[t] == v, for independent
     rational rows; None when v is outside their span.

@@ -82,12 +82,11 @@ def _enrich_gap(A, lat, w: GapWitness) -> Gap:
     """Attach primal witnesses at every flat strictly above the failing one:
     the checked sums of conforming localized cocircuits of `witness_at`."""
     uppers = []
-    for Y in sorted(lat.flats, key=lambda f: (f.codim, f.key())):
-        if Y.contains < w.flat.contains:
-            point = witness_at(lat, w.eps, Y)
-            if point is None:
-                raise InternalError(f"{w.eps} fails at a flat above its failing flat")
-            uppers.append((Y.key(), RatVector.of(point)))
+    for Y in lat.below(w.flat):
+        point = witness_at(lat, w.eps, Y)
+        if point is None:
+            raise InternalError(f"{w.eps} fails at a flat above its failing flat")
+        uppers.append((Y.key(), RatVector.of(point)))
     return Gap(w.k, w.eps, w.flat, w.dual, tuple(uppers))
 
 
@@ -117,15 +116,10 @@ def detect_obstruction(A: Arrangement, limit: int | None = None,
 def _detect_sampled(A: Arrangement, budget: int, seed: int) -> ObstructionReport:
     rng = random.Random(seed)
     lat = build_lattice(A)
-    by_codim = {c: sorted((X for X in lat.flats
-                           if X.codim == c and len(X.contains) > X.codim),
-                          key=lambda f: f.key())
-                for c in range(2, A.dim + 1)}
-    # the origin always carries the full dependent system
-    origin = lat.top
-    by_codim.setdefault(A.dim, [])
-    if origin not in by_codim[A.dim]:
-        by_codim[A.dim] = sorted(by_codim[A.dim] + [origin], key=lambda f: f.key())
+    by_codim = {c: [X for X in lat.flats_of_codim(c) if len(X.contains) > X.codim]
+                for c in range(2, A.dim)}
+    # the origin, the one flat of codim dim, always carries the full system
+    by_codim[A.dim] = [lat.top]
     gaps: dict[int, Gap] = {}
     for trial in range(budget):
         if trial % 2 == 0:

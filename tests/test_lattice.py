@@ -11,7 +11,7 @@ import pytest
 
 import hyparr.lattice
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, arrangement_to_obj, validate
+from hyparr.arrangement import Arrangement, arrangement_to_obj, primitive_rows, validate
 from hyparr.cli import main
 from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
 from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
@@ -146,6 +146,31 @@ def _moebius_by_definition(flats):
     return mu
 
 
+def _assert_covers_by_definition(L):
+    """Y covers X iff X.contains < Y.contains and codim Y = codim X + 1; the
+    strict down-set of Y is every X with X.contains < Y.contains."""
+    for t, Y in enumerate(L.flats):
+        lower = tuple(s for s, X in enumerate(L.flats)
+                      if X.contains < Y.contains and X.codim == Y.codim - 1)
+        upper = tuple(s for s, Z in enumerate(L.flats)
+                      if Y.contains < Z.contains and Z.codim == Y.codim + 1)
+        assert L.lower[t] == lower and L.upper[t] == upper
+        assert L.lower_covers(Y) == tuple(L.flats[s] for s in lower)
+        assert L.below(Y) == tuple(X for X in L.flats if X.contains < Y.contains)
+
+
+def test_covers_match_definition(generic4, cx2):
+    for A in (generic4, cx2, catalog.braid(5)):
+        _assert_covers_by_definition(build_lattice(A))
+
+
+def test_flats_are_ordered_by_codim_then_key(generic4, cx2):
+    # the CLI, the gap witnesses and the sampled search read this order unsorted
+    for A in (generic4, cx2, catalog.braid(5), *_nongeneric_arrangements(31, 25)):
+        order = [(X.codim, X.key()) for X in build_lattice(A).flats]
+        assert order == sorted(order)
+
+
 def test_nongeneric_lattice_matches_brute_force():
     multiple_points = 0
     for A in _nongeneric_arrangements(31, 25):
@@ -153,6 +178,7 @@ def test_nongeneric_lattice_matches_brute_force():
         forms = [tuple(h.form) for h in A.hyperplanes]
         brute = brute_force_flats(forms, A.dim)
         assert {X.contains: X.codim for X in L.flats} == brute
+        _assert_covers_by_definition(L)
         mu = _moebius_by_definition(L.flats)
         for X in L.flats:
             assert L.mu(X) == mu[X.contains]
@@ -262,16 +288,36 @@ _REAL_LEVELS = hyparr.lattice._levels
 
 
 def _levels_with_a_stray_flat(rows, dim):
-    """The true levels, plus a codim-2 flat above a codim-2 flat they hold."""
-    levels = _REAL_LEVELS(rows, dim)
+    """The true levels, plus a codim-2 flat above a codim-2 flat they hold,
+    with no lower cover."""
+    levels, lower = _REAL_LEVELS(rows, dim)
     X = levels[2][0]
     levels[2].append(Flat(X.contains | {max(X.contains) + 1}, 2, X.kernel))
-    return levels
+    return levels, lower
+
+
+def _levels_with_the_bottom_as_a_cover(rows, dim):
+    """The true levels, with the bottom, two codims down, as a cover of a
+    codim-2 flat."""
+    levels, lower = _REAL_LEVELS(rows, dim)
+    lower[levels[2][0].contains].append(0)
+    return levels, lower
+
+
+def _levels_with_a_foreign_cover(rows, dim):
+    """The true levels, with a hyperplane outside a codim-2 flat as its cover."""
+    levels, lower = _REAL_LEVELS(rows, dim)
+    Y = levels[2][0]
+    lower[Y.contains].append(next(s for s, H in enumerate(levels[1], 1)
+                                  if not H.contains < Y.contains))
+    return levels, lower
 
 
 @pytest.mark.parametrize("attr, fake, message", [
     ("kernel_basis", _rotated_kernel, "disagrees with form"),
-    ("_levels", _levels_with_a_stray_flat, "Moebius sum up to flat"),
+    ("_levels", _levels_with_a_stray_flat, "has no lower cover"),
+    ("_levels", _levels_with_the_bottom_as_a_cover, "is no lower cover"),
+    ("_levels", _levels_with_a_foreign_cover, "is no lower cover"),
 ])
 def test_lattice_checks_fire(monkeypatch, attr, fake, message):
     build_lattice.cache_clear()
@@ -279,5 +325,50 @@ def test_lattice_checks_fire(monkeypatch, attr, fake, message):
     try:
         with pytest.raises(InternalError, match=message):
             build_lattice(catalog.generic4())
+    finally:
+        build_lattice.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["generic4", "cx2", "braid4"])
+def test_a_dropped_lower_cover_is_caught_or_harmless(name):
+    # The upper covers of each flat must split the forms outside it, so a
+    # missing cover is never harmless here: every drop is caught.
+    A = {"generic4": catalog.generic4(), "cx2": catalog.x2_coned(),
+         "braid4": catalog.braid(4)}[name]
+    levels, lower = _REAL_LEVELS(primitive_rows(A), A.dim)
+    drops = [(Y, t) for Y, covers in lower.items() for t in covers]
+    assert len(drops) >= 12
+    try:
+        for Y, t in drops:
+            def dropping(rows, dim, Y=Y, t=t):
+                levels, lower = _REAL_LEVELS(rows, dim)
+                lower[Y] = [s for s in lower[Y] if s != t]
+                return levels, lower
+
+            build_lattice.cache_clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(hyparr.lattice, "_levels", dropping)
+                with pytest.raises(InternalError, match="no lower cover|do not split"):
+                    build_lattice(A)
+    finally:
+        build_lattice.cache_clear()
+
+
+_REAL_MOEBIUS = hyparr.lattice._moebius
+
+
+@pytest.mark.parametrize("wrong", ["negated", "zero"])
+@pytest.mark.parametrize("position", [1, 5, -1])
+def test_a_wrong_sign_moebius_value_is_caught(monkeypatch, wrong, position):
+    def skewed(down):
+        values = _REAL_MOEBIUS(down)
+        values[position] = -values[position] if wrong == "negated" else 0
+        return values
+
+    build_lattice.cache_clear()
+    monkeypatch.setattr(hyparr.lattice, "_moebius", skewed)
+    try:
+        with pytest.raises(InternalError, match="Rota's sign rule"):
+            build_lattice(catalog.x2_coned())
     finally:
         build_lattice.cache_clear()
