@@ -32,7 +32,7 @@ from operator import itemgetter, mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
-from .feasibility import FeasibilityResult, signed_system, strict_feasible
+from .feasibility import FeasibilityResult
 from .lattice import Circuit, Flat, Lattice, build_lattice, chamber_count_oracle
 from .linalg import RatVector
 
@@ -92,14 +92,12 @@ def _matched_circuit(lat: Lattice, eps, X: Flat) -> Circuit | None:
     return circuit
 
 
-def _first_failure(lat: Lattice, eps, max_codim: int) -> tuple[Flat, Circuit] | None:
-    """The first flat of codim at most max_codim, by codim and then key, at
+def _first_failure(lat: Lattice, eps, flats) -> tuple[Flat, Circuit] | None:
+    """The first of the given flats, which run by codim and then key, at
     which eps is inconsistent, with the circuit that it matches there; None
     when eps is consistent at all of them.  Flats below a first failing one
     pass, so one of its matched circuits spans it."""
-    for Y in lat.flats:
-        if Y.codim > max_codim:
-            break
+    for Y in flats:
         if len(Y.contains) > Y.codim and witness_at(lat, eps, Y) is None:
             circuit = _matched_circuit(lat, eps, Y)
             if circuit is None:
@@ -129,14 +127,7 @@ def global_consistency(A: Arrangement, eps: SignVector) -> FeasibilityResult:
     """Feasibility of the full signed system, with certificate: the checked
     sum of the conforming cocircuits, or the checked dependency of a circuit
     that eps matches, at the first flat where eps fails."""
-    lat = build_lattice(A)
-    w = witness_at(lat, eps, lat.top)
-    if w is not None:
-        return FeasibilityResult(RatVector.of(w), None)
-    failure = _first_failure(lat, eps, A.dim)
-    if failure is None:
-        raise InternalError(f"{eps} fails the tope test but at no flat")
-    return FeasibilityResult(None, _dual(A, failure[1], range(A.n)))
+    return consistency_at(A, eps, build_lattice(A).top)
 
 
 def is_globally_consistent(A: Arrangement, eps: SignVector) -> bool:
@@ -145,10 +136,20 @@ def is_globally_consistent(A: Arrangement, eps: SignVector) -> bool:
 
 def consistency_at(A: Arrangement, eps: SignVector, X: Flat) -> FeasibilityResult:
     """Feasibility of the subsystem over the hyperplanes containing X, which
-    must be a flat of A's lattice (UnknownFlat otherwise)."""
-    if X.contains not in build_lattice(A).by_contains:
+    must be a flat of A's lattice (UnknownFlat otherwise): the checked
+    witness of `witness_at`, or the dual, over X's forms, of the circuit
+    that eps matches at its first failing flat in X's down-set or at X."""
+    lat = build_lattice(A)
+    if X.contains not in lat.by_contains:
         raise UnknownFlat(f"flat {sorted(X.contains)} not in the lattice")
-    return strict_feasible(signed_system(A, eps, sorted(X.contains)))
+    w = witness_at(lat, eps, X)
+    if w is not None:
+        return FeasibilityResult(RatVector.of(w), None)
+    failure = _first_failure(lat, eps, (Y for Y in lat.flats if Y.contains <= X.contains))
+    if failure is None:
+        raise InternalError(f"{eps} fails the tope test at flat {sorted(X.contains)} "
+                            f"but at no flat below it")
+    return FeasibilityResult(None, _dual(A, failure[1], sorted(X.contains)))
 
 
 def is_consistent_at(A: Arrangement, eps: SignVector, X: Flat) -> bool:
@@ -159,7 +160,8 @@ def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
     """Consistent at every flat except the origin: each dependent proper
     flat, by codim, gets a checked witness from `witness_at`, and a "no"
     comes with a checked circuit that spans the first failing flat."""
-    return _first_failure(build_lattice(A), eps, A.dim - 1) is None
+    lat = build_lattice(A)
+    return _first_failure(lat, eps, lat.flats[:-1]) is None
 
 
 def _circuits_by_last(lat: Lattice, k: int) -> dict[int, list[Circuit]]:
@@ -288,6 +290,19 @@ def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
         if circuit is not None:
             return GapWitness(k, eps, X, _dual(A, circuit, sorted(X.contains)))
     raise InternalError(f"{eps} left Sigma_{k + 1} but no flat of codim {k + 1} fails")
+
+
+def first_failing_flat(A: Arrangement, eps: SignVector) -> GapWitness | None:
+    """The first flat, by codim and then key, at which eps is inconsistent,
+    with the checked dual, over that flat's forms, of a circuit that eps
+    matches there; None when eps is globally consistent.  When the flat has
+    codim k + 1, eps is in Sigma_k but not in Sigma_(k+1)."""
+    lat = build_lattice(A)
+    failure = _first_failure(lat, eps, lat.flats)
+    if failure is None:
+        return None
+    X, circuit = failure
+    return GapWitness(X.codim - 1, eps, X, _dual(A, circuit, sorted(X.contains)))
 
 
 def sigma_filtration(A: Arrangement, limit: int | None = None,

@@ -20,12 +20,12 @@ from . import _fmpure
 from .errors import Infeasible, InternalError
 from .linalg import RatVector, primitive_int_vector
 
-# read by perfbench/layers.py; goes with the benchmark change (ROADMAP direction 2)
+# read by perfbench/layers.py; goes with the benchmark change (ROADMAP direction 1)
 _fmcore = None
 
 
 def kernel_name() -> str:
-    # read by perfbench/run.py; goes with the benchmark change (ROADMAP direction 2)
+    # read by perfbench/run.py; goes with the benchmark change (ROADMAP direction 1)
     return "pure"
 
 
@@ -134,10 +134,3 @@ def interior_witness(sys: StrictSystem) -> RatVector:
         raise InternalError("the deep point does not reach t* inside the cone")
     return RatVector(point)
 
-
-def signed_system(A, eps, indices=None) -> StrictSystem:
-    """System {eps_i * form_i . x > 0} over the given indices (default: all)."""
-    if indices is None:
-        indices = range(A.n)
-    rows = [A.hyperplanes[i].form.scale(eps[i]) for i in indices]
-    return StrictSystem.of(rows, A.dim) if rows else StrictSystem((), A.dim)

@@ -13,9 +13,10 @@ Every certificate comes from the lattice's sign tables and is checked in
 integers (see `consistency`): the dual of a gap, and the dual that the full
 system is inconsistent, are the dependencies of circuits that the sign
 vector matches, so their supports are minimal; the witness at each flat
-above a gap's failing flat is the sum of the localized cocircuits that
-conform to the sign vector.  No solver runs, except in the sampled search
-beyond the enumeration limit.
+above a gap's failing flat, and the imaginary part of each sphere sample,
+is the sum of the localized cocircuits that conform to the sign vector.
+The sampled search beyond the enumeration limit reads the same tables.  No
+solver runs.
 """
 
 from __future__ import annotations
@@ -24,16 +25,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement, SignVector, primitive_rows
+from .arrangement import Arrangement, SignVector
 from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
-from .consistency import (DEFAULT_ENUM_LIMIT, GapWitness, consistency_at,
+from .consistency import (DEFAULT_ENUM_LIMIT, GapWitness, first_failing_flat,
                           global_consistency, is_locally_consistent,
                           sigma_filtration, witness_at)
 from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
                      TooLarge, WeightConditionViolated)
-from .feasibility import interior_witness, signed_system
 from .lattice import Flat, build_lattice
-from .linalg import RatVector, rank
+from .linalg import RatVector
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,13 @@ def detect_obstruction(A: Arrangement, limit: int | None = None,
     """Find every k >= 2 with Sigma_k > Sigma_{k+1}, with certificates.
 
     Witnesses are lexicographically smallest.  When n exceeds the limit, an
-    exhaustive run raises TooLarge; passing `sample` switches to a seeded
-    witness search that can establish gaps but never their absence.
+    exhaustive run raises TooLarge; passing `sample` (at least 1) switches
+    to a seeded search of that many trials, which can establish gaps but
+    never their absence.
     """
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
+    if sample is not None and sample < 1:
+        raise ValueError("need a sample budget of at least one trial")
     if A.n > limit:
         if sample is None:
             raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit};"
@@ -116,31 +119,15 @@ def detect_obstruction(A: Arrangement, limit: int | None = None,
 def _detect_sampled(A: Arrangement, budget: int, seed: int) -> ObstructionReport:
     rng = random.Random(seed)
     lat = build_lattice(A)
-    by_codim = {c: [X for X in lat.flats_of_codim(c) if len(X.contains) > X.codim]
-                for c in range(2, A.dim)}
-    # the origin, the one flat of codim dim, always carries the full system
-    by_codim[A.dim] = [lat.top]
     gaps: dict[int, Gap] = {}
     for trial in range(budget):
         if trial % 2 == 0:
             eps = SignVector(tuple(rng.choice((1, -1)) for _ in range(A.n)))
         else:
             eps = _random_adjacent_candidate(A, rng)
-        fail = None
-        for c in range(2, A.dim + 1):
-            for X in by_codim.get(c, ()):
-                res = consistency_at(A, eps, X)
-                if not res.feasible:
-                    fail = (c, X, res.dual)
-                    break
-            if fail:
-                break
-        if fail is None:
-            continue
-        c, X, dual = fail
-        k = c - 1
-        if k >= 2 and (k not in gaps or str(eps) < str(gaps[k].eps)):
-            gaps[k] = _enrich_gap(A, lat, GapWitness(k, eps, X, dual))
+        w = first_failing_flat(A, eps)
+        if w is not None and w.k >= 2 and (w.k not in gaps or str(eps) < str(gaps[w.k].eps)):
+            gaps[w.k] = _enrich_gap(A, lat, w)
     ordered = tuple(gaps[k] for k in sorted(gaps))
     minimal_k = ordered[0].k if ordered else None
     return ObstructionReport({}, ordered, minimal_k,
@@ -204,10 +191,10 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
 
     Real parts lie on the unit cross-polytope boundary; roughly half are
     drawn inside proper flats so that on-hyperplane behaviour is exercised.
-    The imaginary part at x is a deep interior point of the subsystem over
-    all hyperplanes within the widest margin delta(x) that still leaves a
-    nonzero common intersection, so it is compatible with every hyperplane
-    through or near x.
+    The imaginary part at x is the checked witness of `witness_at` at the
+    flat Y of the hyperplanes through x, scaled to one-norm 1: the sum of
+    the cocircuits of A_Y that conform to eps, strictly on eps's side of
+    every hyperplane through x.  It is 0 when x lies on no hyperplane.
     """
     if m < 1:
         raise ValueError("need at least one sample")
@@ -230,32 +217,16 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
                 cand = RatVector.of([rng.randint(-9, 9) for _ in range(A.dim)])
             if not cand.is_zero():
                 x = cand.scale(Fraction(1) / cand.one_norm())
-        near = _near_set(A, x)
-        sub = signed_system(A, eps, sorted(near))
-        v = interior_witness(sub)
-        points.append(ComplexSamplePoint(x, v))
+        on = frozenset(i for i, h in enumerate(A.hyperplanes) if h.form.dot(x) == 0)
+        Y = lat.by_contains.get(on)
+        v = None if Y is None else witness_at(lat, eps, Y)
+        if v is None:
+            raise InternalError(f"{eps} has no witness at the flat {sorted(on)} "
+                                f"through sample {j + 1}")
+        norm = sum(map(abs, v)) or 1  # v = 0 off every hyperplane
+        points.append(ComplexSamplePoint(x, RatVector.of(v).scale(Fraction(1, norm))))
     verify_sample_points(A, eps, points)
     return tuple(points)
-
-
-def _near_set(A: Arrangement, x: RatVector) -> frozenset[int]:
-    """Hyperplanes within the widest threshold that keeps the set's common
-    intersection nonzero: {i : |form_i(x)| < delta(x)}."""
-    rows = primitive_rows(A)
-    vals = [abs(h.form.dot(x)) for h in A.hyperplanes]
-    order = sorted(range(A.n), key=lambda i: vals[i])
-    chosen: list[int] = []
-    pos = 0
-    while pos < A.n:
-        group = [order[pos]]
-        while pos + len(group) < A.n and vals[order[pos + len(group)]] == vals[order[pos]]:
-            group.append(order[pos + len(group)])
-        cand = chosen + group
-        if rank([rows[i] for i in cand], A.dim) >= A.dim:
-            break
-        chosen = cand
-        pos += len(group)
-    return frozenset(chosen)
 
 
 def verify_sample_points(A: Arrangement, eps: SignVector, points) -> bool:

@@ -299,6 +299,8 @@ GENERIC4 = arrangement_to_obj(catalog.generic4())
     ("validate", RawText("[" * 100000), (), "ValueError"),
     ("certify", GENERIC4, ("--eps=+++-", "--weights=1/0,1,1,1"), "ValueError"),
     ("certify", GENERIC4, ("--eps=+++-", "--weights=1e999999999,1,1,1"), "ValueError"),
+    ("obstruct", GENERIC4, ("--limit=2", "--sample=-3"), "ValueError"),
+    ("obstruct", GENERIC4, ("--limit=2", "--sample=0"), "ValueError"),
 ])
 def test_malformed_input_is_structured_error(tmp_path, capsys, command, obj, extra, error):
     code, out = run_cli(capsys, command, _write(tmp_path, "in.json", obj), *extra)
@@ -380,12 +382,13 @@ def test_fault_rows_never_give_a_wrong_count(tmp_path, command):
 
 
 # sha256 of stdout on the files `hyparr builtin` prints, and on the unions
-# `_union` draws.  The chambers, sink, certify and generic4 sphere pins were
-# taken before the kernel's two elimination loops became one and cover
-# witnesses, walls, flows and deep points; the sigma and cx2 obstruct pins
-# were taken before every Sigma level became one `sigma` search and cover
-# counts, sets and gap witnesses; the union sphere pins were taken while the
-# deep point still came from Fourier-Motzkin on the 2^dim cross-polytope rows.
+# `_union` draws.  The chambers, sink and certify pins were taken before the
+# kernel's two elimination loops became one and cover witnesses, walls and
+# flows; the sigma and cx2 obstruct pins were taken before every Sigma level
+# became one `sigma` search and cover counts, sets and gap witnesses.  The
+# three sphere pins were re-taken when each imaginary part became the scaled
+# localized-cocircuit witness at the flat through the real part: only the
+# imaginary parts moved, and every real part is byte-identical.
 # The generic4 obstruct pin was re-taken when the upper witnesses became sums
 # of localized cocircuits: only witness coordinates moved.  The sink witness,
 # the certify dual and the sigma duals came out byte-identical from the
@@ -401,7 +404,7 @@ OUTPUT_SHA256 = {
     ("generic4", "certify", "--eps=+++-"):
         "2b0923e24854e9c0d92a520814c970e225c5ab03d54485e2b0c322653f96d873",
     ("generic4", "sphere", "--eps=+++-", "--count", "4"):
-        "c1fb07e9805037dc6aaf13e48a7cc42acffa6c29c3c71ba63404c59e84a9ac3a",
+        "9a76bbea9dd9bc507ef211c9fb4b30ee6b552892b33fbfc12ef1fea4be5d78c4",
     ("braid5", "lattice"):
         "a57bd479690df63b4a1434ee6e16169edadbb9e123f1e12c905ac2a5a7b27e57",
     ("generic4", "sigma"): "e2becee0cdbaea908ec0542130abdd6c6f537590ea017a0978612953db3fcfc6",
@@ -411,9 +414,9 @@ OUTPUT_SHA256 = {
     ("generic4", "obstruct"): "697f88758db407e2f5b07f8954d67d08725f9f4fdb4e52c90bd3ac5702f9b02e",
     ("cx2", "obstruct"): "87fd95c502cd1001db7826eaae9800184641272f5191af6328d1e06d2fc128a3",
     ("union(5,4;4)", "sphere", "--eps=+++-+-+++", "--count=4"):
-        "b22178ba89891c452396a213d62649c7e58341943120ea5aefad94959ff8447e",
+        "60915b55e01d5622fd2b2a3356800b2191eaa94fa4dd325218f8bb396117dc2b",
     ("union(6,1;5)", "sphere", "--eps=++++-+-", "--count=2"):
-        "4985a3de764289995aec9d0bcb3dec5fd6eea29c6d46f1544963e4bae181de5d",
+        "9dc96117ea1fcf006ad230361273fceae93cd5b6665afcf461b9fd9fd57734c8",
 }
 PINNED_INPUTS = {
     "generic4": catalog.generic4,

@@ -6,6 +6,7 @@ InternalError, so they stay on under `python -O`.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -13,11 +14,13 @@ import pytest
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector
 from hyparr.chambers import chamber_from_signs, enumerate_chambers, lex_smallest_chamber, walls
-from hyparr.consistency import (global_consistency, is_locally_consistent, sigma,
-                                sigma_filtration)
+from hyparr.consistency import (consistency_at, global_consistency, is_consistent_at,
+                                is_locally_consistent, sigma, sigma_filtration, witness_at)
 from hyparr.errors import Infeasible, InternalError
+from hyparr.feasibility import StrictSystem, strict_feasible
 from hyparr.lattice import Lattice, build_lattice
-from hyparr.obstruction import detect_obstruction
+from hyparr.linalg import RatVector
+from hyparr.obstruction import detect_obstruction, sample_sphere_points
 
 from conftest import FAULT8_FORMS, random_arrangement
 
@@ -87,6 +90,44 @@ def test_every_upper_witness_is_strictly_on_the_chosen_side():
     assert gaps > 10
 
 
+def test_consistency_at_a_flat_agrees_with_the_solver():
+    """Every sign pattern on every flat's forms, up to global sign: the
+    verdict is the solver's, and the certificate passes on the subsystem."""
+    infeasible = 0
+    for A in INPUTS:
+        for X in build_lattice(A).flats:
+            idx = sorted(X.contains)
+            for rest in product((1, -1), repeat=max(len(idx) - 1, 0)):
+                signs = [1] * A.n
+                for i, s in zip(idx[1:], rest):
+                    signs[i] = s
+                eps = SignVector(tuple(signs))
+                rows = [A.hyperplanes[i].form.scale(eps[i]) for i in idx]
+                system = StrictSystem.of(rows, A.dim) if rows else StrictSystem((), A.dim)
+                res = consistency_at(A, eps, X)
+                assert res.feasible == strict_feasible(system).feasible
+                assert res.verify(system)
+                infeasible += not res.feasible
+    assert infeasible > 100
+
+
+def test_every_sphere_sample_is_the_scaled_witness_at_its_flat():
+    on_planes = 0
+    for A in INPUTS:
+        lat = build_lattice(A)
+        chambers = set(sigma(A, A.dim))
+        local = sigma(A, A.dim - 1)
+        eps = next((e for e in local if e not in chambers), local[0])
+        for p in sample_sphere_points(A, eps, 8, seed=3):
+            on = frozenset(i for i, h in enumerate(A.hyperplanes) if h.form.dot(p.real) == 0)
+            assert p.imag.is_zero() == (not on)
+            if on:
+                on_planes += 1
+                w = witness_at(lat, eps, lat.by_contains[on])
+                assert p.imag == RatVector.of(w).scale(Fraction(1, sum(map(abs, w))))
+    assert on_planes > 100
+
+
 def _negated_directions(real, only=lambda lat, Y: True):
     """A cocircuit table whose directions are negated and whose signs are not."""
     def tampered(self, Y):
@@ -120,10 +161,13 @@ def test_a_tampered_circuit_dependency_is_caught(monkeypatch, generic4):
         global_consistency(generic4, sv("+++-"))
     with pytest.raises(InternalError, match="is not a dual certificate"):
         sigma_filtration(generic4)
+    with pytest.raises(InternalError, match="is not a dual certificate"):
+        is_consistent_at(generic4, sv("+++-"), build_lattice(generic4).top)
 
 
 def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
-    below_top = _negated_directions(Lattice.cocircuits, lambda lat, Y: Y != lat.top)
+    real = Lattice.cocircuits
+    below_top = _negated_directions(real, lambda lat, Y: Y != lat.top)
     monkeypatch.setattr(Lattice, "cocircuits", below_top)
     # ++++++ is a chamber of braid(4), so every localization has a witness
     with pytest.raises(InternalError, match="is not strictly on the side"):
@@ -131,3 +175,10 @@ def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
     # the upper witnesses of generic4's gap
     with pytest.raises(InternalError, match="is not strictly on the side"):
         detect_obstruction(generic4)
+    # local consistency skips the independent flats, but a sphere sample on
+    # a hyperplane or a line of generic4 reads their witnesses
+    independent = _negated_directions(real, lambda lat, Y: len(Y.contains) == Y.codim)
+    monkeypatch.setattr(Lattice, "cocircuits", independent)
+    assert is_locally_consistent(generic4, sv("+++-"))
+    with pytest.raises(InternalError, match="is not strictly on the side"):
+        sample_sphere_points(generic4, sv("+++-"), 4)
