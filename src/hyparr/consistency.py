@@ -7,12 +7,13 @@ dependency is a conformal sum of circuits (Rockafellar 1969, elementary
 vectors; Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
 Matroids, 1999, ch. 3).  A circuit of size s spans a flat of codimension
 s - 1, so eps is in Sigma_k iff it agrees, up to global sign, with no signed
-circuit of size at most k + 1.  Sets are enumerated by depth-first sign
-assignment against the lattice's table of circuits; no solver runs.  Each
-circuit's dependency is checked when it is built.  The search is checked by
-two counts: at every dependent flat X of codimension at most k below the
-top, the patterns on A_X that avoid its circuits number the chambers of A_X
-(Zaslavsky), and Sigma_dim numbers the chambers of A.
+circuit of size at most k + 1: iff its level, the size of the smallest
+circuit it matches minus 2, is at least k.  One depth-first sign assignment
+against the lattice's circuits labels each leaf with its level; no solver
+runs.  Each circuit's dependency is checked when it is built.  The search is
+checked by two counts: at every dependent flat X of codimension at most k
+below the top, the patterns on A_X that avoid its circuits number the
+chambers of A_X (Zaslavsky), and Sigma_dim numbers the chambers of A.
 
 Single sign vectors are decided from the lattice's tables as well.  Every
 tope is the composition of the cocircuits that conform to it (ibid.,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, zip_longest
+from itertools import product
 from operator import itemgetter, mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
@@ -165,7 +166,8 @@ def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
 
 
 def _circuits_by_last(lat: Lattice, k: int) -> dict[int, list[Circuit]]:
-    """The lattice's circuits of size 3..k+1, keyed by their largest index."""
+    """The lattice's circuits of size 3..k+1, keyed by their largest index,
+    each list by size."""
     by_last: dict[int, list[Circuit]] = {}
     for X in lat.flats:
         if X.codim > k:
@@ -196,29 +198,37 @@ def lex_smallest_tope(lat: Lattice) -> SignVector:
 
 
 class _SigmaSearch:
-    """Depth-first sign assignment over n positions.  A branch dies when its
-    signs on some circuit's support equal that circuit's pattern or its
-    negation, checked at the circuit's largest index."""
+    """Depth-first sign assignment over n positions, '+' first.  Each prefix
+    carries its level: the size of the smallest circuit whose pattern, or its
+    negation, it takes, minus 2, checked at the circuit's largest index, and
+    n + 1 (at least dim) while it takes none.  A branch dies when its level
+    drops below the floor."""
 
-    def __init__(self, n: int, by_last: dict[int, list[Circuit]]):
+    def __init__(self, n: int, by_last: dict[int, list[Circuit]], floor: int):
         self.n = n
-        self.by_last = {i: [(itemgetter(*S), _patterns(c)) for S, c in entries]
+        self.floor = floor
+        self.by_last = {i: [(len(S) - 2, itemgetter(*S), _patterns(c)) for S, c in entries]
                         for i, entries in by_last.items()}
 
-    def run(self) -> list[SignVector]:
-        out: list[SignVector] = []
-        self._extend([], out)
+    def run(self) -> list[tuple[SignVector, int]]:
+        out: list[tuple[SignVector, int]] = []
+        self._extend([], self.n + 1, out)
         return out
 
-    def _extend(self, signs: list[int], out: list[SignVector]) -> None:
+    def _extend(self, signs: list[int], level: int, out: list) -> None:
         if len(signs) == self.n:
-            out.append(SignVector(tuple(signs)))
+            out.append((SignVector(tuple(signs)), level))
             return
+        circuits = self.by_last.get(len(signs), ())
         for s in (1, -1):
             signs.append(s)
-            if not any(get(signs) in patterns
-                       for get, patterns in self.by_last.get(len(signs) - 1, ())):
-                self._extend(signs, out)
+            lowered = level
+            for size, get, patterns in circuits:  # by size: stop at a match or at the level
+                if size >= level or get(signs) in patterns:
+                    lowered = min(size, level)
+                    break
+            if lowered >= self.floor:
+                self._extend(signs, lowered, out)
             signs.pop()
 
 
@@ -233,15 +243,19 @@ def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None
         for S, c in entries:
             if X.contains.issuperset(S):
                 local.setdefault(pos[S[-1]], []).append((tuple(pos[i] for i in S), c))
-    count = len(_SigmaSearch(len(pos), local).run())
+    count = len(_SigmaSearch(len(pos), local, X.codim).run())
     expected = abs(lat.mu(X)) + sum(abs(lat.mu(Y)) for Y in lat.below(X))
     if count != expected:
         raise InternalError(f"{count} sign patterns avoid the circuits at flat "
                             f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
 
 
-def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
-    """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
+def _search(A: Arrangement, k: int, floor: int,
+            limit: int | None) -> list[tuple[SignVector, int]]:
+    """The sign vectors of level at least floor, with their levels, against
+    the circuits of size at most k + 1, checked by the local count at every
+    dependent flat of codim 2..min(k, dim - 1) and, for k = dim, by A's
+    chambers, which the leaves of level dim or more must number."""
     if not 1 <= k <= A.dim:
         raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
@@ -252,11 +266,16 @@ def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector,
     for X in lat.flats:
         if 2 <= X.codim <= min(k, A.dim - 1) and len(X.contains) > X.codim:
             _check_local_count(lat, X, circuits)
-    out = tuple(_SigmaSearch(A.n, circuits).run())
-    if k == A.dim and len(out) != chamber_count_oracle(lat):
-        raise InternalError(f"Sigma_{k} has {len(out)} sign vectors, but Zaslavsky "
+    leaves = _SigmaSearch(A.n, circuits, floor).run()
+    if k == A.dim and (top := sum(level >= k for _, level in leaves)) != chamber_count_oracle(lat):
+        raise InternalError(f"Sigma_{k} has {top} sign vectors, but Zaslavsky "
                             f"counts {chamber_count_oracle(lat)} chambers")
-    return out
+    return leaves
+
+
+def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
+    """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
+    return tuple(eps for eps, _ in _search(A, k, k, limit))
 
 
 @dataclass(frozen=True)
@@ -277,20 +296,6 @@ class SigmaFiltration:
     sets: dict[int, tuple[str, ...]]
     witnesses: dict[int, GapWitness]
 
-    def has_gap_at(self, k: int) -> bool:
-        return k in self.witnesses
-
-
-def _gap_witness(A, lat, k, eps: SignVector) -> GapWitness:
-    """The lexicographically smallest span of a circuit of size k + 2 that
-    eps matches, with that circuit's checked dependency as the dual.  eps is
-    in Sigma_k, so its failing flats of codim k + 1 are exactly those spans."""
-    for X in lat.flats_of_codim(k + 1):
-        circuit = _matched_circuit(lat, eps, X)
-        if circuit is not None:
-            return GapWitness(k, eps, X, _dual(A, circuit, sorted(X.contains)))
-    raise InternalError(f"{eps} left Sigma_{k + 1} but no flat of codim {k + 1} fails")
-
 
 def first_failing_flat(A: Arrangement, eps: SignVector) -> GapWitness | None:
     """The first flat, by codim and then key, at which eps is inconsistent,
@@ -310,35 +315,34 @@ def sigma_filtration(A: Arrangement, limit: int | None = None,
     """Counts of every Sigma_k, plus a witness for each strict drop.
 
     Explicit sorted sets are included when include_sets is true, or by
-    default when n <= REPORT_SET_LIMIT.  Every level k >= 2 is one `sigma`
-    search.
+    default when n <= REPORT_SET_LIMIT.  One search labels every member of
+    Sigma_2 with its level; the witness of a drop at k is the first sign
+    vector of level k, with the dual at its first failing flat.
     """
-    limit = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if A.n > limit:
-        raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
-    lat = build_lattice(A)
+    leaves = _search(A, A.dim, 2, limit)
     n, dim = A.n, A.dim
     if include_sets is None:
         include_sets = n <= REPORT_SET_LIMIT
 
     counts = {1: 2 ** n}
     sets: dict[int, tuple[str, ...]] = {}
-    witnesses: dict[int, GapWitness] = {}
     if include_sets:
         sets[1] = tuple(map("".join, product("+-", repeat=n)))
-    prev = (SignVector(p) for p in product((1, -1), repeat=n))  # Sigma_1, lazily
     for k in range(2, dim + 1):
-        cur = sigma(A, k, limit=limit)
-        counts[k] = len(cur)
+        members = [eps for eps, level in leaves if level >= k]
+        counts[k] = len(members)
         if include_sets:
-            sets[k] = tuple(map(str, cur))
-        if counts[k - 1] > counts[k]:
-            # both levels are sorted, so the first mismatch is the smallest
-            # member of Sigma_(k-1) \ Sigma_k
-            eps = next(a for a, b in zip_longest(prev, cur) if a != b)
-            witnesses[k - 1] = _gap_witness(A, lat, k - 1, eps)
-        prev = cur
-
+            sets[k] = tuple(map(str, members))
+    firsts = {level: eps for eps, level in reversed(leaves) if level < dim}  # first wins
+    if len(leaves) < 2 ** n:
+        # the leaves are sorted, so the first sign vector out of step with
+        # them is the smallest member of Sigma_1 \ Sigma_2
+        signs = (eps.signs for eps, _ in leaves)
+        firsts[1] = SignVector(next(p for p in product((1, -1), repeat=n)
+                                    if p != next(signs, None)))
+    witnesses = {k: first_failing_flat(A, firsts[k]) for k in sorted(firsts)}
+    if any(w is None or w.k != k for k, w in witnesses.items()):
+        raise InternalError(f"the gap witnesses {firsts} fail first at other levels")
     if any(counts[k] < counts[k + 1] for k in range(1, dim)):
         raise InternalError(f"Sigma counts {counts} are not decreasing")
     return SigmaFiltration(n, dim, counts, sets, witnesses)

@@ -26,7 +26,7 @@ Matroids*, 1999, ch. 3-4).  `build_lattice` builds neither.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -86,15 +86,8 @@ class Lattice:
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
         self._scanned: set[frozenset[int]] = set()
 
-    @cached_property
-    def _by_codim(self) -> dict[int, tuple[Flat, ...]]:
-        out: dict[int, list[Flat]] = {}
-        for f in self.flats:
-            out.setdefault(f.codim, []).append(f)
-        return {c: tuple(fs) for c, fs in out.items()}
-
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
-        return self._by_codim.get(c, ())
+        return tuple(f for f in self.flats if f.codim == c)
 
     def lower_covers(self, X: Flat) -> tuple[Flat, ...]:
         return tuple(self.flats[s] for s in self.lower[self.index[X.contains]])
@@ -219,7 +212,9 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
                     raise InternalError(f"kernel of flat {sorted(X.contains)} "
                                         f"disagrees with form {i + 1}")
                 if i not in X.contains:
-                    groups.setdefault(canonical_int_vector(restricted), set()).add(i)
+                    # on a line, every restriction is a nonzero scalar: one group
+                    groups.setdefault(canonical_int_vector(restricted)
+                                      if len(restricted) > 1 else (), set()).add(i)
             for group in groups.values():
                 new.setdefault(X.contains.union(group), []).append(t)
         if not new:

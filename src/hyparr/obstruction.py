@@ -108,7 +108,7 @@ def detect_obstruction(A: Arrangement, limit: int | None = None,
                            " pass a sample budget for a witness search")
         return _detect_sampled(A, sample, seed)
     lat = build_lattice(A)
-    filt = sigma_filtration(A, limit=limit)
+    filt = sigma_filtration(A, limit=limit, include_sets=False)
     gaps = tuple(_enrich_gap(A, lat, filt.witnesses[k])
                  for k in sorted(filt.witnesses) if k >= 2)
     minimal_k = gaps[0].k if gaps else None

@@ -79,6 +79,14 @@ def test_sigma_boolean():
     assert len(sigma(B, 3)) == 8
 
 
+def test_sigma_of_one_plane():
+    # no circuit at all: every leaf keeps the search's no-match level
+    B = catalog.boolean(1)
+    assert len(sigma(B, 1)) == 2
+    filt = sigma_filtration(B)
+    assert filt.counts == {1: 2} and filt.witnesses == {}
+
+
 def test_sigma_filtration_generic4(generic4):
     filt = sigma_filtration(generic4)
     assert filt.counts == {1: 16, 2: 16, 3: 14}
@@ -206,6 +214,7 @@ def test_filtration_matches_brute_force_on_degenerate_arrangements():
         filt = sigma_filtration(A)
         assert filt.counts == {k: len(v) for k, v in levels.items()}
         assert filt.sets == {k: tuple(v) for k, v in levels.items()}
+        assert all(tuple(map(str, sigma(A, k))) == filt.sets[k] for k in range(1, dim + 1))
         gaps = {}
         for k in range(1, dim):
             below = set(levels[k + 1])
@@ -328,6 +337,22 @@ def test_each_flat_builds_its_circuits_once():
         assert len(sizes) == subsets({2}) and set(sizes) == {3}
         sigma_filtration(A)
     assert len(sizes) == subsets({2, 3, 4}) and set(sizes) == {3, 4, 5}
+
+
+def test_the_filtration_counts_each_flat_once(monkeypatch):
+    A = catalog.braid(5)
+    checked = []
+
+    def spy(lat, X, circuits):
+        checked.append(X.contains)
+        return check(lat, X, circuits)
+
+    check = hyparr.consistency._check_local_count
+    monkeypatch.setattr(hyparr.consistency, "_check_local_count", spy)
+    sigma_filtration(A)
+    dependent = [X.contains for X in build_lattice(A).flats
+                 if 2 <= X.codim < A.dim and len(X.contains) > X.codim]
+    assert checked == dependent
 
 
 @pytest.mark.usefixtures("uncached_lattices")
