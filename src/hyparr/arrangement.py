@@ -238,14 +238,14 @@ def _require(obj: dict, *keys: str) -> None:
     if missing:
         raise ValueError(f"arrangement object lacks {', '.join(missing)}")
 
-    def rational(x):
-        return isinstance(x, (int, str)) or isinstance(x, float) and isfinite(x)
+    def rational(x):  # type(True) is bool, never int
+        return type(x) in (int, str) or isinstance(x, float) and isfinite(x)
 
     def listed(v, ok=rational):
         return isinstance(v, list) and all(map(ok, v))
 
     bad = [k for k, ok in (
-        ("dim", isinstance(obj["dim"], (int, str))),
+        ("dim", type(obj["dim"]) in (int, str)),
         ("forms", isinstance(obj["forms"], list) and all(map(listed, obj["forms"]))),
         ("constants", listed(obj.get("constants", []))),
         ("labels", obj.get("labels") is None

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from operator import mul
 
 from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
                           essentialize, validate)
-from .consistency import is_globally_consistent, is_locally_consistent, sigma
+from .consistency import conforming, is_globally_consistent, is_locally_consistent, sigma
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
-from .feasibility import StrictSystem, strict_feasible
-from .lattice import closed_sets_of_forms
+from .lattice import build_lattice, closed_sets_of_forms
 from .linalg import RatVector, coordinates, primitive_int_vector, rank
 
 RETRY_BUDGET = 64
@@ -138,9 +138,11 @@ def generic_union(A: Arrangement, B: Arrangement,
     """A union A and g(B) for a seeded random g, with a verified witness.
 
     g is redrawn until it has rank dim and every flat of A is in general
-    position with every flat of g(B); the returned sign vector takes a
-    chamber of A, the side of g(B)'s first hyperplane away from it, and a
-    chamber of g(B) on that side.  It is verified locally consistent and
+    position with every flat of g(B); the returned sign vector takes the
+    first chamber of A that g(B)'s first hyperplane does not cut, the side
+    of that hyperplane away from it, and the first chamber of g(B) on that
+    side.  Both chamber sets come from the lines (`sigma` at k = dim), and no
+    solver runs.  The sign vector is verified locally consistent and
     globally inconsistent before returning.
     """
     if B.n == 0:
@@ -195,22 +197,17 @@ def _flats_in_general_position(a_forms, gb_forms, a_flats, gb_flats, dim) -> boo
 
 
 def _union_witness(A: Arrangement, gb_forms):
-    """Build the witness sign vector of the union per the generic recipe."""
-    n, dim = A.n, A.dim
-    first = gb_forms[0]
+    """The witness of the union.  A closed chamber of A is the cone of its
+    conforming lines, so g(B)'s first form cuts it iff it takes both strict
+    signs on them; otherwise it lies on the side of their nonzero values."""
+    lat = build_lattice(A)
+    first = primitive_int_vector(gb_forms[0])
+    gB = essentialize(gb_forms, A.dim)  # a one-plane B is not essential
+    gb_topes = sigma(gB, gB.dim)
     for c0 in sigma(A, A.dim):
-        plus = strict_feasible(StrictSystem.of(
-            [A.hyperplanes[i].form.scale(c0[i]) for i in range(n)] + [first], dim))
-        minus = strict_feasible(StrictSystem.of(
-            [A.hyperplanes[i].form.scale(c0[i]) for i in range(n)] + [-first], dim))
-        if plus.feasible == minus.feasible:
-            continue  # g(B)'s first hyperplane cuts this chamber
-        eps_next = -1 if plus.feasible else 1
-        # a chamber of g(B) on the chosen side of its first hyperplane
-        for signs in product((1, -1), repeat=len(gb_forms)):
-            if signs[0] != eps_next:
-                continue
-            rows = [f.scale(s) for f, s in zip(gb_forms, signs)]
-            if strict_feasible(StrictSystem.of(rows, dim)).feasible:
-                return SignVector(tuple(c0.signs) + signs)
+        sides = {dot > 0 for v, _, _ in conforming(lat, c0, lat.top)
+                 if (dot := sum(map(mul, first, v)))}
+        if len(sides) == 1:
+            away = -1 if sides.pop() else 1
+            return next(SignVector(c0.signs + t.signs) for t in gb_topes if t[0] == away)
     return None

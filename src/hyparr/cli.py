@@ -195,8 +195,7 @@ def _cmd_sigma(args) -> None:
 def _cmd_obstruct(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
-    report = detect_obstruction(A, limit=args.limit, sample=args.sample,
-                                seed=args.seed)
+    report = detect_obstruction(A, limit=args.limit)
     gaps = []
     for g in report.gaps:
         gaps.append({
@@ -347,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("obstruct", _cmd_obstruct, "detect non-vanishing homotopy groups")
     sp.add_argument("file")
     sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-    sp.add_argument("--sample", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     sp = add("sink", _cmd_sink, "flow from a chamber to a sink")
     sp.add_argument("file")

@@ -10,18 +10,20 @@ s - 1, so eps is in Sigma_k iff it agrees, up to global sign, with no signed
 circuit of size at most k + 1: iff its level, the size of the smallest
 circuit it matches minus 2, is at least k.  One depth-first sign assignment
 against the lattice's circuits labels each leaf with its level; no solver
-runs.  Each circuit's dependency is checked when it is built.  The search is
-checked by two counts: at every dependent flat X of codimension at most k
-below the top, the patterns on A_X that avoid its circuits number the
-chambers of A_X (Zaslavsky), and Sigma_dim numbers the chambers of A.
+runs.  Each circuit's dependency is checked when it is built, and each
+circuit table by a count: at every dependent flat X below the top, the
+patterns on A_X that avoid its circuits number the chambers of A_X
+(Zaslavsky).
 
-Single sign vectors are decided from the lattice's tables as well.  Every
-tope is the composition of the cocircuits that conform to it (ibid.,
-ch. 3-4), so eps is consistent at a flat Y iff the cocircuits of A_Y that
+Every tope is the composition of the cocircuits that conform to it (ibid.,
+ch. 3-4).  So eps is consistent at a flat Y iff the cocircuits of A_Y that
 conform to eps are, together, nonzero on every form of Y; their sum is then
 a strict witness, checked by an exact integer sign test.  Otherwise eps
 matches a circuit inside A_Y, whose dependency, checked in integers, is
-Gordan's dual.
+Gordan's dual.  And since the closed region of a prefix of signs is the
+cone of the lines of A that conform to it, Sigma_dim comes from one search
+over those lines, checked by a witness per leaf and by A's chamber count,
+without the circuits that span the top.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from operator import itemgetter, mul
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult
-from .lattice import Circuit, Flat, Lattice, build_lattice, chamber_count_oracle
+from .lattice import (Circuit, Cocircuit, Flat, Lattice, _bits, build_lattice,
+                      chamber_count_oracle)
 from .linalg import RatVector
 
 DEFAULT_ENUM_LIMIT = 22
@@ -55,17 +58,23 @@ def _check_dual(rows, eps, circuit: Circuit) -> None:
                             f"on the forms {[i + 1 for i in S]}")
 
 
+def conforming(lat: Lattice, eps, Y: Flat) -> list[Cocircuit]:
+    """The cocircuits of A_Y that conform to eps: zero or eps's sign on
+    every form of Y."""
+    plus = sum(1 << i for i, s in enumerate(getattr(eps, "signs", eps)) if s > 0)
+    return [(v, pos, neg) for v, pos, neg in lat.cocircuits(Y)
+            if not (pos & ~plus or neg & plus)]
+
+
 def witness_at(lat: Lattice, eps, Y: Flat) -> list[int] | None:
     """The sum of the cocircuits of A_Y that conform to eps, checked to be
     strictly on eps's side of every form of Y; None when those cocircuits
     all vanish on some form of Y, so that eps is no tope of A_Y."""
-    plus = sum(1 << i for i, s in enumerate(getattr(eps, "signs", eps)) if s > 0)
     w = [0] * lat.arrangement.dim
     covered = 0
-    for v, pos, neg in lat.cocircuits(Y):
-        if not (pos & ~plus or neg & plus):
-            w = [a + b for a, b in zip(w, v)]
-            covered |= pos | neg
+    for v, pos, neg in conforming(lat, eps, Y):
+        w = [a + b for a, b in zip(w, v)]
+        covered |= pos | neg
     if covered != sum(1 << i for i in Y.contains):
         return None
     _check_witness(primitive_rows(lat.arrangement), eps, Y.contains, w)
@@ -165,15 +174,19 @@ def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
     return _first_failure(lat, eps, lat.flats[:-1]) is None
 
 
-def _circuits_by_last(lat: Lattice, k: int) -> dict[int, list[Circuit]]:
+def _circuits_by_last(lat: Lattice, k: int, checked=()) -> dict[int, list[Circuit]]:
     """The lattice's circuits of size 3..k+1, keyed by their largest index,
-    each list by size."""
+    each list by size, checked by the local count at every dependent flat
+    whose codim is in `checked` (none of them dim)."""
     by_last: dict[int, list[Circuit]] = {}
     for X in lat.flats:
         if X.codim > k:
             break
         for S, c in lat.circuits(X):
             by_last.setdefault(S[-1], []).append((S, c))
+    for X in lat.flats:
+        if X.codim in checked and len(X.contains) > X.codim:
+            _check_local_count(lat, X, by_last)
     return by_last
 
 
@@ -195,6 +208,36 @@ def lex_smallest_tope(lat: Lattice) -> SignVector:
             _check_dual(primitive_rows(lat.arrangement), signs, circuit)
             signs[-1] = -1
     return SignVector(tuple(signs))
+
+
+def _topes(lat: Lattice) -> tuple[SignVector, ...]:
+    """The topes of A in lexicographic order.  A prefix extends with sign s
+    at index i iff some line of A (a cocircuit of the top) that conforms to
+    it has sign s on form i.  The leaves must number Zaslavsky's count, and
+    the sum of each leaf's conforming lines must pass the sign test."""
+    rows = primitive_rows(lat.arrangement)
+    values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in lat.cocircuits(lat.top)]
+    # per form, the bitmasks of the lines positive and negative on it
+    pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
+    neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
+    out: list[SignVector] = []
+    stack = [((), (1 << len(values)) - 1)]  # (prefix, its conforming lines)
+    while stack:
+        signs, live = stack.pop()
+        i = len(signs)
+        if i == len(rows):
+            at = map(sum, zip(*(values[t] for t in _bits(live))))
+            if min(map(mul, signs, at)) <= 0:
+                raise InternalError(f"its conforming lines sum outside {SignVector(signs)}")
+            out.append(SignVector(signs))
+            continue
+        for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
+            if live & toward:
+                stack.append((signs + (s,), live & ~against))
+    if len(out) != chamber_count_oracle(lat):
+        raise InternalError(f"the lines of A give {len(out)} topes, but Zaslavsky "
+                            f"counts {chamber_count_oracle(lat)} chambers")
+    return tuple(out)
 
 
 class _SigmaSearch:
@@ -250,32 +293,21 @@ def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None
                             f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
 
 
-def _search(A: Arrangement, k: int, floor: int,
-            limit: int | None) -> list[tuple[SignVector, int]]:
-    """The sign vectors of level at least floor, with their levels, against
-    the circuits of size at most k + 1, checked by the local count at every
-    dependent flat of codim 2..min(k, dim - 1) and, for k = dim, by A's
-    chambers, which the leaves of level dim or more must number."""
+def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
+    """The exact set Sigma_k, lexicographically ordered ('+' < '-'): the
+    topes for k = dim, and otherwise the sign vectors that match no circuit
+    of size at most k + 1."""
     if not 1 <= k <= A.dim:
         raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
     if A.n > limit:
-        raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}")
+        raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit}; "
+                       "raise it with --limit")
     lat = build_lattice(A)
-    circuits = _circuits_by_last(lat, k)
-    for X in lat.flats:
-        if 2 <= X.codim <= min(k, A.dim - 1) and len(X.contains) > X.codim:
-            _check_local_count(lat, X, circuits)
-    leaves = _SigmaSearch(A.n, circuits, floor).run()
-    if k == A.dim and (top := sum(level >= k for _, level in leaves)) != chamber_count_oracle(lat):
-        raise InternalError(f"Sigma_{k} has {top} sign vectors, but Zaslavsky "
-                            f"counts {chamber_count_oracle(lat)} chambers")
-    return leaves
-
-
-def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
-    """The exact set Sigma_k, lexicographically ordered ('+' < '-')."""
-    return tuple(eps for eps, _ in _search(A, k, k, limit))
+    if k == A.dim:
+        return _topes(lat)
+    by_last = _circuits_by_last(lat, k, range(2, k + 1))
+    return tuple(eps for eps, _ in _SigmaSearch(A.n, by_last, k).run())
 
 
 @dataclass(frozen=True)
@@ -315,31 +347,48 @@ def sigma_filtration(A: Arrangement, limit: int | None = None,
     """Counts of every Sigma_k, plus a witness for each strict drop.
 
     Explicit sorted sets are included when include_sets is true, or by
-    default when n <= REPORT_SET_LIMIT.  One search labels every member of
-    Sigma_2 with its level; the witness of a drop at k is the first sign
-    vector of level k, with the dual at its first failing flat.
+    default when n <= REPORT_SET_LIMIT.  Below the smallest codim d of a
+    dependent flat every level holds all 2^n sign vectors.  Sigma_d comes
+    from the circuits of size at most d + 1; when it numbers the topes,
+    every higher level equals it.  Otherwise one search against the
+    circuits below the top labels every member of Sigma_d with its level,
+    and a leaf of level dim - 1 or more is at level dim iff it is a tope.
+    The witness of a drop at k is the first sign vector of level k (for
+    k = d - 1, the first that Sigma_d skips), with its first failing flat.
     """
-    leaves = _search(A, A.dim, 2, limit)
     n, dim = A.n, A.dim
-    if include_sets is None:
-        include_sets = n <= REPORT_SET_LIMIT
-
-    counts = {1: 2 ** n}
-    sets: dict[int, tuple[str, ...]] = {}
-    if include_sets:
-        sets[1] = tuple(map("".join, product("+-", repeat=n)))
-    for k in range(2, dim + 1):
+    topes = sigma(A, dim, limit)
+    lat = build_lattice(A)
+    d = min((X.codim for X in lat.flats if len(X.contains) > X.codim), default=dim)
+    leaves = [(eps, dim) for eps in topes]
+    if d < dim:
+        low = _SigmaSearch(n, _circuits_by_last(lat, d, (d,)), d).run()
+        if len(low) == len(topes):  # stop at Zaslavsky
+            if [eps for eps, _ in low] != list(topes):
+                raise InternalError(f"Sigma_{d} numbers the topes but differs from them")
+        else:
+            if d < dim - 1:
+                low = _SigmaSearch(n, _circuits_by_last(lat, dim - 1, range(d + 1, dim)), d).run()
+            tope_set = set(topes)
+            leaves = [(eps, min(level, dim - 1 + (eps in tope_set))) for eps, level in low]
+            if sum(level == dim for _, level in leaves) != len(topes):
+                raise InternalError(f"a tope is no leaf of level {dim - 1} or more")
+    include_sets = n <= REPORT_SET_LIMIT if include_sets is None else include_sets
+    counts = dict.fromkeys(range(1, d), 2 ** n)
+    everything = tuple(map("".join, product("+-", repeat=n))) if include_sets else ()
+    sets = dict.fromkeys(range(1, d), everything) if include_sets else {}
+    for k in range(d, dim + 1):
         members = [eps for eps, level in leaves if level >= k]
         counts[k] = len(members)
         if include_sets:
             sets[k] = tuple(map(str, members))
     firsts = {level: eps for eps, level in reversed(leaves) if level < dim}  # first wins
     if len(leaves) < 2 ** n:
-        # the leaves are sorted, so the first sign vector out of step with
-        # them is the smallest member of Sigma_1 \ Sigma_2
+        # the leaves are sorted, so the first sign vector that they skip is
+        # the smallest member of Sigma_(d-1) \ Sigma_d
         signs = (eps.signs for eps, _ in leaves)
-        firsts[1] = SignVector(next(p for p in product((1, -1), repeat=n)
-                                    if p != next(signs, None)))
+        firsts[d - 1] = SignVector(next(p for p in product((1, -1), repeat=n)
+                                        if p != next(signs, None)))
     witnesses = {k: first_failing_flat(A, firsts[k]) for k in sorted(firsts)}
     if any(w is None or w.k != k for k, w in witnesses.items()):
         raise InternalError(f"the gap witnesses {firsts} fail first at other levels")

@@ -15,8 +15,8 @@ system is inconsistent, are the dependencies of circuits that the sign
 vector matches, so their supports are minimal; the witness at each flat
 above a gap's failing flat, and the imaginary part of each sphere sample,
 is the sum of the localized cocircuits that conform to the sign vector.
-The sampled search beyond the enumeration limit reads the same tables.  No
-solver runs.
+No solver runs, and the search is exhaustive (TooLarge past the limit on
+n): no sample of sign vectors could show that a gap is absent.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from fractions import Fraction
 
 from .arrangement import Arrangement, SignVector
 from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
-from .consistency import (DEFAULT_ENUM_LIMIT, GapWitness, first_failing_flat,
-                          global_consistency, is_locally_consistent,
+from .consistency import (GapWitness, global_consistency, is_locally_consistent,
                           sigma_filtration, witness_at)
 from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
-                     TooLarge, WeightConditionViolated)
+                     WeightConditionViolated)
 from .lattice import Flat, build_lattice
 from .linalg import RatVector
 
@@ -52,7 +51,7 @@ class ObstructionReport:
     counts: dict[int, int]
     gaps: tuple[Gap, ...]
     minimal_k: int | None
-    kpi1_possible: bool | None
+    kpi1_possible: bool
     exhaustive: bool
 
 
@@ -90,61 +89,18 @@ def _enrich_gap(A, lat, w: GapWitness) -> Gap:
     return Gap(w.k, w.eps, w.flat, w.dual, tuple(uppers))
 
 
-def detect_obstruction(A: Arrangement, limit: int | None = None,
-                       sample: int | None = None, seed: int = 0) -> ObstructionReport:
+def detect_obstruction(A: Arrangement, limit: int | None = None) -> ObstructionReport:
     """Find every k >= 2 with Sigma_k > Sigma_{k+1}, with certificates.
 
-    Witnesses are lexicographically smallest.  When n exceeds the limit, an
-    exhaustive run raises TooLarge; passing `sample` (at least 1) switches
-    to a seeded search of that many trials, which can establish gaps but
-    never their absence.
+    Witnesses are lexicographically smallest; TooLarge when n > limit.
     """
-    limit = DEFAULT_ENUM_LIMIT if limit is None else limit
-    if sample is not None and sample < 1:
-        raise ValueError("need a sample budget of at least one trial")
-    if A.n > limit:
-        if sample is None:
-            raise TooLarge(f"{A.n} hyperplanes exceed the enumeration limit {limit};"
-                           " pass a sample budget for a witness search")
-        return _detect_sampled(A, sample, seed)
-    lat = build_lattice(A)
     filt = sigma_filtration(A, limit=limit, include_sets=False)
+    lat = build_lattice(A)
     gaps = tuple(_enrich_gap(A, lat, filt.witnesses[k])
                  for k in sorted(filt.witnesses) if k >= 2)
     minimal_k = gaps[0].k if gaps else None
     return ObstructionReport(filt.counts, gaps, minimal_k,
                              kpi1_possible=minimal_k is None, exhaustive=True)
-
-
-def _detect_sampled(A: Arrangement, budget: int, seed: int) -> ObstructionReport:
-    rng = random.Random(seed)
-    lat = build_lattice(A)
-    gaps: dict[int, Gap] = {}
-    for trial in range(budget):
-        if trial % 2 == 0:
-            eps = SignVector(tuple(rng.choice((1, -1)) for _ in range(A.n)))
-        else:
-            eps = _random_adjacent_candidate(A, rng)
-        w = first_failing_flat(A, eps)
-        if w is not None and w.k >= 2 and (w.k not in gaps or str(eps) < str(gaps[w.k].eps)):
-            gaps[w.k] = _enrich_gap(A, lat, w)
-    ordered = tuple(gaps[k] for k in sorted(gaps))
-    minimal_k = ordered[0].k if ordered else None
-    return ObstructionReport({}, ordered, minimal_k,
-                             kpi1_possible=False if ordered else None,
-                             exhaustive=False)
-
-
-def _random_adjacent_candidate(A: Arrangement, rng) -> SignVector:
-    """Signs of a random chamber with one coordinate flipped."""
-    while True:
-        point = RatVector.of([rng.randint(-9, 9) for _ in range(A.dim)])
-        vals = [h.form.dot(point) for h in A.hyperplanes]
-        if all(v != 0 for v in vals):
-            signs = [1 if v > 0 else -1 for v in vals]
-            i = rng.randrange(A.n)
-            signs[i] = -signs[i]
-            return SignVector(tuple(signs))
 
 
 def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,

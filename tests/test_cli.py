@@ -154,7 +154,7 @@ def test_certify(tmp_path, capsys):
 
 
 def test_certify_prints_a_checked_circuit_as_its_dual(tmp_path, capsys, monkeypatch):
-    U, eps = _union(5, 4, 4)  # built first: generic_union decides its witness with the kernel
+    U, eps = _union(5, 4, 4)
     checked = []
     check_dual = hyparr.consistency._check_dual
 
@@ -299,8 +299,8 @@ GENERIC4 = arrangement_to_obj(catalog.generic4())
     ("validate", RawText("[" * 100000), (), "ValueError"),
     ("certify", GENERIC4, ("--eps=+++-", "--weights=1/0,1,1,1"), "ValueError"),
     ("certify", GENERIC4, ("--eps=+++-", "--weights=1e999999999,1,1,1"), "ValueError"),
-    ("obstruct", GENERIC4, ("--limit=2", "--sample=-3"), "ValueError"),
-    ("obstruct", GENERIC4, ("--limit=2", "--sample=0"), "ValueError"),
+    ("validate", {"dim": 2, "forms": [[True, False], [False, True]]}, (), "ValueError"),
+    ("validate", {"dim": True, "forms": [[1]]}, (), "ValueError"),
 ])
 def test_malformed_input_is_structured_error(tmp_path, capsys, command, obj, extra, error):
     code, out = run_cli(capsys, command, _write(tmp_path, "in.json", obj), *extra)
@@ -308,6 +308,15 @@ def test_malformed_input_is_structured_error(tmp_path, capsys, command, obj, ext
     doc = json.loads(out)
     assert doc["command"] == command
     assert doc["error"]["type"] == error
+
+
+def test_obstruct_has_no_sampled_search(tmp_path, capsys):
+    f = write_generic4(tmp_path)
+    for flags in (("--sample", "5"), ("--seed", "3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["obstruct", f, *flags])
+        assert exc.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("spaced, joined", [

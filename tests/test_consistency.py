@@ -254,7 +254,8 @@ def _fresh_lattice(A):
 
 
 def _circuit_inputs(A):
-    """The kernel inputs that `sigma(A, dim)` reads as circuits, in order."""
+    """The kernel inputs that `sigma(A, dim - 1)` reads as circuits, in order:
+    every circuit below the top."""
     found = []
 
     def spy(rows, ncols):
@@ -266,7 +267,7 @@ def _circuit_inputs(A):
     _fresh_lattice(A)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyparr.lattice, "kernel_basis", spy)
-        sigma(A, A.dim)
+        sigma(A, A.dim - 1)
     return found
 
 
@@ -293,11 +294,49 @@ def test_a_dropped_circuit_is_caught_or_harmless(A):
             mp.setattr(hyparr.lattice, "kernel_basis", _dropping(dropped))
             for k, expected in exact.items():
                 assert sigma(A, k) == expected
-    # the first circuit built spans a flat below the top; its count catches the loss
+    # the first circuit built spans a codim-2 flat; its count catches the loss
     _fresh_lattice(A)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hyparr.lattice, "kernel_basis", _dropping(inputs[0]))
         with pytest.raises(InternalError, match="avoid the circuits"):
+            sigma(A, A.dim - 1)
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
+    # the topes come from the lines; a gap witness that fails at the top
+    # scans that flat's subsets only up to its circuit (`first_circuit`)
+    from hyparr.chambers import enumerate_chambers
+    from hyparr.obstruction import detect_obstruction
+
+    asked = []
+    circuits = hyparr.lattice.Lattice.circuits
+
+    def spy(lat, X):
+        asked.append(X.contains == lat.top.contains)
+        return circuits(lat, X)
+
+    monkeypatch.setattr(hyparr.lattice.Lattice, "circuits", spy)
+    runs = (enumerate_chambers, lambda A: sigma(A, A.dim), sigma_filtration, detect_obstruction)
+    for A in (generic4, catalog.braid(4), cx2, Arrangement.from_forms(4, FAULT8_FORMS)):
+        for run in runs:
+            build_lattice.cache_clear()
+            run(A)
+    assert asked and not any(asked)
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_a_dropped_line_is_caught():
+    # every line of braid(4) is a ray of a simplicial chamber: without it,
+    # that chamber is missed or its witness lies on one of its walls
+    A = catalog.braid(4)
+    lat = _fresh_lattice(A)
+    table = lat.cocircuits(lat.top)
+    assert len(table) == 14  # both signs of each of the 7 lines
+    for t in range(0, len(table), 2):
+        lat = _fresh_lattice(A)
+        lat._cocircuits[lat.top.contains] = table[:t] + table[t + 2:]
+        with pytest.raises(InternalError):
             sigma(A, A.dim)
 
 
@@ -313,13 +352,14 @@ def test_a_false_dependency_is_caught(monkeypatch):
     _fresh_lattice(A)
     monkeypatch.setattr(hyparr.lattice, "kernel_basis", skewed)
     with pytest.raises(InternalError, match="is not a dependency"):
-        sigma(A, 3)
+        sigma(A, 2)
 
 
 @pytest.mark.usefixtures("uncached_lattices")
 def test_each_flat_builds_its_circuits_once():
-    # sigma(A, k) alone builds no circuit above codim k, and the filtration
-    # then tests each (codim + 1)-subset of each remaining flat once
+    # sigma(A, k) alone builds no circuit above codim k, and sigma(A, dim)
+    # none at all; the filtration of braid(5) stops at Zaslavsky after
+    # Sigma_2, so it builds none either
     A = catalog.braid(5)
     lat = _fresh_lattice(A)
     sizes = []
@@ -335,12 +375,16 @@ def test_each_flat_builds_its_circuits_once():
         mp.setattr(hyparr.lattice, "kernel_basis", spy)
         sigma(A, 2)
         assert len(sizes) == subsets({2}) and set(sizes) == {3}
+        sigma(A, 4)
         sigma_filtration(A)
-    assert len(sizes) == subsets({2, 3, 4}) and set(sizes) == {3, 4, 5}
+        assert len(sizes) == subsets({2})
+        sigma(A, 3)
+    assert len(sizes) == subsets({2, 3}) and set(sizes) == {3, 4}
 
 
 def test_the_filtration_counts_each_flat_once(monkeypatch):
-    A = catalog.braid(5)
+    # braid(5) stops at Zaslavsky after Sigma_2; fault8's Sigma_2 (192)
+    # exceeds its 116 topes, so every dependent flat below the top is counted
     checked = []
 
     def spy(lat, X, circuits):
@@ -349,10 +393,12 @@ def test_the_filtration_counts_each_flat_once(monkeypatch):
 
     check = hyparr.consistency._check_local_count
     monkeypatch.setattr(hyparr.consistency, "_check_local_count", spy)
-    sigma_filtration(A)
-    dependent = [X.contains for X in build_lattice(A).flats
-                 if 2 <= X.codim < A.dim and len(X.contains) > X.codim]
-    assert checked == dependent
+    for A, top in ((catalog.braid(5), 2), (Arrangement.from_forms(4, FAULT8_FORMS), 3)):
+        checked.clear()
+        sigma_filtration(A)
+        dependent = [X.contains for X in build_lattice(A).flats
+                     if 2 <= X.codim <= top and len(X.contains) > X.codim]
+        assert checked == dependent
 
 
 @pytest.mark.usefixtures("uncached_lattices")

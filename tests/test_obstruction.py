@@ -7,6 +7,8 @@ from hyparr.arrangement import Arrangement, SignVector, validate
 from hyparr.consistency import is_globally_consistent, is_locally_consistent
 from hyparr.errors import (GloballyConsistent, NotLocallyConsistent, TooLarge,
                            WeightConditionViolated)
+from hyparr.feasibility import FeasibilityResult, StrictSystem
+from hyparr.lattice import build_lattice
 from hyparr.obstruction import (certify_nontrivial_sphere, detect_obstruction,
                                 sample_sphere_points, verify_sample_points)
 
@@ -47,14 +49,46 @@ def test_detect_boolean_and_braid(braid4):
         assert rep.kpi1_possible is True
 
 
-def test_detect_too_large_and_sampled(generic4):
-    with pytest.raises(TooLarge):
+def test_detect_too_large(generic4):
+    with pytest.raises(TooLarge, match="--limit"):
         detect_obstruction(generic4, limit=3)
-    rep = detect_obstruction(generic4, limit=3, sample=200, seed=5)
-    assert not rep.exhaustive
-    assert rep.minimal_k == 2
-    assert rep.kpi1_possible is False
-    assert str(rep.gaps[0].eps) in ("+++-", "---+")
+
+
+@pytest.fixture
+def uncached_lattices():
+    """Large lattices leave `build_lattice`'s cache when the test ends."""
+    build_lattice.cache_clear()
+    yield
+    build_lattice.cache_clear()
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_detect_braid8_exhaustively():
+    # 28 planes, past the default limit: no gap at any k >= 2
+    rep = detect_obstruction(catalog.braid(8), limit=28)
+    assert rep.exhaustive and rep.gaps == () and rep.kpi1_possible is True
+    assert rep.counts == {1: 2 ** 28, **dict.fromkeys(range(2, 8), 40320)}
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_detect_the_moment_curve():
+    # the forms (1, t, t^2, t^3), t = 1..30: every 4 of them are independent
+    # (Vandermonde), so the one gap is at k = 3, at the origin
+    A = validate(Arrangement.from_forms(4, [[1, t, t * t, t ** 3] for t in range(1, 31)]))
+    rep = detect_obstruction(A, limit=30)
+    assert rep.counts == {1: 2 ** 30, 2: 2 ** 30, 3: 2 ** 30, 4: 8180}
+    assert [g.k for g in rep.gaps] == [3] and rep.kpi1_possible is False
+    g = rep.gaps[0]
+    assert g.flat.codim == 4
+
+    signed = [h.form.scale(s) for h, s in zip(A.hyperplanes, g.eps.signs)]
+
+    def system(key):
+        return StrictSystem.of([signed[i] for i in key], 4)
+
+    assert FeasibilityResult(None, g.dual).verify(system(g.flat.key()))
+    assert len(g.upper_witnesses) == len(build_lattice(A).flats) - 1
+    assert all(FeasibilityResult(w, None).verify(system(key)) for key, w in g.upper_witnesses)
 
 
 def test_certify_generic4(generic4):
