@@ -2,22 +2,23 @@
 
 A chamber is a globally consistent sign vector; its walls are the
 hyperplanes supporting a facet.  Every verdict behind a chamber or a wall
-comes from the lattice's cocircuits and circuits, with no solver, and is
-checked in integers (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
-*Oriented Matroids*, 1999, ch. 3-4):
+comes from the lattice's checked tope set (`Lattice.topes`), with no solver,
+and every chamber's witness is checked in integers (Bjorner, Las Vergnas,
+Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4):
 
 - Every tope is the composition of the cocircuits that conform to it, so
   the sum of those line directions is a strict interior point, and an
-  exact integer sign test checks it.  A sign vector that is no tope matches
-  a circuit, whose checked dependency is Gordan's dual
-  (`consistency.global_consistency`).
+  exact integer sign test checks it.  A sign vector is a chamber iff it is
+  in the tope set, which is checked by that test at every member and by
+  Zaslavsky's count.
 - i is a wall of C iff C with sign i flipped is also a chamber (Avis and
-  Fukuda's reverse search, 1996).  Enumerated chambers read their walls from
-  sign flips in the certified chamber set Sigma_dim; a single chamber, built
-  from its signs, decides each flip with the tope test.
+  Fukuda's reverse search, 1996): every chamber, enumerated or built from
+  its signs, reads its walls from sign flips in the tope set.
 
-A flow crosses, at each step, the lowest-index wall whose side disagrees
-with the target system of half-spaces.
+A flow starts, unless told otherwise, at the first tope, the
+lexicographically smallest chamber, and crosses, at each step, the
+lowest-index wall whose side disagrees with the target system of
+half-spaces.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from functools import lru_cache
 from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
-from .consistency import global_consistency, lex_smallest_tope, witness_at
+from .consistency import witness_at
 from .errors import Infeasible, InternalError
-from .lattice import build_lattice
+from .lattice import Lattice, build_lattice
 from .linalg import RatVector, kernel_basis
 
 
@@ -66,18 +67,23 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
     return tuple(out)
 
 
+def _flips_in(topes: frozenset[tuple[int, ...]], signs: tuple[int, ...]) -> frozenset[int]:
+    """The i for which signs with sign i flipped is in the tope set."""
+    return frozenset(i for i in range(len(signs))
+                     if signs[:i] + (-signs[i],) + signs[i + 1:] in topes)
+
+
 @lru_cache(maxsize=65536)
 def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
-    """The i for which signs with sign i flipped passes the tope test."""
-    return frozenset(i for i in range(A.n)
-                     if global_consistency(A, signs[:i] + (-signs[i],) + signs[i + 1:]).feasible)
+    """The flips of signs that lie in the lattice's tope set."""
+    return _flips_in(build_lattice(A).tope_signs, signs)
 
 
 def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
     """Indices i whose hyperplane supports a facet of the chamber.
 
     A Chamber carries its wall set, which is returned as it is.  Signs go
-    through `_wall_set`, which decides one checked tope test per hyperplane.
+    through `_wall_set`, which reads their flips in the checked tope set.
     """
     if isinstance(chamber_or_signs, Chamber):
         return chamber_or_signs.walls
@@ -88,11 +94,21 @@ def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
 
 
 def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
-    """Build the chamber with the given signs; Infeasible when it is empty."""
-    res = global_consistency(A, eps)
-    if not res.feasible:
+    """Build the chamber with the given signs; Infeasible when they are no
+    tope, so that the chamber is empty."""
+    lat = build_lattice(A)
+    if eps.signs not in lat.tope_signs:
         raise Infeasible(f"{eps} is not a chamber")
-    return Chamber(eps, res.witness, _wall_set(A, eps.signs))
+    return _chamber(lat, eps)
+
+
+def _chamber(lat: Lattice, eps: SignVector) -> Chamber:
+    """The chamber of a tope, with its checked witness at the top and its
+    walls read from sign flips in the tope set."""
+    w = witness_at(lat, eps, lat.top)
+    if w is None:
+        raise InternalError(f"the topes hold {eps}, which is not a chamber")
+    return Chamber(eps, RatVector.of(w), _flips_in(lat.tope_signs, eps.signs))
 
 
 def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chamber, ...]:
@@ -117,28 +133,13 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
     S = sigma(A, A.dim, limit=limit)
     lat = build_lattice(A)
-    members = set(S)
-    out = []
-    for sv in S:
-        w = witness_at(lat, sv, lat.top)
-        if w is None:
-            raise InternalError(f"Sigma_{A.dim} holds {sv}, which is not a chamber")
-        out.append(Chamber(sv, RatVector.of(w),
-                           frozenset(i for i in range(A.n) if sv.flip(i) in members)))
-    return tuple(out)
+    return tuple(_chamber(lat, sv) for sv in S)
 
 
 def lex_smallest_chamber(A: Arrangement) -> Chamber:
-    """The chamber of `consistency.lex_smallest_tope`, the greedy pass over
-    the circuits that prefers '+' at every index.  Its witness certifies
-    every sign the pass kept, and its walls are checked like any other
-    chamber's."""
-    eps = lex_smallest_tope(build_lattice(A))
-    res = global_consistency(A, eps)
-    if not res.feasible:
-        raise InternalError(f"the greedy pass over the circuits ends at {eps}, "
-                            "which is not a chamber")
-    return Chamber(eps, res.witness, _wall_set(A, eps.signs))
+    """The chamber of the first tope.  The tope set is exact and sorted
+    ('+' < '-'), so no chamber has lexicographically smaller signs."""
+    return chamber_from_signs(A, build_lattice(A).topes()[0])
 
 
 def is_sink(A: Arrangement, eps: SignVector, C: Chamber) -> bool:

@@ -223,10 +223,10 @@ def _cmd_sink(args) -> None:
     A, digest = _load(args.file)
     certs = _Certs()
     eps = _signs(A, args.eps, "eps")
-    start = (chamber_from_signs(A, _signs(A, args.start, "start"))
-             if args.start else lex_smallest_chamber(A))
+    start_signs = _signs(A, args.start, "start") if args.start else None
+    sinks = all_sinks(A, eps, limit=args.limit)  # TooLarge before any other search
+    start = chamber_from_signs(A, start_signs) if start_signs else lex_smallest_chamber(A)
     path = flow_to_sink(A, eps, start)
-    sinks = all_sinks(A, eps, limit=args.limit)
     payload = {
         "eps": args.eps,
         "start": str(start.signs),

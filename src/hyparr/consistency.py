@@ -21,9 +21,9 @@ conform to eps are, together, nonzero on every form of Y; their sum is then
 a strict witness, checked by an exact integer sign test.  Otherwise eps
 matches a circuit inside A_Y, whose dependency, checked in integers, is
 Gordan's dual.  And since the closed region of a prefix of signs is the
-cone of the lines of A that conform to it, Sigma_dim comes from one search
-over those lines, checked by a witness per leaf and by A's chamber count,
-without the circuits that span the top.
+cone of the lines of A that conform to it, Sigma_dim is the lattice's tope
+set (`Lattice.topes`): one search over those lines, checked by a witness per
+leaf and by A's chamber count, without the circuits that span the top.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from operator import itemgetter, mul
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult
-from .lattice import (Circuit, Cocircuit, Flat, Lattice, _bits, build_lattice,
-                      chamber_count_oracle)
+from .lattice import Circuit, Cocircuit, Flat, Lattice, build_lattice
 from .linalg import RatVector
 
 DEFAULT_ENUM_LIMIT = 22
@@ -174,10 +173,10 @@ def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
     return _first_failure(lat, eps, lat.flats[:-1]) is None
 
 
-def _circuits_by_last(lat: Lattice, k: int, checked=()) -> dict[int, list[Circuit]]:
-    """The lattice's circuits of size 3..k+1, keyed by their largest index,
-    each list by size, checked by the local count at every dependent flat
-    whose codim is in `checked` (none of them dim)."""
+def _circuits_by_last(lat: Lattice, k: int, checked) -> dict[int, list[Circuit]]:
+    """The lattice's circuits of size 3..k+1 (k < dim), keyed by their
+    largest index, each list by size, checked by the local count at every
+    dependent flat whose codim is in `checked`."""
     by_last: dict[int, list[Circuit]] = {}
     for X in lat.flats:
         if X.codim > k:
@@ -188,56 +187,6 @@ def _circuits_by_last(lat: Lattice, k: int, checked=()) -> dict[int, list[Circui
         if X.codim in checked and len(X.contains) > X.codim:
             _check_local_count(lat, X, by_last)
     return by_last
-
-
-def lex_smallest_tope(lat: Lattice) -> SignVector:
-    """One greedy pass over the circuits; '+' is preferred at every index.
-
-    At index i the sign stays '+' unless the signs so far match a circuit
-    whose largest index is i, up to global sign; that circuit's dependency is
-    checked as the dual of '+'.  The signs so far then match no circuit, so
-    they form a tope of the first i + 1 forms, and every tope of those forms
-    extends to a tope of A: the pass never backtracks.
-    """
-    by_last = _circuits_by_last(lat, lat.arrangement.dim)
-    signs: list[int] = []
-    for i in range(lat.arrangement.n):
-        signs.append(1)
-        circuit = next((sc for sc in by_last.get(i, ()) if _matches(signs, sc)), None)
-        if circuit is not None:
-            _check_dual(primitive_rows(lat.arrangement), signs, circuit)
-            signs[-1] = -1
-    return SignVector(tuple(signs))
-
-
-def _topes(lat: Lattice) -> tuple[SignVector, ...]:
-    """The topes of A in lexicographic order.  A prefix extends with sign s
-    at index i iff some line of A (a cocircuit of the top) that conforms to
-    it has sign s on form i.  The leaves must number Zaslavsky's count, and
-    the sum of each leaf's conforming lines must pass the sign test."""
-    rows = primitive_rows(lat.arrangement)
-    values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in lat.cocircuits(lat.top)]
-    # per form, the bitmasks of the lines positive and negative on it
-    pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
-    neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
-    out: list[SignVector] = []
-    stack = [((), (1 << len(values)) - 1)]  # (prefix, its conforming lines)
-    while stack:
-        signs, live = stack.pop()
-        i = len(signs)
-        if i == len(rows):
-            at = map(sum, zip(*(values[t] for t in _bits(live))))
-            if min(map(mul, signs, at)) <= 0:
-                raise InternalError(f"its conforming lines sum outside {SignVector(signs)}")
-            out.append(SignVector(signs))
-            continue
-        for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
-            if live & toward:
-                stack.append((signs + (s,), live & ~against))
-    if len(out) != chamber_count_oracle(lat):
-        raise InternalError(f"the lines of A give {len(out)} topes, but Zaslavsky "
-                            f"counts {chamber_count_oracle(lat)} chambers")
-    return tuple(out)
 
 
 class _SigmaSearch:
@@ -305,7 +254,7 @@ def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector,
                        "raise it with --limit")
     lat = build_lattice(A)
     if k == A.dim:
-        return _topes(lat)
+        return lat.topes()
     by_last = _circuits_by_last(lat, k, range(2, k + 1))
     return tuple(eps for eps, _ in _SigmaSearch(A.n, by_last, k).run())
 

@@ -16,21 +16,22 @@ value against Rota's sign theorem, (-1)^codim X * mu(X) > 0 on a geometric
 lattice (Rota 1964).  The Moebius-based region count is the independent
 cross-check for the chamber enumeration elsewhere.
 
-Sign-vector questions are answered from two more tables of the lattice,
-each built for a flat on first use and kept on the `Lattice`: the signed
-cocircuits of each localization A_Y, and the signed circuits that span each
-flat (Bjorner, Las Vergnas, Sturmfels, White and Ziegler, *Oriented
-Matroids*, 1999, ch. 3-4).  `build_lattice` builds neither.
+Sign-vector questions are answered from three more tables of the lattice,
+each built on first use and kept on the `Lattice`: the signed cocircuits of
+each localization A_Y, the signed circuits that span each flat, and the
+topes of A, read from its lines (Bjorner, Las Vergnas, Sturmfels, White and
+Ziegler, *Oriented Matroids*, 1999, ch. 3-4).  `build_lattice` builds none
+of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
-from .arrangement import Arrangement, primitive_rows
+from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, NotEssential
 from .linalg import canonical_int_vector, kernel_basis, primitive_int_vector
 
@@ -85,6 +86,7 @@ class Lattice:
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
         self._scanned: set[frozenset[int]] = set()
+        self._topes: tuple[SignVector, ...] | None = None
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
@@ -164,6 +166,47 @@ class Lattice:
                 raise InternalError(f"{c} is not a dependency of the forms "
                                     f"{[i + 1 for i in S]}")
             yield S, c
+
+    def topes(self) -> tuple[SignVector, ...]:
+        """The topes of A in lexicographic order ('+' < '-'), searched once
+        and kept: every chamber, wall and flow step is read from them."""
+        if self._topes is None:
+            self._topes = self._search_topes()
+        return self._topes
+
+    @cached_property
+    def tope_signs(self) -> frozenset[tuple[int, ...]]:
+        """The sign tuples of `topes()`, for membership tests."""
+        return frozenset(t.signs for t in self.topes())
+
+    def _search_topes(self) -> tuple[SignVector, ...]:
+        """A prefix extends with sign s at index i iff some line of A (a
+        cocircuit of the top) that conforms to it has sign s on form i.  The
+        leaves must number Zaslavsky's count, and the sum of each leaf's
+        conforming lines must pass the sign test."""
+        rows = primitive_rows(self.arrangement)
+        values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in self.cocircuits(self.top)]
+        # per form, the bitmasks of the lines positive and negative on it
+        pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
+        neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
+        out: list[SignVector] = []
+        stack = [((), (1 << len(values)) - 1)]  # (prefix, its conforming lines)
+        while stack:
+            signs, live = stack.pop()
+            i = len(signs)
+            if i == len(rows):
+                at = map(sum, zip(*(values[t] for t in _bits(live))))
+                if min(map(mul, signs, at)) <= 0:
+                    raise InternalError(f"its conforming lines sum outside {SignVector(signs)}")
+                out.append(SignVector(signs))
+                continue
+            for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
+                if live & toward:
+                    stack.append((signs + (s,), live & ~against))
+        if len(out) != chamber_count_oracle(self):
+            raise InternalError(f"the lines of A give {len(out)} topes, but Zaslavsky "
+                                f"counts {chamber_count_oracle(self)} chambers")
+        return tuple(out)
 
     @property
     def bottom(self) -> Flat:

@@ -159,14 +159,20 @@ def test_sink_property_random():
 
 
 def _counting(monkeypatch):
-    """Count kernel calls and the integer checks of witnesses and duals."""
-    counts = {"kernel": 0, "witness": 0, "dual": 0}
+    """Count kernel calls, tope searches and the integer checks of witnesses
+    and duals."""
+    counts = {"kernel": 0, "topes": 0, "witness": 0, "dual": 0}
     solve = hyparr._fmpure.solve
+    search_topes = hyparr.lattice.Lattice._search_topes
     check_witness, check_dual = hyparr.consistency._check_witness, hyparr.consistency._check_dual
 
     def counted_solve(rows, dim):
         counts["kernel"] += 1
         return solve(rows, dim)
+
+    def counted_search(lat):
+        counts["topes"] += 1
+        return search_topes(lat)
 
     def counted_witness(*args):
         counts["witness"] += 1
@@ -177,6 +183,7 @@ def _counting(monkeypatch):
         return check_dual(*args)
 
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", counted_search)
     monkeypatch.setattr(hyparr.consistency, "_check_witness", counted_witness)
     monkeypatch.setattr(hyparr.consistency, "_check_dual", counted_dual)
     return counts
@@ -190,42 +197,42 @@ def _taken(counts):
 
 
 def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
-    # every proper flat of a generic union is independent, so each tope test
-    # is one verdict: a checked witness, or a checked circuit at the top
+    # one checked tope search per lattice decides every chamber and wall, each
+    # chamber's witness is checked, and the only circuit is certify's global dual
     A, eps = _union(5, 3, 3, 21)
+    build_lattice.cache_clear()
     assert all(len(X.contains) == X.codim for X in build_lattice(A).flats[:-1])
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
     start = lex_smallest_chamber(A)
-    # a circuit for each '-' of the greedy pass, the chamber itself, then one
-    # tope test per hyperplane for its walls
-    minus = start.signs.signs.count(-1)
-    assert minus > 0
-    assert _taken(counts) == {"kernel": 0, "witness": 1 + len(start.walls),
-                              "dual": minus + A.n - len(start.walls)}
+    assert start.signs.signs.count(-1) > 0
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "witness": 1, "dual": 0}
     far = chamber_from_signs(A, -start.signs)
-    assert _taken(counts) == {"kernel": 0, "witness": 1 + len(far.walls),
-                              "dual": A.n - len(far.walls)}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": 1, "dual": 0}
     path = flow_to_sink(A, eps, far)
     assert len(path.chambers) > 2
-    new = path.chambers[1:]
-    assert _taken(counts) == {"kernel": 0, "witness": sum(1 + len(C.walls) for C in new),
-                              "dual": sum(A.n - len(C.walls) for C in new)}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(path.chambers) - 1,
+                              "dual": 0}
+    chambers = enumerate_chambers(A)
+    assert chambers[0] == start and far in chambers
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(chambers), "dual": 0}
     cert = certify_nontrivial_sphere(A, eps)
-    # the global dual, the greedy pass, then the chambers of the flow from the
-    # lex-smallest one, whose walls are cached
+    # the global dual, then the chambers of the flow from the lex-smallest one
     assert cert.path.chambers[0] == start
-    assert _taken(counts) == {"kernel": 0, "witness": len(cert.path.chambers),
-                              "dual": 1 + minus}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(cert.path.chambers),
+                              "dual": 1}
 
 
-def test_lex_smallest_chamber_is_one_greedy_pass(monkeypatch, generic4):
+def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
+    build_lattice.cache_clear()
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
     C = lex_smallest_chamber(generic4)
-    # ++++ and its walls 1, 2, 3 are witnessed; +++- is refuted by the circuit 1234
-    assert _taken(counts) == {"kernel": 0, "witness": 4, "dual": 1}
+    # one tope search, and ++++ is witnessed; its walls 1, 2, 3 are flips in the topes
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "witness": 1, "dual": 0}
+    assert C.walls == frozenset({0, 1, 2})
     assert C == enumerate_chambers(generic4)[0] == chamber_from_signs(generic4, sv("++++"))
+    assert _taken(counts)["topes"] == 0
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):

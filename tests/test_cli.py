@@ -14,6 +14,7 @@ import pytest
 import hyparr
 import hyparr.chambers
 import hyparr.consistency
+import hyparr.lattice
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj
 from hyparr.cli import main
@@ -138,6 +139,23 @@ def test_sink_flow(tmp_path, capsys):
     assert doc["payload"]["crossed"] == [1, 2]
     assert doc["payload"]["sink"] == "++--"
     assert "++++" in doc["payload"]["all_sinks"]
+
+
+def test_sink_past_the_limit_refuses_before_any_search(tmp_path, capsys, monkeypatch):
+    # braid(8) has 28 planes, past the default limit of 22
+    code, out = run_cli(capsys, "builtin", "braid", "--n", "8")
+    assert code == 0
+    path = tmp_path / "b8.json"
+    path.write_text(out)
+
+    def no_search(*args):
+        raise AssertionError("sink searched before its limit check")
+
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", no_search)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_spanning_circuits", no_search)
+    code, out = run_cli(capsys, "sink", str(path), "--eps=" + "+" * 28)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
 def test_certify(tmp_path, capsys):

@@ -304,10 +304,13 @@ def test_a_dropped_circuit_is_caught_or_harmless(A):
 
 @pytest.mark.usefixtures("uncached_lattices")
 def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
-    # the topes come from the lines; a gap witness that fails at the top
+    # the topes come from the lines, and every chamber, wall and flow step
+    # from the topes; a gap witness or a global dual that fails at the top
     # scans that flat's subsets only up to its circuit (`first_circuit`)
-    from hyparr.chambers import enumerate_chambers
-    from hyparr.obstruction import detect_obstruction
+    from hyparr.chambers import (chamber_from_signs, enumerate_chambers, flow_to_sink,
+                                 lex_smallest_chamber)
+    from hyparr.errors import Infeasible
+    from hyparr.obstruction import certify_nontrivial_sphere, detect_obstruction
 
     asked = []
     circuits = hyparr.lattice.Lattice.circuits
@@ -316,12 +319,26 @@ def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
         asked.append(X.contains == lat.top.contains)
         return circuits(lat, X)
 
+    def flow(A):
+        start = lex_smallest_chamber(A)
+        assert flow_to_sink(A, -start.signs, start).sink.signs == -start.signs
+
+    def non_tope(A):
+        topes = set(sigma(A, A.dim))
+        eps = next(e for e in map(SignVector, product((1, -1), repeat=A.n)) if e not in topes)
+        with pytest.raises(Infeasible, match="is not a chamber"):
+            chamber_from_signs(A, eps)
+
     monkeypatch.setattr(hyparr.lattice.Lattice, "circuits", spy)
-    runs = (enumerate_chambers, lambda A: sigma(A, A.dim), sigma_filtration, detect_obstruction)
+    runs = (enumerate_chambers, lambda A: sigma(A, A.dim), sigma_filtration, detect_obstruction,
+            lex_smallest_chamber, flow, non_tope)
     for A in (generic4, catalog.braid(4), cx2, Arrangement.from_forms(4, FAULT8_FORMS)):
         for run in runs:
             build_lattice.cache_clear()
             run(A)
+    A, eps = catalog.generic_union(catalog.generic(5, 4, 5), catalog.generic(4, 4, 6), 7)
+    build_lattice.cache_clear()
+    assert certify_nontrivial_sphere(A, eps).dual
     assert asked and not any(asked)
 
 
