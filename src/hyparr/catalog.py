@@ -60,6 +60,16 @@ def generic(n: int, dim: int, seed: int) -> Arrangement:
     raise GenericityFailed(f"no generic draw in {RETRY_BUDGET} tries (seed {seed})")
 
 
+def moment(n: int, dim: int) -> Arrangement:
+    """The forms (1, t, t^2, ..., t^(dim-1)) for t = 1..n: points of the
+    moment curve, so every dim of them are independent (Vandermonde) and the
+    arrangement is generic with no draw."""
+    if not n >= dim >= 1:
+        raise ValueError("need n >= dim >= 1")
+    return validate(Arrangement.from_forms(dim, [[t ** j for j in range(dim)]
+                                                 for t in range(1, n + 1)]))
+
+
 def _all_small_subsets_independent(forms, dim) -> bool:
     size = min(dim, len(forms))
     for S in combinations(range(len(forms)), size):

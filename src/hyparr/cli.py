@@ -8,8 +8,11 @@ Every report-producing subcommand prints one JSON document:
 with rationals as strings, hyperplane indices 1-based, and fields in a fixed
 order, so identical inputs and flags yield byte-identical output.  `builtin`
 and `cone` print a bare arrangement object that the other subcommands read
-back.  Exit codes: 0 success, 1 domain error or failed internal check
-(structured JSON on stdout), 2 usage error.
+back.  Every document, the error document included, goes through one
+writer, `_json`, which returns the same text as the json module's encoder at
+an indent of 2, without the pure-Python loop that the encoder falls back on
+whenever it indents.  Exit codes: 0 success, 1 domain error or failed
+internal check (structured JSON on stdout), 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import catalog
 from .arrangement import (Arrangement, SignVector, affine_from_obj,
@@ -50,7 +54,7 @@ def _vec(v) -> list[str]:
     old = _get_int_digits()
     _set_int_digits(0)
     try:
-        return [str(Fraction(x)) for x in v]
+        return [str(x if type(x) in (int, Fraction) else Fraction(x)) for x in v]
     finally:
         _set_int_digits(old)
 
@@ -92,6 +96,41 @@ class _Certs:
         return self.add(dual=_vec(coeffs))
 
 
+def _json(obj, indent: str = "\n") -> str:
+    """The json module's text for obj at an indent of 2, for str-keyed
+    dicts, lists, tuples, strs, ints, bools and None; TypeError on anything
+    else."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in obj.items()])
+            + indent + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _print(obj) -> None:
+    sys.stdout.write(_json(obj) + "\n")
+
+
 def _emit(command: str, digest: str, payload: dict, certs: _Certs) -> None:
     doc = {
         "command": command,
@@ -99,7 +138,7 @@ def _emit(command: str, digest: str, payload: dict, certs: _Certs) -> None:
         "payload": payload,
         "certificates": certs.items,
     }
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _print(doc)
 
 
 def _read_object(path: str) -> dict:
@@ -294,16 +333,20 @@ def _cmd_builtin(args) -> None:
         A = catalog.generic(args.n, args.l, args.seed)
     elif name == "braid":
         A = catalog.braid(4 if args.n is None else args.n)
+    elif name == "moment":
+        if args.n is None or args.l is None:
+            raise HyparrError("moment requires --n and --l")
+        A = catalog.moment(args.n, args.l)
     elif name == "x2":
         obj = affine_to_obj(catalog.x2_affine())
-        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+        _print(obj)
         return
     elif name == "cx2":
         A = catalog.x2_coned()
     else:
         raise HyparrError(f"unknown builtin {name!r}; "
-                          "try boolean, generic4, generic, braid, x2, cx2")
-    sys.stdout.write(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
+                          "try boolean, generic4, generic, braid, moment, x2, cx2")
+    _print(arrangement_to_obj(A))
 
 
 def _cmd_cone(args) -> None:
@@ -312,7 +355,7 @@ def _cmd_cone(args) -> None:
         raise HyparrError("cone expects an affine arrangement (with constants)")
     B = affine_from_obj(obj)
     A = cone(B)
-    sys.stdout.write(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
+    _print(arrangement_to_obj(A))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +441,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        _print(doc)
         return 1
     return 0
 

@@ -6,15 +6,20 @@ restriction rule (Orlik-Terao, the restriction A^X): the flats covering X
 are the intersections of X with H_i for i outside X, and two of them
 coincide exactly when forms i and j, restricted to X, are proportional.
 Restricting every form to X's integer kernel rows therefore finds all
-covers of X at once, with integer dot products and one kernel basis per
-flat.  The level loop keeps, for each new flat, the flats that generated
-it: exactly its lower covers.  Each flat's strict down-set is the union of
-its lower covers' down-sets, and its Moebius value is minus the sum over
-that down-set.  The covers are checked against the restriction rule (the
-upper covers of X split the forms outside X into their groups), and every
-value against Rota's sign theorem, (-1)^codim X * mu(X) > 0 on a geometric
-lattice (Rota 1964).  The Moebius-based region count is the independent
-cross-check for the chamber enumeration elsewhere.
+covers of X at once, with integer dot products, and groups the forms by
+the direction of their restriction.  Each flat but a line takes one kernel
+basis.  A line takes its kernel row from the restriction to a plane that
+gives it (the row of the plane's kernel on which the cutting form
+vanishes), and is checked by its zero set: the forms vanishing on that row
+must be exactly the line's forms.  The level loop keeps, for each new flat,
+the flats that generated it: exactly its lower covers.  Each flat's strict
+down-set is the union of its lower covers' down-sets, and its Moebius value
+is minus the sum over that down-set.  The covers are checked against the
+restriction rule (the upper covers of X split the forms outside X into
+their groups), and every value against Rota's sign theorem,
+(-1)^codim X * mu(X) > 0 on a geometric lattice (Rota 1964).  The
+Moebius-based region count is the independent cross-check for the chamber
+enumeration elsewhere.
 
 Sign-vector questions are answered from three more tables of the lattice,
 each built on first use and kept on the `Lattice`: the signed cocircuits of
@@ -29,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
@@ -228,12 +234,36 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _direction(v: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero integer vector over the gcd of its entries, signed so that
+    its first nonzero entry is positive: the grouping key of a restriction."""
+    g = gcd(*v)
+    if next(filter(None, v)) < 0:
+        g = -g
+    return v if g == 1 else tuple(a // g for a in v)
+
+
+def _line_kernel(K, u) -> tuple[int, ...]:
+    """The canonical row spanning the line that a form restricting to u on
+    the plane with kernel rows K = (k1, k2) cuts from it: u[1]*k1 - u[0]*k2."""
+    (k1, k2), (a, b) = K, u
+    return canonical_int_vector([b * x - a * y for x, y in zip(k1, k2)])
+
+
 def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]]]:
     """The flats of a central family of primitive integer rows, one list per
     codim, each sorted by key, and the lower covers of every flat but the
     bottom, by closed index set: the indices, in the order of all flats, of
     the flats one level down whose restriction groups gave it, ascending.
-    The family need not be essential."""
+    The family need not be essential.
+
+    A line (a flat with one kernel row) takes its row from a plane that
+    gives it, by `_line_kernel`, with no kernel basis.  Its row must then
+    vanish on exactly the forms of the line, which certifies it: the plane
+    has rank codim - 1 and the line's new forms do not vanish on it.  No
+    form outside a line vanishes on it, so the flat of all forms is its one
+    upper cover.  Every other flat takes the `kernel_basis` of its forms,
+    and each form must vanish on it exactly when the flat holds the form."""
 
     def make_flat(closed: frozenset[int], codim: int) -> Flat:
         K = tuple(kernel_basis([rows[i] for i in sorted(closed)], dim))
@@ -242,29 +272,44 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
                                 f"expected {dim - codim}")
         return Flat(closed, codim, K)
 
+    def disagrees(X: Flat, i: int) -> InternalError:
+        return InternalError(f"kernel of flat {sorted(X.contains)} disagrees with form {i + 1}")
+
+    everything = frozenset(range(len(rows)))
     levels = [[make_flat(closure_of_forms(rows, dim, frozenset()), 0)]]
     lower: dict[frozenset[int], list[int]] = {}
     base = 0  # the index of levels[-1][0] among all flats
     while True:
         new: dict[frozenset[int], list[int]] = {}
+        lines: dict[frozenset[int], tuple[int, ...]] = {}  # the kernel row of each new line
         for t, X in enumerate(levels[-1], base):
-            groups: dict[tuple[int, ...], set[int]] = {}
-            for i, r in enumerate(rows):
-                restricted = [sum(map(mul, r, k)) for k in X.kernel]
+            if len(X.kernel) == 1:
+                k = X.kernel[0]
+                zeros = frozenset(i for i, r in enumerate(rows) if not sum(map(mul, r, k)))
+                if zeros != X.contains:
+                    raise disagrees(X, min(zeros ^ X.contains))
+                if X.contains != everything:
+                    new.setdefault(everything, []).append(t)
+                continue
+            cols = [[sum(map(mul, r, k)) for r in rows] for k in X.kernel]
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, restricted in enumerate(zip(*cols)):
                 if any(restricted) == (i in X.contains):
-                    raise InternalError(f"kernel of flat {sorted(X.contains)} "
-                                        f"disagrees with form {i + 1}")
+                    raise disagrees(X, i)
                 if i not in X.contains:
-                    # on a line, every restriction is a nonzero scalar: one group
-                    groups.setdefault(canonical_int_vector(restricted)
-                                      if len(restricted) > 1 else (), set()).add(i)
-            for group in groups.values():
-                new.setdefault(X.contains.union(group), []).append(t)
+                    groups.setdefault(_direction(restricted), []).append(i)
+            for u, group in groups.items():
+                closed = X.contains.union(group)
+                new.setdefault(closed, []).append(t)
+                if len(u) == 2 and closed not in lines:
+                    lines[closed] = _line_kernel(X.kernel, u)
         if not new:
             return levels, lower
         lower.update(new)
         base += len(levels[-1])
-        levels.append([make_flat(c, len(levels)) for c in sorted(new, key=sorted)])
+        codim = len(levels)
+        levels.append([Flat(c, codim, (lines[c],)) if c in lines else make_flat(c, codim)
+                       for c in sorted(new, key=sorted)])
 
 
 def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:

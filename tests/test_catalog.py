@@ -1,12 +1,15 @@
 from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, validate
+from hyparr.arrangement import Arrangement, primitive_rows, validate
 from hyparr.consistency import (is_globally_consistent, is_locally_consistent,
                                 sigma_filtration)
 from hyparr.lattice import build_lattice, chamber_count_oracle
+from hyparr.linalg import RatVector, rank
 from hyparr.obstruction import detect_obstruction
 
 
@@ -111,7 +114,21 @@ def test_generic_union_empty_b_rejected():
         catalog.generic_union(catalog.boolean(2), Arrangement(2, ()), seed=1)
 
 
+def test_moment_curve():
+    # 24 points of the moment curve in R^4: every 4 forms are independent, so
+    # the flats are the subsets of at most 3 forms and the origin
+    A = catalog.moment(24, 4)
+    assert A.n == 24 and A.forms[23] == RatVector.of([1, 24, 24 ** 2, 24 ** 3])
+    rows = primitive_rows(A)
+    assert all(rank([rows[i] for i in S], 4) == 4 for S in combinations(range(24), 4))
+    L = build_lattice(A)
+    assert len(L.flats) == 1 + 24 + 276 + 2024 + 1 == 2326
+    assert chamber_count_oracle(L) == 2 * sum(comb(23, k) for k in range(4)) == 4096
+    with pytest.raises(ValueError):
+        catalog.moment(3, 4)
+
+
 def test_all_builtins_validate():
     for A in (catalog.boolean(4), catalog.generic4(), catalog.x2_coned(),
-              catalog.braid(4), catalog.generic(5, 4, 3)):
+              catalog.braid(4), catalog.generic(5, 4, 3), catalog.moment(6, 3)):
         assert validate(A) is A

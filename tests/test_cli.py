@@ -17,7 +17,7 @@ import hyparr.consistency
 import hyparr.lattice
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj
-from hyparr.cli import main
+from hyparr.cli import _get_int_digits, _json, _set_int_digits, main
 from hyparr.consistency import REPORT_SET_LIMIT
 from hyparr.lattice import build_lattice, chamber_count_oracle
 
@@ -231,8 +231,17 @@ def test_builtin_pipes_into_other_commands(tmp_path, capsys):
     assert code == 0
 
 
+def test_builtin_moment(capsys):
+    code, out = run_cli(capsys, "builtin", "moment", "--n", "5", "--l", "3")
+    assert code == 0
+    assert json.loads(out)["forms"][4] == ["1", "5", "25"]
+    code, out = run_cli(capsys, "builtin", "moment", "--n", "5")
+    assert code == 1 and "requires --n and --l" in json.loads(out)["error"]["message"]
+
+
 @pytest.mark.parametrize("argv", [("boolean", "--l", "0"), ("braid", "--n", "0"),
-                                  ("generic", "--n", "0", "--l", "0")])
+                                  ("generic", "--n", "0", "--l", "0"),
+                                  ("moment", "--n", "0", "--l", "0")])
 def test_builtin_rejects_a_size_of_zero(capsys, argv):
     code, out = run_cli(capsys, "builtin", *argv)
     assert code == 1
@@ -469,3 +478,38 @@ def test_output_bytes_are_pinned(run, tmp_path):
     with contextlib.redirect_stdout(buf):
         assert main([command, str(path), *flags]) == 0
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == OUTPUT_SHA256[run]
+
+
+def _writer_cases():
+    big = 10 ** 4999 + 12345  # 5000 digits, past the default limit of 4300
+    labels = ["", "x", "\u00e9t\u00e9", "\u2212x\u2081", "\U0001d6fc", 'a "quoted" label',
+              "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f", "</script>"]
+    return [
+        {}, [], (), "", 0, -1, True, False, None, {"a": {}}, {"a": []}, [[]], [{}],
+        [[], {}, [[], [{}]]], {"": {"": []}},
+        {"labels": labels, **{label: label for label in labels}},
+        {"n": -12, "big": big, "neg": -big, "flags": [True, False, None]},
+        {"command": "lattice", "payload": {"flats": [
+            {"contains": [1, 2], "codim": 2, "kernel": [["1", "-2/3"], ["0", "5"]], "mu": 1},
+            {"contains": [], "codim": 0, "kernel": [], "mu": 1}]}, "certificates": []},
+        ("tuple", ("nested", 1), []),
+    ]
+
+
+def test_writer_matches_the_json_module():
+    # every document the CLI prints goes through _json: it must be the json
+    # module's own text at indent 2, on this Python's json
+    old = _get_int_digits()
+    _set_int_digits(0)
+    try:
+        for obj in _writer_cases():
+            assert _json(obj) == json.dumps(obj, indent=2), obj
+    finally:
+        _set_int_digits(old)
+
+
+@pytest.mark.parametrize("obj", [1.5, [0.0], {"a": {1, 2}}, {1: "x"}, {"a": {None: 1}},
+                                 Fraction(1, 2), b"bytes"])
+def test_writer_refuses_what_the_documents_never_hold(obj):
+    with pytest.raises(TypeError):
+        _json(obj)

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -180,9 +181,11 @@ def test_nongeneric_lattice_matches_brute_force():
         assert {X.contains: X.codim for X in L.flats} == brute
         _assert_covers_by_definition(L)
         mu = _moebius_by_definition(L.flats)
+        rows = primitive_rows(A)
         for X in L.flats:
             assert L.mu(X) == mu[X.contains]
             assert len(X.kernel) == A.dim - X.codim
+            assert X.kernel == tuple(kernel_basis([rows[i] for i in X.key()], A.dim))
             for k in X.kernel:
                 assert type(k) is tuple and all(type(a) is int for a in k)
                 assert gcd(*k) == 1 and next(a for a in k if a) > 0
@@ -191,6 +194,24 @@ def test_nongeneric_lattice_matches_brute_force():
                 assert vanishes == (i in X.contains)
             multiple_points += X.codim == 2 and len(X.contains) > 2
     assert multiple_points >= 10  # the draws are far from generic
+
+
+@pytest.mark.parametrize("name", ["generic(12,4)", "braid(6)", "cx2"])
+def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
+    # a line's row is derived from a plane's restriction, every other flat's
+    # kernel is a kernel basis: both must be the kernel basis of the flat's forms
+    A = {"generic(12,4)": lambda: catalog.generic(12, 4, 2024),
+         "braid(6)": lambda: catalog.braid(6), "cx2": catalog.x2_coned}[name]()
+    rows = primitive_rows(A)
+    L = build_lattice(A)
+    lines = L.flats_of_codim(A.dim - 1)
+    assert lines and all(len(X.kernel) == 1 for X in lines)
+    for X in L.flats:
+        assert X.kernel == tuple(kernel_basis([rows[i] for i in X.key()], A.dim))
+        zeros = {i for i, r in enumerate(rows)
+                 if all(sum(map(mul, r, k)) == 0 for k in X.kernel)}
+        assert zeros == X.contains
+    assert L.lower[-1] == tuple(range(len(L.flats) - 1 - len(lines), len(L.flats) - 1))
 
 
 def test_closed_sets_of_non_essential_family():
@@ -313,8 +334,14 @@ def _levels_with_a_foreign_cover(rows, dim):
     return levels, lower
 
 
+def _plane_row(K, u):
+    """The plane's first kernel row, in place of the line's."""
+    return K[0]
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("kernel_basis", _rotated_kernel, "disagrees with form"),
+    ("_line_kernel", _plane_row, "disagrees with form"),
     ("_levels", _levels_with_a_stray_flat, "has no lower cover"),
     ("_levels", _levels_with_the_bottom_as_a_cover, "is no lower cover"),
     ("_levels", _levels_with_a_foreign_cover, "is no lower cover"),

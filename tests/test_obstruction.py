@@ -74,7 +74,7 @@ def test_detect_braid8_exhaustively():
 def test_detect_the_moment_curve():
     # the forms (1, t, t^2, t^3), t = 1..30: every 4 of them are independent
     # (Vandermonde), so the one gap is at k = 3, at the origin
-    A = validate(Arrangement.from_forms(4, [[1, t, t * t, t ** 3] for t in range(1, 31)]))
+    A = catalog.moment(30, 4)
     rep = detect_obstruction(A, limit=30)
     assert rep.counts == {1: 2 ** 30, 2: 2 ** 30, 3: 2 ** 30, 4: 8180}
     assert [g.k for g in rep.gaps] == [3] and rep.kpi1_possible is False
