@@ -16,7 +16,7 @@ from operator import mul
 
 from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
                           essentialize, validate)
-from .consistency import conforming, is_globally_consistent, is_locally_consistent, sigma
+from .consistency import conforming, first_failing_flat, sigma
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
 from .lattice import build_lattice, closed_sets_of_forms
@@ -185,7 +185,8 @@ def generic_union(A: Arrangement, B: Arrangement,
         eps = _union_witness(A, gb_forms)
         if eps is None:
             continue
-        if is_locally_consistent(union, eps) and not is_globally_consistent(union, eps):
+        failure = first_failing_flat(union, eps)
+        if failure is not None and failure.flat.codim == dim:  # fails first at the top
             return union, eps
         failed_witness = True
     if failed_witness:

@@ -1,29 +1,29 @@
 """Consistency of half-space systems at flats and the Sigma filtration.
 
 Sigma_k holds the sign vectors whose chosen half-spaces are consistent at
-every flat of codimension at most k.  By Gordan's alternative, eps fails at X
-iff the rows of A_X, signed by eps, have a nonnegative dependency, and every
-dependency is a conformal sum of circuits (Rockafellar 1969, elementary
-vectors; Bjorner, Las Vergnas, Sturmfels, White and Ziegler, Oriented
-Matroids, 1999, ch. 3).  A circuit of size s spans a flat of codimension
-s - 1, so eps is in Sigma_k iff it agrees, up to global sign, with no signed
-circuit of size at most k + 1: iff its level, the size of the smallest
-circuit it matches minus 2, is at least k.  One depth-first sign assignment
-against the lattice's circuits labels each leaf with its level; no solver
-runs.  Each circuit's dependency is checked when it is built, and each
-circuit table by a count: at every dependent flat X below the top, the
-patterns on A_X that avoid its circuits number the chambers of A_X
-(Zaslavsky).
+every flat of codimension at most k.  Every tope is the composition of the
+cocircuits that conform to it (Bjorner, Las Vergnas, Sturmfels, White and
+Ziegler, Oriented Matroids, 1999, ch. 3-4).  So eps is consistent at a flat
+Y iff the cocircuits of A_Y that conform to eps are, together, nonzero on
+every form of Y; their sum is then a strict witness, checked by an exact
+integer sign test.  Otherwise, by Gordan's alternative, the rows of A_Y
+signed by eps have a nonnegative dependency, and every dependency is a
+conformal sum of circuits (Rockafellar 1969, elementary vectors; ibid.,
+ch. 3): eps matches a circuit inside A_Y, whose dependency, checked in
+integers, is Gordan's dual.
 
-Every tope is the composition of the cocircuits that conform to it (ibid.,
-ch. 3-4).  So eps is consistent at a flat Y iff the cocircuits of A_Y that
-conform to eps are, together, nonzero on every form of Y; their sum is then
-a strict witness, checked by an exact integer sign test.  Otherwise eps
-matches a circuit inside A_Y, whose dependency, checked in integers, is
-Gordan's dual.  And since the closed region of a prefix of signs is the
-cone of the lines of A that conform to it, Sigma_dim is the lattice's tope
-set (`Lattice.topes`): one search over those lines, checked by a witness per
-leaf and by A's chamber count, without the circuits that span the top.
+The same cocircuits give the topes of every localization
+(`Lattice.local_topes`): one search over the lines of A_Y, checked by a
+witness per leaf and by the chamber count of A_Y (Zaslavsky).  Sigma_dim is
+the tope set of A.  Below it, eps is in Sigma_k iff at every flat Y of
+codim at most k its signs on the forms of Y are a tope of A_Y, and only the
+connected flats need asking: when A_Y is the product of the localizations
+at two lower flats, consistency at those implies it at Y, and that happens
+exactly when Crapo's beta of Y is 0 (Crapo 1967).  One depth-first sign
+assignment labels each leaf with its level, the codim of the smallest
+connected flat where its signs are no local tope, minus 1; each prefix is
+checked at every form of such a flat against the prefixes of its local
+topes.  No solver runs, and the search builds no circuit.
 """
 
 from __future__ import annotations
@@ -84,12 +84,6 @@ def _matches(eps, circuit: Circuit) -> bool:
     """Whether eps takes the circuit's signs, up to global sign."""
     S, c = circuit
     return len({eps[i] * c_t > 0 for c_t, i in zip(c, S)}) == 1
-
-
-def _patterns(c) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two sign patterns that match the dependency c."""
-    pattern = tuple(1 if v > 0 else -1 for v in c)
-    return pattern, tuple(-s for s in pattern)
 
 
 def _matched_circuit(lat: Lattice, eps, X: Flat) -> Circuit | None:
@@ -173,34 +167,36 @@ def is_locally_consistent(A: Arrangement, eps: SignVector) -> bool:
     return _first_failure(lat, eps, lat.flats[:-1]) is None
 
 
-def _circuits_by_last(lat: Lattice, k: int, checked) -> dict[int, list[Circuit]]:
-    """The lattice's circuits of size 3..k+1 (k < dim), keyed by their
-    largest index, each list by size, checked by the local count at every
-    dependent flat whose codim is in `checked`."""
-    by_last: dict[int, list[Circuit]] = {}
-    for X in lat.flats:
-        if X.codim > k:
+def _local_tables(lat: Lattice, k: int) -> dict[int, list]:
+    """Per index i, for every connected flat Y of codim at most k (k < dim)
+    that holds form i, by codim: (codim Y - 1, the getter of the forms of Y
+    up to i, the prefixes there of the local topes of Y), left out where
+    those prefixes take every pattern (always at Y's first form, since the
+    topes come in opposite pairs)."""
+    tables: dict[int, list] = {}
+    for Y in lat.flats:
+        if Y.codim > k:
             break
-        for S, c in lat.circuits(X):
-            by_last.setdefault(S[-1], []).append((S, c))
-    for X in lat.flats:
-        if X.codim in checked and len(X.contains) > X.codim:
-            _check_local_count(lat, X, by_last)
-    return by_last
+        if len(Y.contains) > Y.codim and lat.beta(Y):
+            key, topes = Y.key(), [t.signs for t in lat.local_topes(Y)]
+            for j, i in enumerate(key, 1):
+                allowed = frozenset(t[:j] for t in topes)
+                if len(allowed) < 2 ** j:
+                    tables.setdefault(i, []).append((Y.codim - 1, itemgetter(*key[:j]), allowed))
+    return tables
 
 
 class _SigmaSearch:
     """Depth-first sign assignment over n positions, '+' first.  Each prefix
-    carries its level: the size of the smallest circuit whose pattern, or its
-    negation, it takes, minus 2, checked at the circuit's largest index, and
-    n + 1 (at least dim) while it takes none.  A branch dies when its level
-    drops below the floor."""
+    carries its level: the codim of the smallest connected flat where its
+    signs are no prefix of a local tope, minus 1, checked at every form of
+    the flat, and n + 1 (at least dim) while there is none.  A branch dies
+    when its level drops below the floor."""
 
-    def __init__(self, n: int, by_last: dict[int, list[Circuit]], floor: int):
+    def __init__(self, n: int, tables: dict[int, list], floor: int):
         self.n = n
         self.floor = floor
-        self.by_last = {i: [(len(S) - 2, itemgetter(*S), _patterns(c)) for S, c in entries]
-                        for i, entries in by_last.items()}
+        self.tables = tables
 
     def run(self) -> list[tuple[SignVector, int]]:
         out: list[tuple[SignVector, int]] = []
@@ -211,41 +207,23 @@ class _SigmaSearch:
         if len(signs) == self.n:
             out.append((SignVector(tuple(signs)), level))
             return
-        circuits = self.by_last.get(len(signs), ())
+        entries = self.tables.get(len(signs), ())
         for s in (1, -1):
             signs.append(s)
             lowered = level
-            for size, get, patterns in circuits:  # by size: stop at a match or at the level
-                if size >= level or get(signs) in patterns:
-                    lowered = min(size, level)
+            for to, get, allowed in entries:  # by codim: stop at a failure or at the level
+                if to >= level or get(signs) not in allowed:
+                    lowered = min(to, level)
                     break
             if lowered >= self.floor:
                 self._extend(signs, lowered, out)
             signs.pop()
 
 
-def _check_local_count(lat: Lattice, X: Flat, circuits: dict[int, list]) -> None:
-    """The sign patterns on A_X that avoid every circuit inside A_X must be
-    exactly the chambers of A_X, counted by Zaslavsky over the flats below X.
-    A missing circuit makes the count too large, unless other circuits
-    already forbid its patterns, and then it changes no Sigma_k."""
-    pos = {g: t for t, g in enumerate(X.key())}
-    local: dict[int, list] = {}
-    for entries in circuits.values():
-        for S, c in entries:
-            if X.contains.issuperset(S):
-                local.setdefault(pos[S[-1]], []).append((tuple(pos[i] for i in S), c))
-    count = len(_SigmaSearch(len(pos), local, X.codim).run())
-    expected = abs(lat.mu(X)) + sum(abs(lat.mu(Y)) for Y in lat.below(X))
-    if count != expected:
-        raise InternalError(f"{count} sign patterns avoid the circuits at flat "
-                            f"{sorted(X.contains)}, but Zaslavsky counts {expected} chambers")
-
-
 def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector, ...]:
     """The exact set Sigma_k, lexicographically ordered ('+' < '-'): the
-    topes for k = dim, and otherwise the sign vectors that match no circuit
-    of size at most k + 1."""
+    topes for k = dim, and otherwise the sign vectors whose signs on every
+    connected flat of codim at most k are a local tope there."""
     if not 1 <= k <= A.dim:
         raise ValueError(f"k must be in 1..{A.dim}")
     limit = DEFAULT_ENUM_LIMIT if limit is None else limit
@@ -255,8 +233,7 @@ def sigma(A: Arrangement, k: int, limit: int | None = None) -> tuple[SignVector,
     lat = build_lattice(A)
     if k == A.dim:
         return lat.topes()
-    by_last = _circuits_by_last(lat, k, range(2, k + 1))
-    return tuple(eps for eps, _ in _SigmaSearch(A.n, by_last, k).run())
+    return tuple(eps for eps, _ in _SigmaSearch(A.n, _local_tables(lat, k), k).run())
 
 
 @dataclass(frozen=True)
@@ -298,10 +275,11 @@ def sigma_filtration(A: Arrangement, limit: int | None = None,
     Explicit sorted sets are included when include_sets is true, or by
     default when n <= REPORT_SET_LIMIT.  Below the smallest codim d of a
     dependent flat every level holds all 2^n sign vectors.  Sigma_d comes
-    from the circuits of size at most d + 1; when it numbers the topes,
-    every higher level equals it.  Otherwise one search against the
-    circuits below the top labels every member of Sigma_d with its level,
-    and a leaf of level dim - 1 or more is at level dim iff it is a tope.
+    from the local topes of the connected flats of codim d; when it numbers
+    the topes, every higher level equals it.  Otherwise one search against
+    the local topes of every connected flat below the top labels every
+    member of Sigma_d with its level, and a leaf of level dim - 1 or more is
+    at level dim iff it is a tope.
     The witness of a drop at k is the first sign vector of level k (for
     k = d - 1, the first that Sigma_d skips), with its first failing flat.
     """
@@ -311,13 +289,13 @@ def sigma_filtration(A: Arrangement, limit: int | None = None,
     d = min((X.codim for X in lat.flats if len(X.contains) > X.codim), default=dim)
     leaves = [(eps, dim) for eps in topes]
     if d < dim:
-        low = _SigmaSearch(n, _circuits_by_last(lat, d, (d,)), d).run()
+        low = _SigmaSearch(n, _local_tables(lat, d), d).run()
         if len(low) == len(topes):  # stop at Zaslavsky
             if [eps for eps, _ in low] != list(topes):
                 raise InternalError(f"Sigma_{d} numbers the topes but differs from them")
         else:
             if d < dim - 1:
-                low = _SigmaSearch(n, _circuits_by_last(lat, dim - 1, range(d + 1, dim)), d).run()
+                low = _SigmaSearch(n, _local_tables(lat, dim - 1), d).run()
             tope_set = set(topes)
             leaves = [(eps, min(level, dim - 1 + (eps in tope_set))) for eps, level in low]
             if sum(level == dim for _, level in leaves) != len(topes):

@@ -23,10 +23,12 @@ enumeration elsewhere.
 
 Sign-vector questions are answered from three more tables of the lattice,
 each built on first use and kept on the `Lattice`: the signed cocircuits of
-each localization A_Y, the signed circuits that span each flat, and the
-topes of A, read from its lines (Bjorner, Las Vergnas, Sturmfels, White and
-Ziegler, *Oriented Matroids*, 1999, ch. 3-4).  `build_lattice` builds none
-of them.
+each localization A_Y, the topes of each A_Y, read from its lines by one
+checked search, and the signed circuits that span each flat, which serve
+only Gordan duals (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
+*Oriented Matroids*, 1999, ch. 3-4).  `build_lattice` builds none of them.
+Crapo's beta of a flat, from the Moebius values, tells whether A_Y is
+connected.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Lattice:
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
         self._scanned: set[frozenset[int]] = set()
-        self._topes: tuple[SignVector, ...] | None = None
+        self._topes: dict[frozenset[int], tuple[SignVector, ...]] = {}
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
@@ -174,24 +176,31 @@ class Lattice:
             yield S, c
 
     def topes(self) -> tuple[SignVector, ...]:
-        """The topes of A in lexicographic order ('+' < '-'), searched once
-        and kept: every chamber, wall and flow step is read from them."""
-        if self._topes is None:
-            self._topes = self._search_topes()
-        return self._topes
+        """The topes of A in lexicographic order ('+' < '-'): every chamber,
+        wall and flow step is read from them."""
+        return self.local_topes(self.top)
 
     @cached_property
     def tope_signs(self) -> frozenset[tuple[int, ...]]:
         """The sign tuples of `topes()`, for membership tests."""
         return frozenset(t.signs for t in self.topes())
 
-    def _search_topes(self) -> tuple[SignVector, ...]:
-        """A prefix extends with sign s at index i iff some line of A (a
-        cocircuit of the top) that conforms to it has sign s on form i.  The
-        leaves must number Zaslavsky's count, and the sum of each leaf's
-        conforming lines must pass the sign test."""
-        rows = primitive_rows(self.arrangement)
-        values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in self.cocircuits(self.top)]
+    def local_topes(self, Y: Flat) -> tuple[SignVector, ...]:
+        """The topes of the localization A_Y, over the forms of `Y.key()`, in
+        lexicographic order, searched once per flat and kept."""
+        topes = self._topes.get(Y.contains)
+        if topes is None:
+            topes = self._topes[Y.contains] = self._search_topes(Y)
+        return topes
+
+    def _search_topes(self, Y: Flat) -> tuple[SignVector, ...]:
+        """A prefix extends with sign s at a form of Y iff some line of A_Y
+        (a cocircuit of Y) that conforms to it has sign s on that form.  The
+        leaves must number Zaslavsky's count for A_Y, and the sum of each
+        leaf's conforming lines must pass the sign test."""
+        every = primitive_rows(self.arrangement)
+        rows = [every[i] for i in Y.key()]
+        values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in self.cocircuits(Y)]
         # per form, the bitmasks of the lines positive and negative on it
         pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
         neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
@@ -203,16 +212,26 @@ class Lattice:
             if i == len(rows):
                 at = map(sum, zip(*(values[t] for t in _bits(live))))
                 if min(map(mul, signs, at)) <= 0:
-                    raise InternalError(f"its conforming lines sum outside {SignVector(signs)}")
+                    raise InternalError(f"its conforming lines sum outside {SignVector(signs)} "
+                                        f"at flat {sorted(Y.contains)}")
                 out.append(SignVector(signs))
                 continue
             for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
                 if live & toward:
                     stack.append((signs + (s,), live & ~against))
-        if len(out) != chamber_count_oracle(self):
-            raise InternalError(f"the lines of A give {len(out)} topes, but Zaslavsky "
-                                f"counts {chamber_count_oracle(self)} chambers")
+        expected = (chamber_count_oracle(self) if Y.contains == self.top.contains else
+                    abs(self.mu(Y)) + sum(abs(self.mu(Z)) for Z in self.below(Y)))
+        if len(out) != expected:
+            raise InternalError(f"the lines of A_Y give {len(out)} topes at flat "
+                                f"{sorted(Y.contains)}, but Zaslavsky counts {expected} chambers")
         return tuple(out)
+
+    def beta(self, X: Flat) -> int:
+        """Crapo's beta invariant of A_X, (-1)^codim X times the sum of
+        mu(Z) * codim Z over the flats Z <= X: nonzero iff A_X is connected,
+        that is, no product of the localizations at two lower flats (Crapo
+        1967)."""
+        return (-1) ** X.codim * sum(self.mu(Z) * Z.codim for Z in self.below(X) + (X,))
 
     @property
     def bottom(self) -> Flat:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement, SignVector
 from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
-from .consistency import (GapWitness, global_consistency, is_locally_consistent,
+from .consistency import (GapWitness, first_failing_flat, is_locally_consistent,
                           sigma_filtration, witness_at)
 from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
                      WeightConditionViolated)
@@ -111,10 +111,10 @@ def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,
     reached by the deterministic flow from the lexicographically smallest
     chamber; default weights are 1/n each, so the rotation is |T|/n.
     """
-    res = global_consistency(A, eps)
-    if res.feasible:
+    failure = first_failing_flat(A, eps)  # at the top, its dual is the global one
+    if failure is None:
         raise GloballyConsistent(f"{eps} is globally consistent; its sphere bounds a disk")
-    if not is_locally_consistent(A, eps):
+    if failure.flat.codim < A.dim:
         raise NotLocallyConsistent(f"{eps} is not locally consistent")
     path = flow_to_sink(A, eps, lex_smallest_chamber(A))
     sink = path.sink
@@ -138,7 +138,7 @@ def certify_nontrivial_sphere(A: Arrangement, eps: SignVector,
             f"separating sum {t_sum} is an integer; 1 - lambda vanishes")
     if not 0 < rotation < 1:
         raise InternalError(f"rotation {rotation} lies outside (0, 1)")
-    return MonodromyCertificate(sink, T, weights, rotation, path, res.dual)
+    return MonodromyCertificate(sink, T, weights, rotation, path, failure.dual)
 
 
 def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,

@@ -170,9 +170,9 @@ def _counting(monkeypatch):
         counts["kernel"] += 1
         return solve(rows, dim)
 
-    def counted_search(lat):
+    def counted_search(lat, Y):
         counts["topes"] += 1
-        return search_topes(lat)
+        return search_topes(lat, Y)
 
     def counted_witness(*args):
         counts["witness"] += 1

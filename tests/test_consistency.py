@@ -1,6 +1,6 @@
-import contextlib
 import gc
 import random
+import re
 from functools import cache
 from math import comb
 from itertools import product
@@ -13,7 +13,7 @@ import hyparr._fmpure
 import oracles
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, validate
-from hyparr.consistency import (global_consistency, is_consistent_at,
+from hyparr.consistency import (first_failing_flat, global_consistency, is_consistent_at,
                                 is_globally_consistent, is_locally_consistent,
                                 sigma, sigma_filtration)
 from hyparr.errors import InternalError, TooLarge
@@ -247,77 +247,59 @@ def uncached_lattices():
 
 def _fresh_lattice(A):
     """A new lattice of A in `build_lattice`'s cache, built with the true
-    kernel, so its circuit table is still empty: the lattice builds each
-    flat's circuits once and keeps them."""
+    kernel, so its sign tables are still empty: the lattice builds each
+    flat's cocircuits, local topes and circuits once and keeps them."""
     build_lattice.cache_clear()
     return build_lattice(A)
 
 
-def _circuit_inputs(A):
-    """The kernel inputs that `sigma(A, dim - 1)` reads as circuits, in order:
-    every circuit below the top."""
-    found = []
-
-    def spy(rows, ncols):
-        K = kernel_basis(rows, ncols)
-        if len(K) == 1 and 0 not in K[0]:
-            found.append(tuple(map(tuple, rows)))
-        return K
-
-    _fresh_lattice(A)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "kernel_basis", spy)
-        sigma(A, A.dim - 1)
-    return found
-
-
-def _dropping(dropped):
-    """`kernel_basis` that returns two rows for one circuit's input."""
-    def lossy(rows, ncols):
-        K = kernel_basis(rows, ncols)
-        return K + K if tuple(map(tuple, rows)) == dropped else K
-    return lossy
+def _connected(lat):
+    """The connected flats below the top (dependent, beta nonzero), in order."""
+    return [Y for Y in lat.flats[:-1] if len(Y.contains) > Y.codim and lat.beta(Y)]
 
 
 @pytest.mark.usefixtures("uncached_lattices")
 @pytest.mark.parametrize("A", [catalog.braid(4), catalog.braid(5), catalog.x2_coned()],
                          ids=["braid4", "braid5", "cx2"])
-def test_a_dropped_circuit_is_caught_or_harmless(A):
-    # A circuit whose patterns other circuits already forbid (a 4-cycle of
-    # braid(4) holds a 3-cycle) changes no Sigma_k; any other must fail a count.
-    # Each lattice is built before the lossy kernel is in place.
-    exact = {k: sigma(A, k) for k in range(2, A.dim + 1)}
-    inputs = _circuit_inputs(A)
-    for dropped in inputs:
-        _fresh_lattice(A)
-        with pytest.MonkeyPatch.context() as mp, contextlib.suppress(InternalError):
-            mp.setattr(hyparr.lattice, "kernel_basis", _dropping(dropped))
-            for k, expected in exact.items():
-                assert sigma(A, k) == expected
-    # the first circuit built spans a codim-2 flat; its count catches the loss
-    _fresh_lattice(A)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "kernel_basis", _dropping(inputs[0]))
-        with pytest.raises(InternalError, match="avoid the circuits"):
-            sigma(A, A.dim - 1)
+def test_a_dropped_local_line_is_caught(A):
+    # every line of a connected localization A_Y is a ray of one of its
+    # chambers: without it, the search of Y misses a tope (its count) or sums
+    # a leaf's lines onto a wall (its sign test)
+    lat = _fresh_lattice(A)
+    connected = _connected(lat)
+    assert connected
+    for Y in connected:
+        table = lat.cocircuits(Y)
+        for t in range(0, len(table), 2):
+            lat = _fresh_lattice(A)
+            lat._cocircuits[Y.contains] = table[:t] + table[t + 2:]
+            with pytest.raises(InternalError, match=re.escape(f"at flat {sorted(Y.contains)}")
+                               + "(, but Zaslavsky|$)"):
+                sigma(A, A.dim - 1)
 
 
 @pytest.mark.usefixtures("uncached_lattices")
 def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
-    # the topes come from the lines, and every chamber, wall and flow step
-    # from the topes; a gap witness or a global dual that fails at the top
-    # scans that flat's subsets only up to its circuit (`first_circuit`)
+    # no Sigma_k search reads a circuit: the topes come from the lines, and
+    # every level below from the local topes; every chamber, wall and flow
+    # step comes from the topes; a gap witness or a global dual that fails at
+    # the top scans that flat's subsets only up to its circuit (`first_circuit`)
     from hyparr.chambers import (chamber_from_signs, enumerate_chambers, flow_to_sink,
                                  lex_smallest_chamber)
     from hyparr.errors import Infeasible
     from hyparr.obstruction import certify_nontrivial_sphere, detect_obstruction
 
-    asked = []
+    tables, scans = [], []
     circuits = hyparr.lattice.Lattice.circuits
+    spanning = hyparr.lattice.Lattice._spanning_circuits
 
-    def spy(lat, X):
-        asked.append(X.contains == lat.top.contains)
+    def table_spy(lat, X):
+        tables.append(X.contains == lat.top.contains)
         return circuits(lat, X)
+
+    def scan_spy(lat, X):
+        scans.append(X.contains)
+        return spanning(lat, X)
 
     def flow(A):
         start = lex_smallest_chamber(A)
@@ -329,17 +311,24 @@ def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
         with pytest.raises(Infeasible, match="is not a chamber"):
             chamber_from_signs(A, eps)
 
-    monkeypatch.setattr(hyparr.lattice.Lattice, "circuits", spy)
-    runs = (enumerate_chambers, lambda A: sigma(A, A.dim), sigma_filtration, detect_obstruction,
-            lex_smallest_chamber, flow, non_tope)
-    for A in (generic4, catalog.braid(4), cx2, Arrangement.from_forms(4, FAULT8_FORMS)):
+    monkeypatch.setattr(hyparr.lattice.Lattice, "circuits", table_spy)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_spanning_circuits", scan_spy)
+    arrangements = (generic4, catalog.braid(4), cx2, Arrangement.from_forms(4, FAULT8_FORMS))
+    for A in arrangements:
+        for k in range(1, A.dim + 1):
+            build_lattice.cache_clear()
+            sigma(A, k)
+    assert not tables and not scans
+    runs = (enumerate_chambers, sigma_filtration, detect_obstruction, lex_smallest_chamber,
+            flow, non_tope)
+    for A in arrangements:
         for run in runs:
             build_lattice.cache_clear()
             run(A)
     A, eps = catalog.generic_union(catalog.generic(5, 4, 5), catalog.generic(4, 4, 6), 7)
     build_lattice.cache_clear()
     assert certify_nontrivial_sphere(A, eps).dual
-    assert asked and not any(asked)
+    assert scans and not any(tables)
 
 
 @pytest.mark.usefixtures("uncached_lattices")
@@ -365,57 +354,104 @@ def test_a_false_dependency_is_caught(monkeypatch):
             return [(2 * K[0][0],) + K[0][1:]]
         return K
 
+    # the dual of a non-tope comes from a circuit at its first failing flat
     A = catalog.braid(4)
     _fresh_lattice(A)
+    topes = set(sigma(A, A.dim))
+    eps = next(e for e in map(SignVector, product((1, -1), repeat=A.n)) if e not in topes)
     monkeypatch.setattr(hyparr.lattice, "kernel_basis", skewed)
     with pytest.raises(InternalError, match="is not a dependency"):
-        sigma(A, 2)
+        global_consistency(A, eps)
+
+
+def _searched(monkeypatch):
+    """The closed sets of the flats whose topes the lattice searches, in order."""
+    searched = []
+    search_topes = hyparr.lattice.Lattice._search_topes
+
+    def spy(lat, Y):
+        searched.append(Y.contains)
+        return search_topes(lat, Y)
+
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", spy)
+    return searched
+
+
+_SEARCHED = [catalog.braid(5), Arrangement.from_forms(4, FAULT8_FORMS), catalog.x2_coned()]
 
 
 @pytest.mark.usefixtures("uncached_lattices")
-def test_each_flat_builds_its_circuits_once():
-    # sigma(A, k) alone builds no circuit above codim k, and sigma(A, dim)
-    # none at all; the filtration of braid(5) stops at Zaslavsky after
-    # Sigma_2, so it builds none either
-    A = catalog.braid(5)
+@pytest.mark.parametrize("A", _SEARCHED, ids=["braid5", "fault8", "cx2"])
+def test_each_flat_searches_its_topes_once(monkeypatch, A):
+    # sigma(A, k) for k < dim searches the connected flats of codim at most
+    # k, sigma(A, dim) the top, and every later question reads them
+    searched = _searched(monkeypatch)
     lat = _fresh_lattice(A)
-    sizes = []
+    for _ in range(2):
+        for k in range(1, A.dim + 1):
+            sigma(A, k)
+        sigma_filtration(A)
+    assert searched == [Y.contains for Y in _connected(lat)] + [lat.top.contains]
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_the_filtration_counts_each_flat_once(monkeypatch):
+    # braid(5) stops at Zaslavsky after Sigma_2, and so does cx2, whose
+    # Sigma_2 is the level below the top; fault8's Sigma_2 (192) exceeds its
+    # 116 topes, so every connected flat below the top is searched
+    searched = _searched(monkeypatch)
+    for A, top in zip(_SEARCHED, (2, 3, 2)):
+        lat = _fresh_lattice(A)
+        searched.clear()
+        sigma_filtration(A)
+        assert searched == [lat.top.contains] + [Y.contains for Y in _connected(lat)
+                                                 if Y.codim <= top]
+        assert len(searched) > 1
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+def test_no_search_reads_a_reducible_flat(monkeypatch):
+    # the ten codim-3 flats of braid(5) of type {3,2} hold four forms, so they
+    # are dependent, but each localization is braid(3) x braid(2), and beta
+    # is 0 there: sigma(A, 3) searches only the ten {3,1,1} flats of codim 2
+    # and the five {4,1} flats of codim 3
+    A = catalog.braid(5)
+    searched = _searched(monkeypatch)
+    lat = _fresh_lattice(A)
+    sigma(A, 3)
+    reducible = [X for X in lat.flats_of_codim(3) if len(X.contains) == 4]
+    assert len(reducible) == 10 and not any(map(lat.beta, reducible))
+    assert not {X.contains for X in reducible} & set(searched)
+    assert [len(lat.by_contains[c].contains) for c in searched] == [3] * 10 + [6] * 5
+
+
+@pytest.mark.usefixtures("uncached_lattices")
+@pytest.mark.parametrize("A", _SEARCHED, ids=["braid5", "fault8", "cx2"])
+def test_the_sigma_search_makes_no_kernel_call(A):
+    # with the lattice built, no Sigma_k builds a kernel basis, and the
+    # filtration builds only those that its gap witnesses' duals scan
+    calls = []
 
     def spy(rows, ncols):
-        sizes.append(ncols)
+        calls.append(tuple(map(tuple, rows)))
         return kernel_basis(rows, ncols)
 
-    def subsets(codims):
-        return sum(comb(len(X.contains), X.codim + 1) for X in lat.flats if X.codim in codims)
+    def counted(run):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyparr.lattice, "kernel_basis", spy)
+            result = run()
+        return result, list(calls)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "kernel_basis", spy)
-        sigma(A, 2)
-        assert len(sizes) == subsets({2}) and set(sizes) == {3}
-        sigma(A, 4)
-        sigma_filtration(A)
-        assert len(sizes) == subsets({2})
-        sigma(A, 3)
-    assert len(sizes) == subsets({2, 3}) and set(sizes) == {3, 4}
-
-
-def test_the_filtration_counts_each_flat_once(monkeypatch):
-    # braid(5) stops at Zaslavsky after Sigma_2; fault8's Sigma_2 (192)
-    # exceeds its 116 topes, so every dependent flat below the top is counted
-    checked = []
-
-    def spy(lat, X, circuits):
-        checked.append(X.contains)
-        return check(lat, X, circuits)
-
-    check = hyparr.consistency._check_local_count
-    monkeypatch.setattr(hyparr.consistency, "_check_local_count", spy)
-    for A, top in ((catalog.braid(5), 2), (Arrangement.from_forms(4, FAULT8_FORMS), 3)):
-        checked.clear()
-        sigma_filtration(A)
-        dependent = [X.contains for X in build_lattice(A).flats
-                     if 2 <= X.codim <= top and len(X.contains) > X.codim]
-        assert checked == dependent
+    _fresh_lattice(A)
+    assert counted(lambda: [sigma(A, k) for k in range(1, A.dim + 1)])[1] == []
+    _fresh_lattice(A)
+    filt, during = counted(lambda: sigma_filtration(A))
+    _fresh_lattice(A)
+    witnesses, duals = counted(lambda: [first_failing_flat(A, w.eps)
+                                        for _, w in sorted(filt.witnesses.items())])
+    assert witnesses == [w for _, w in sorted(filt.witnesses.items())]
+    assert during == duals
 
 
 @pytest.mark.usefixtures("uncached_lattices")

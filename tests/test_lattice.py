@@ -5,6 +5,7 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -212,6 +213,34 @@ def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
                  if all(sum(map(mul, r, k)) == 0 for k in X.kernel)}
         assert zeros == X.contains
     assert L.lower[-1] == tuple(range(len(L.flats) - 1 - len(lines), len(L.flats) - 1))
+
+
+@pytest.mark.parametrize("name", ["braid4", "braid5", "cx2", "fault8"])
+def test_beta_is_nonzero_exactly_at_the_connected_flats(name):
+    # Crapo: beta(X) != 0 iff the forms of X cannot be split into two
+    # nonempty parts whose ranks add up to codim X
+    from conftest import FAULT8_FORMS
+
+    A = {"braid4": lambda: catalog.braid(4), "braid5": lambda: catalog.braid(5),
+         "cx2": catalog.x2_coned,
+         "fault8": lambda: Arrangement.from_forms(4, FAULT8_FORMS)}[name]()
+    rows = primitive_rows(A)
+    L = build_lattice(A)
+
+    def splits(X):
+        first, *rest = X.key()
+        for r in range(len(rest)):
+            for T in combinations(rest, r):
+                other = [i for i in rest if i not in T]
+                if (rref_rank([rows[i] for i in (first, *T)], A.dim)
+                        + rref_rank([rows[i] for i in other], A.dim)) == X.codim:
+                    return True
+        return False
+
+    for X in L.flats[1:]:
+        assert L.beta(X) >= 0
+        assert (L.beta(X) != 0) == (not splits(X)), sorted(X.contains)
+    assert {L.beta(X) == 0 for X in L.flats[1:]} == {True, False}
 
 
 def test_closed_sets_of_non_essential_family():
