@@ -2,18 +2,22 @@
 
 A chamber is a globally consistent sign vector; its walls are the
 hyperplanes supporting a facet.  Every verdict behind a chamber or a wall
-comes from the lattice's checked tope set (`Lattice.topes`), with no solver,
-and every chamber's witness is checked in integers (Bjorner, Las Vergnas,
-Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4):
+comes from the lattice's checked tope set (`Lattice.tope_lines`), with no
+solver, and every chamber's witness is checked in integers (Bjorner, Las
+Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4):
 
 - Every tope is the composition of the cocircuits that conform to it, so
   the sum of those line directions is a strict interior point, and an
-  exact integer sign test checks it.  A sign vector is a chamber iff it is
-  in the tope set, which is checked by that test at every member and by
-  Zaslavsky's count.
+  exact integer sign test checks it.  The tope search keeps, for each
+  leaf, the lines that conform to it, and a chamber's witness is the sum
+  of those lines, with no scan of the cocircuit table.  A sign vector is a
+  chamber iff it is in the tope set, which is checked by that test at
+  every member and by Zaslavsky's count.
 - i is a wall of C iff C with sign i flipped is also a chamber (Avis and
   Fukuda's reverse search, 1996): every chamber, enumerated or built from
-  its signs, reads its walls from sign flips in the tope set.
+  its signs, reads its walls from sign flips in the tope set.  A sink is
+  told from its flips too, so `all_sinks` builds witnesses for the sinks
+  alone.
 
 A flow starts, unless told otherwise, at the first tope, the
 lexicographically smallest chamber, and crosses, at each step, the
@@ -27,10 +31,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+from . import consistency
 from .arrangement import Arrangement, SignVector, primitive_rows
-from .consistency import witness_at
 from .errors import Infeasible, InternalError
-from .lattice import Lattice, build_lattice
+from .lattice import Lattice, _bits, build_lattice
 from .linalg import RatVector, kernel_basis
 
 
@@ -67,7 +71,7 @@ def _hyperplane_basis(A: Arrangement) -> tuple[tuple[tuple[int, ...], ...], ...]
     return tuple(out)
 
 
-def _flips_in(topes: frozenset[tuple[int, ...]], signs: tuple[int, ...]) -> frozenset[int]:
+def _flips_in(topes, signs: tuple[int, ...]) -> frozenset[int]:
     """The i for which signs with sign i flipped is in the tope set."""
     return frozenset(i for i in range(len(signs))
                      if signs[:i] + (-signs[i],) + signs[i + 1:] in topes)
@@ -76,7 +80,8 @@ def _flips_in(topes: frozenset[tuple[int, ...]], signs: tuple[int, ...]) -> froz
 @lru_cache(maxsize=65536)
 def _wall_set(A: Arrangement, signs: tuple[int, ...]) -> frozenset[int]:
     """The flips of signs that lie in the lattice's tope set."""
-    return _flips_in(build_lattice(A).tope_signs, signs)
+    lat = build_lattice(A)
+    return _flips_in(lat.tope_lines(lat.top), signs)
 
 
 def walls(A: Arrangement, chamber_or_signs) -> frozenset[int]:
@@ -97,18 +102,28 @@ def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
     """Build the chamber with the given signs; Infeasible when they are no
     tope, so that the chamber is empty."""
     lat = build_lattice(A)
-    if eps.signs not in lat.tope_signs:
+    if eps.signs not in lat.tope_lines(lat.top):
         raise Infeasible(f"{eps} is not a chamber")
     return _chamber(lat, eps)
 
 
 def _chamber(lat: Lattice, eps: SignVector) -> Chamber:
-    """The chamber of a tope, with its checked witness at the top and its
-    walls read from sign flips in the tope set."""
-    w = witness_at(lat, eps, lat.top)
-    if w is None:
+    """The chamber of a tope, with its walls read from sign flips in the
+    tope set.  Its witness sums the lines that the tope search kept for it
+    and that the cocircuit table signs like eps, as `witness_at` does over
+    the whole table: the search keeps exactly those lines, so no scan is
+    needed.  The sum must pass the integer sign test."""
+    topes = lat.tope_lines(lat.top)
+    live = topes.get(eps.signs)
+    if live is None:
         raise InternalError(f"the topes hold {eps}, which is not a chamber")
-    return Chamber(eps, RatVector.of(w), _flips_in(lat.tope_signs, eps.signs))
+    plus = sum(1 << i for i, s in enumerate(eps.signs) if s > 0)
+    lines = lat.cocircuits(lat.top)
+    kept = [v for v, pos, neg in map(lines.__getitem__, _bits(live))
+            if not (pos & ~plus or neg & plus)]
+    w = list(map(sum, zip(*kept)))
+    consistency._check_witness(primitive_rows(lat.arrangement), eps, lat.top.contains, w)
+    return Chamber(eps, RatVector.of(w), _flips_in(topes, eps.signs))
 
 
 def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chamber, ...]:
@@ -116,22 +131,20 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
     S = Sigma_dim, and `sigma` checks |S| against Zaslavsky's count.  The
     witness of a member T is the integer sum of the cocircuits conforming to
-    T: the closed chamber of an essential arrangement is a pointed cone
-    spanned by its extreme rays, each of them such a cocircuit, and every
-    other conforming one lies in the closed cone, so the sum is interior.
-    Each witness passes an exact integer sign test (a member whose sum
-    fails it, so one that is not a chamber, raises InternalError), hence S
-    is exactly the chamber set.  The walls of each chamber are read from
-    sign flips in S: if C and C with sign i flipped have witnesses x and y,
-    every point of the segment [x, y] has the strict sign of both ends on
-    each H_j with j != i, so the point where the segment crosses H_i lies
-    in the relative interior of a facet of C: i is a wall.  Conversely,
-    crossing a facet on H_i leads into the chamber with sign i flipped,
-    which is then in S.
+    T, the lines that the tope search kept for T's leaf: the closed chamber
+    of an essential arrangement is a pointed cone spanned by its extreme
+    rays, each of them such a cocircuit, and every other conforming one lies
+    in the closed cone, so the sum is interior.  Each witness passes an
+    exact integer sign test (a member whose sum fails it, so one that is not
+    a chamber, raises InternalError), hence S is exactly the chamber set.
+    The walls of each chamber are read from sign flips in S: if C and C with
+    sign i flipped have witnesses x and y, every point of the segment [x, y]
+    has the strict sign of both ends on each H_j with j != i, so the point
+    where the segment crosses H_i lies in the relative interior of a facet
+    of C: i is a wall.  Conversely, crossing a facet on H_i leads into the
+    chamber with sign i flipped, which is then in S.
     """
-    from .consistency import sigma
-
-    S = sigma(A, A.dim, limit=limit)
+    S = consistency.sigma(A, A.dim, limit=limit)
     lat = build_lattice(A)
     return tuple(_chamber(lat, sv) for sv in S)
 
@@ -168,9 +181,17 @@ def flow_to_sink(A: Arrangement, eps: SignVector, start: Chamber) -> FlowPath:
 
 
 def all_sinks(A: Arrangement, eps: SignVector, limit: int | None = None) -> tuple[Chamber, ...]:
-    """Every chamber that is a sink for the given system; always nonempty."""
-    sinks = tuple(C for C in enumerate_chambers(A, limit=limit)
-                  if is_sink(A, eps, C))
+    """Every chamber that is a sink for the given system, in lexicographic
+    sign order; always nonempty.  A tope is a sink iff no flip of a sign
+    where it disagrees with eps is a tope (every such flip would be a wall
+    on the wrong side), so the walls come from flips in the tope set and
+    only the sinks are built as chambers, each with its checked witness."""
+    S = consistency.sigma(A, A.dim, limit=limit)
+    lat = build_lattice(A)
+    topes = lat.tope_lines(lat.top)
+    sinks = tuple(_chamber(lat, T) for T in S
+                  if not any(T.signs[:i] + (-t,) + T.signs[i + 1:] in topes
+                             for i, (t, e) in enumerate(zip(T.signs, eps.signs)) if t != e))
     if not sinks:
         raise InternalError(f"no chamber is a sink for {eps}")
     return sinks

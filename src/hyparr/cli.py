@@ -13,6 +13,12 @@ writer, `_json`, which returns the same text as the json module's encoder at
 an indent of 2, without the pure-Python loop that the encoder falls back on
 whenever it indents.  Exit codes: 0 success, 1 domain error or failed
 internal check (structured JSON on stdout), 2 usage error.
+
+Each call builds one subparser, that of the command it names, from the one
+table of commands, `_COMMANDS`; a call that names none (no arguments, `-h`,
+an unknown command) gets the parser of every command.  Help texts and usage
+errors are the same either way.  An input file is read once: its digest is
+that of the bytes parsed.
 """
 
 from __future__ import annotations
@@ -36,11 +42,6 @@ from .lattice import build_lattice, chamber_count_oracle, characteristic_polynom
 from .obstruction import certify_nontrivial_sphere, detect_obstruction, sample_sphere_points
 
 DEFAULT_SEED = 2024
-
-
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 # Python limits printing an int to 4300 digits by default (absent before
@@ -141,22 +142,31 @@ def _emit(command: str, digest: str, payload: dict, certs: _Certs) -> None:
     _print(doc)
 
 
-def _read_object(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except RecursionError:
-            raise ValueError("input nests JSON arrays or objects too deeply") from None
+def _read_object(path: str) -> tuple[dict, bytes]:
+    """The JSON object in the file and the bytes it was parsed from, read
+    once.  They are decoded as UTF-8 with universal newlines, as a read in
+    text mode would decode them, so that error positions are the same."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("input nests JSON arrays or objects too deeply") from None
     if not isinstance(obj, dict):
         raise HyparrError(f"input holds a JSON {type(obj).__name__}, not an object")
-    return obj
+    return obj, data
 
 
 def _load(path: str) -> tuple[Arrangement, str]:
-    obj = _read_object(path)
+    """The arrangement in the file and the sha256 of the bytes it was
+    parsed from."""
+    obj, data = _read_object(path)
     if "constants" in obj:
         raise HyparrError("input is an affine arrangement; run `cone` first")
-    return validate(arrangement_from_obj(obj)), _digest_file(path)
+    return validate(arrangement_from_obj(obj)), "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _signs(A: Arrangement, text: str, name: str) -> SignVector:
@@ -350,7 +360,7 @@ def _cmd_builtin(args) -> None:
 
 
 def _cmd_cone(args) -> None:
-    obj = _read_object(args.file)
+    obj, _ = _read_object(args.file)
     if "constants" not in obj:
         raise HyparrError("cone expects an affine arrangement (with constants)")
     B = affine_from_obj(obj)
@@ -358,64 +368,57 @@ def _cmd_cone(args) -> None:
     _print(arrangement_to_obj(A))
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FILE = (("file",), {})
+_LIMIT = (("--limit",), {"type": int, "default": DEFAULT_ENUM_LIMIT})
+_EPS = (("--eps",), {"required": True})
+_SEED = (("--seed",), {"type": int, "default": DEFAULT_SEED})
+
+# name -> (handler, help, arguments as (names, options) for add_argument)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check central/essential invariants", [_FILE]),
+    "lattice": (_cmd_lattice, "intersection lattice with Moebius data", [_FILE]),
+    "chambers": (_cmd_chambers, "enumerate chambers with walls", [_FILE, _LIMIT]),
+    "sigma": (_cmd_sigma, "Sigma filtration counts and witnesses", [
+        _FILE,
+        (("--k",), {"type": int, "default": None}),
+        (("--full-sets",), {"action": "store_true"}),
+        _LIMIT]),
+    "obstruct": (_cmd_obstruct, "detect non-vanishing homotopy groups", [_FILE, _LIMIT]),
+    "sink": (_cmd_sink, "flow from a chamber to a sink", [
+        _FILE, _EPS, (("--start",), {"default": None}), _LIMIT]),
+    "certify": (_cmd_certify, "monodromy certificate for a witness", [
+        _FILE, _EPS,
+        (("--weights",), {"default": None,
+                          "help": "comma-separated rationals, e.g. 1/4,1/4,1/4,1/4"})]),
+    "sphere": (_cmd_sphere, "sample the shifted sphere point-wise", [
+        _FILE, _EPS, (("--count",), {"type": int, "required": True}), _SEED]),
+    "builtin": (_cmd_builtin, "emit a catalog arrangement as JSON", [
+        (("name",), {}),
+        (("--n",), {"type": int, "default": None}),
+        (("--l",), {"type": int, "default": None}),
+        _SEED]),
+    "cone": (_cmd_cone, "cone an affine arrangement", [_FILE]),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser for argv: with only the subparser of its command when
+    argv starts with one, else with all of them.  The usage line names every
+    command either way, so each help text and usage error is the same."""
     p = argparse.ArgumentParser(
         prog="hyparr",
         description="Exact half-space consistency, chamber flows, and "
                     "homotopy obstruction certificates for central arrangements.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    # with one command, its usage line still lists them all, as argparse does
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        fn, help_, arguments = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
-        return sp
-
-    sp = add("validate", _cmd_validate, "check central/essential invariants")
-    sp.add_argument("file")
-
-    sp = add("lattice", _cmd_lattice, "intersection lattice with Moebius data")
-    sp.add_argument("file")
-
-    sp = add("chambers", _cmd_chambers, "enumerate chambers with walls")
-    sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-
-    sp = add("sigma", _cmd_sigma, "Sigma filtration counts and witnesses")
-    sp.add_argument("file")
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--full-sets", action="store_true")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-
-    sp = add("obstruct", _cmd_obstruct, "detect non-vanishing homotopy groups")
-    sp.add_argument("file")
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-
-    sp = add("sink", _cmd_sink, "flow from a chamber to a sink")
-    sp.add_argument("file")
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--start", default=None)
-    sp.add_argument("--limit", type=int, default=DEFAULT_ENUM_LIMIT)
-
-    sp = add("certify", _cmd_certify, "monodromy certificate for a witness")
-    sp.add_argument("file")
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--weights", default=None,
-                    help="comma-separated rationals, e.g. 1/4,1/4,1/4,1/4")
-
-    sp = add("sphere", _cmd_sphere, "sample the shifted sphere point-wise")
-    sp.add_argument("file")
-    sp.add_argument("--eps", required=True)
-    sp.add_argument("--count", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    sp = add("builtin", _cmd_builtin, "emit a catalog arrangement as JSON")
-    sp.add_argument("name")
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--l", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-
-    sp = add("cone", _cmd_cone, "cone an affine arrangement")
-    sp.add_argument("file")
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
     return p
 
 
@@ -432,8 +435,8 @@ def _join_sign_values(argv) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_sign_values(argv))
+    argv = _join_sign_values(sys.argv[1:] if argv is None else argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         args.fn(args)
     except (HyparrError, ValueError, OSError, json.JSONDecodeError) as exc:

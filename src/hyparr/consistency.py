@@ -13,7 +13,7 @@ ch. 3): eps matches a circuit inside A_Y, whose dependency, checked in
 integers, is Gordan's dual.
 
 The same cocircuits give the topes of every localization
-(`Lattice.local_topes`): one search over the lines of A_Y, checked by a
+(`Lattice.tope_lines`): one search over the lines of A_Y, checked by a
 witness per leaf and by the chamber count of A_Y (Zaslavsky).  Sigma_dim is
 the tope set of A.  Below it, eps is in Sigma_k iff at every flat Y of
 codim at most k its signs on the forms of Y are a tope of A_Y, and only the
@@ -178,7 +178,7 @@ def _local_tables(lat: Lattice, k: int) -> dict[int, list]:
         if Y.codim > k:
             break
         if len(Y.contains) > Y.codim and lat.beta(Y):
-            key, topes = Y.key(), [t.signs for t in lat.local_topes(Y)]
+            key, topes = Y.key(), lat.tope_lines(Y)
             for j, i in enumerate(key, 1):
                 allowed = frozenset(t[:j] for t in topes)
                 if len(allowed) < 2 ** j:

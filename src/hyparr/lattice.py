@@ -24,17 +24,17 @@ enumeration elsewhere.
 Sign-vector questions are answered from three more tables of the lattice,
 each built on first use and kept on the `Lattice`: the signed cocircuits of
 each localization A_Y, the topes of each A_Y, read from its lines by one
-checked search, and the signed circuits that span each flat, which serve
-only Gordan duals (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
-*Oriented Matroids*, 1999, ch. 3-4).  `build_lattice` builds none of them.
-Crapo's beta of a flat, from the Moebius values, tells whether A_Y is
-connected.
+checked search that keeps each tope's conforming lines, and the signed
+circuits that span each flat, which serve only Gordan duals (Bjorner, Las
+Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4).
+`build_lattice` builds none of them.  Crapo's beta of a flat, from the
+Moebius values, tells whether A_Y is connected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -94,7 +94,8 @@ class Lattice:
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
         self._scanned: set[frozenset[int]] = set()
-        self._topes: dict[frozenset[int], tuple[SignVector, ...]] = {}
+        self._tope_lines: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
+        self._topes: tuple[SignVector, ...] | None = None
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
@@ -178,22 +179,20 @@ class Lattice:
     def topes(self) -> tuple[SignVector, ...]:
         """The topes of A in lexicographic order ('+' < '-'): every chamber,
         wall and flow step is read from them."""
-        return self.local_topes(self.top)
+        if self._topes is None:
+            self._topes = tuple(map(SignVector, self.tope_lines(self.top)))
+        return self._topes
 
-    @cached_property
-    def tope_signs(self) -> frozenset[tuple[int, ...]]:
-        """The sign tuples of `topes()`, for membership tests."""
-        return frozenset(t.signs for t in self.topes())
+    def tope_lines(self, Y: Flat) -> dict[tuple[int, ...], int]:
+        """The topes of A_Y, from their signs over the forms of `Y.key()`, in
+        lexicographic order, to the bitmask of their conforming lines, indexed
+        into `cocircuits(Y)`: searched once per flat and kept."""
+        table = self._tope_lines.get(Y.contains)
+        if table is None:
+            table = self._tope_lines[Y.contains] = self._search_topes(Y)
+        return table
 
-    def local_topes(self, Y: Flat) -> tuple[SignVector, ...]:
-        """The topes of the localization A_Y, over the forms of `Y.key()`, in
-        lexicographic order, searched once per flat and kept."""
-        topes = self._topes.get(Y.contains)
-        if topes is None:
-            topes = self._topes[Y.contains] = self._search_topes(Y)
-        return topes
-
-    def _search_topes(self, Y: Flat) -> tuple[SignVector, ...]:
+    def _search_topes(self, Y: Flat) -> dict[tuple[int, ...], int]:
         """A prefix extends with sign s at a form of Y iff some line of A_Y
         (a cocircuit of Y) that conforms to it has sign s on that form.  The
         leaves must number Zaslavsky's count for A_Y, and the sum of each
@@ -204,7 +203,7 @@ class Lattice:
         # per form, the bitmasks of the lines positive and negative on it
         pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
         neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
-        out: list[SignVector] = []
+        out: dict[tuple[int, ...], int] = {}
         stack = [((), (1 << len(values)) - 1)]  # (prefix, its conforming lines)
         while stack:
             signs, live = stack.pop()
@@ -214,7 +213,7 @@ class Lattice:
                 if min(map(mul, signs, at)) <= 0:
                     raise InternalError(f"its conforming lines sum outside {SignVector(signs)} "
                                         f"at flat {sorted(Y.contains)}")
-                out.append(SignVector(signs))
+                out[signs] = live
                 continue
             for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
                 if live & toward:
@@ -224,7 +223,7 @@ class Lattice:
         if len(out) != expected:
             raise InternalError(f"the lines of A_Y give {len(out)} topes at flat "
                                 f"{sorted(Y.contains)}, but Zaslavsky counts {expected} chambers")
-        return tuple(out)
+        return out
 
     def beta(self, X: Flat) -> int:
         """Crapo's beta invariant of A_X, (-1)^codim X times the sum of

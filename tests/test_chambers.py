@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -14,7 +15,7 @@ from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj, sign
 from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate_chambers,
                              flow_to_sink, is_sink, lex_smallest_chamber, walls)
 from hyparr.cli import main
-from hyparr.consistency import is_globally_consistent
+from hyparr.consistency import is_globally_consistent, witness_at
 from hyparr.errors import InternalError
 from hyparr.lattice import build_lattice, chamber_count_oracle
 from hyparr.obstruction import certify_nontrivial_sphere
@@ -159,11 +160,13 @@ def test_sink_property_random():
 
 
 def _counting(monkeypatch):
-    """Count kernel calls, tope searches and the integer checks of witnesses
+    """Count kernel calls, tope searches, scans of a cocircuit table for the
+    lines conforming to a sign vector, and the integer checks of witnesses
     and duals."""
-    counts = {"kernel": 0, "topes": 0, "witness": 0, "dual": 0}
+    counts = {"kernel": 0, "topes": 0, "scan": 0, "witness": 0, "dual": 0}
     solve = hyparr._fmpure.solve
     search_topes = hyparr.lattice.Lattice._search_topes
+    conforming = hyparr.consistency.conforming
     check_witness, check_dual = hyparr.consistency._check_witness, hyparr.consistency._check_dual
 
     def counted_solve(rows, dim):
@@ -173,6 +176,10 @@ def _counting(monkeypatch):
     def counted_search(lat, Y):
         counts["topes"] += 1
         return search_topes(lat, Y)
+
+    def counted_scan(*args):
+        counts["scan"] += 1
+        return conforming(*args)
 
     def counted_witness(*args):
         counts["witness"] += 1
@@ -184,6 +191,7 @@ def _counting(monkeypatch):
 
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
     monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", counted_search)
+    monkeypatch.setattr(hyparr.consistency, "conforming", counted_scan)
     monkeypatch.setattr(hyparr.consistency, "_check_witness", counted_witness)
     monkeypatch.setattr(hyparr.consistency, "_check_dual", counted_dual)
     return counts
@@ -198,7 +206,9 @@ def _taken(counts):
 
 def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
     # one checked tope search per lattice decides every chamber and wall, each
-    # chamber's witness is checked, and the only circuit is certify's global dual
+    # chamber's witness sums the lines the search kept for it, with no scan of
+    # the cocircuit table, and is checked, and the only circuit is certify's
+    # global dual
     A, eps = _union(5, 3, 3, 21)
     build_lattice.cache_clear()
     assert all(len(X.contains) == X.codim for X in build_lattice(A).flats[:-1])
@@ -206,21 +216,27 @@ def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
     counts = _counting(monkeypatch)
     start = lex_smallest_chamber(A)
     assert start.signs.signs.count(-1) > 0
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "witness": 1, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "scan": 0, "witness": 1, "dual": 0}
     far = chamber_from_signs(A, -start.signs)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": 1, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": 1, "dual": 0}
     path = flow_to_sink(A, eps, far)
     assert len(path.chambers) > 2
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(path.chambers) - 1,
-                              "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0,
+                              "witness": len(path.chambers) - 1, "dual": 0}
     chambers = enumerate_chambers(A)
     assert chambers[0] == start and far in chambers
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(chambers), "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": len(chambers),
+                              "dual": 0}
+    sinks = all_sinks(A, eps)
+    assert path.sink in sinks and len(sinks) < len(chambers)
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": len(sinks),
+                              "dual": 0}
     cert = certify_nontrivial_sphere(A, eps)
-    # the global dual, then the chambers of the flow from the lex-smallest one
+    # the global dual, found by one scan at the top (every proper flat is
+    # independent), then the chambers of the flow from the lex-smallest one
     assert cert.path.chambers[0] == start
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "witness": len(cert.path.chambers),
-                              "dual": 1}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 1,
+                              "witness": len(cert.path.chambers), "dual": 1}
 
 
 def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
@@ -228,11 +244,12 @@ def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
     C = lex_smallest_chamber(generic4)
-    # one tope search, and ++++ is witnessed; its walls 1, 2, 3 are flips in the topes
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "witness": 1, "dual": 0}
+    # one tope search, and ++++ is witnessed by the lines the search kept for
+    # it; its walls 1, 2, 3 are flips in the topes
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "scan": 0, "witness": 1, "dual": 0}
     assert C.walls == frozenset({0, 1, 2})
     assert C == enumerate_chambers(generic4)[0] == chamber_from_signs(generic4, sv("++++"))
-    assert _taken(counts)["topes"] == 0
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": 15, "dual": 0}
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):
@@ -296,5 +313,37 @@ def test_a_bogus_chamber_is_caught(monkeypatch, generic4):
         return sigma(A, k, limit=limit) + (bogus[0],)
 
     monkeypatch.setattr(hyparr.consistency, "sigma", padded)
-    with pytest.raises(InternalError):
+    message = f"the topes hold {bogus[0]}, which is not a chamber"
+    with pytest.raises(InternalError, match=re.escape(message)):
         enumerate_chambers(generic4)
+
+
+def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, cx2):
+    # each witness is the sum that witness_at finds by a scan, and all_sinks
+    # builds, with a checked witness, exactly the sinks among the chambers
+    rng = random.Random(71)
+    inputs = [braid4, generic4, cx2, Arrangement.from_forms(4, FAULT8_FORMS)]
+    while len(inputs) < 64:
+        d = rng.randint(2, 5)
+        bound = rng.choice((1, 2, 3) if d > 2 else (2, 3))
+        inputs.append(random_arrangement(rng, dim=d, n=rng.randint(d, d + 4), bound=bound))
+    checked = []
+    check_witness = hyparr.consistency._check_witness
+
+    def counted(*args):
+        checked.append(args)
+        return check_witness(*args)
+
+    monkeypatch.setattr(hyparr.consistency, "_check_witness", counted)
+    for A in inputs:
+        lat = build_lattice(A)
+        chambers = enumerate_chambers(A)
+        for C in chambers:
+            assert list(C.witness) == witness_at(lat, C.signs, lat.top)
+            assert sign_vector_of_point(A, C.witness) == C.signs
+        for _ in range(4):
+            eps = random_sign_vector(rng, A.n)
+            checked.clear()
+            sinks = all_sinks(A, eps)
+            assert len(checked) == len(sinks)
+            assert list(sinks) == [C for C in chambers if is_sink(A, eps, C)]

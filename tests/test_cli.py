@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -285,6 +286,103 @@ def test_usage_error_exit_2():
     r = subprocess.run([sys.executable, "-m", "hyparr.cli", "frobnicate"],
                        capture_output=True, text=True)
     assert r.returncode == 2
+
+
+def _main_output(argv, build=None):
+    """main's exit code, stdout and stderr for argv; build replaces the
+    parser builder, and a usage error's SystemExit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    real = hyparr.cli.build_parser
+    if build is not None:
+        hyparr.cli.build_parser = build
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        hyparr.cli.build_parser = real
+    return code, out.getvalue(), err.getvalue()
+
+
+def _parser_cases(name):
+    """Help texts and usage errors: of the parser as a whole when name is
+    None, else of the command."""
+    if name is None:
+        return [[], ["-h"], ["--help"], ["nope"], ["-x"], ["--", "lattice"]]
+    # help, no file, an unknown option, stray arguments, a bad number
+    cases = [[name], [name, "-h"], [name, "--bogus"], [name, "in.json", "stray", "more"],
+             [name, "in.json", "--limit", "x"]]
+    if name in ("sink", "certify", "sphere"):
+        cases += [[name, "in.json"], [name, "in.json", "--eps"]]
+    return cases
+
+
+@pytest.mark.parametrize("name", [None, *hyparr.cli._COMMANDS])
+def test_one_subparser_prints_what_the_full_parser_prints(name, tmp_path, monkeypatch):
+    # every case is a help text or a usage error, so no file is read
+    monkeypatch.chdir(tmp_path)
+    build = hyparr.cli.build_parser
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, command, **kwargs):
+        added.append(command)
+        return add_parser(self, command, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    for argv in _parser_cases(name):
+        full = _main_output(argv, build=lambda argv=(): build())
+        added.clear()
+        assert _main_output(argv) == full, argv
+        assert full[0] in (0, 2), argv
+        assert added == (argv[:1] if name else list(hyparr.cli._COMMANDS)), argv
+
+
+def test_the_digest_is_of_the_bytes_parsed(tmp_path, capsys, monkeypatch):
+    # the file is replaced right after it is opened: the document describes
+    # the bytes that were read, and its digest is theirs
+    path = tmp_path / "in.json"
+    first = (json.dumps(GENERIC4, indent=2) + "\n").encode()
+    path.write_bytes(first)
+    opened = []
+
+    def replacing_open(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        opened.append(file)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(arrangement_to_obj(catalog.boolean(2))))
+        os.replace(other, path)
+        return fh
+
+    monkeypatch.setattr(hyparr.cli, "open", replacing_open, raising=False)
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 0 and opened == [str(path)]
+    doc = json.loads(out)
+    assert doc["input_digest"] == "sha256:" + hashlib.sha256(first).hexdigest()
+    assert doc["payload"]["n"] == 4
+
+
+@pytest.mark.parametrize("data, error", [
+    (b"{\r\n  \"dim\": 2,\r\n  oops\r\n}",
+     ("JSONDecodeError", "Expecting property name enclosed in double quotes: "
+                         "line 3 column 3 (char 16)")),
+    (b"{\"dim\": 2, \"x\": \"\xff\"}",
+     ("UnicodeDecodeError", "'utf-8' codec can't decode byte 0xff in position 17: "
+                            "invalid start byte")),
+    (b"[" * 100000, ("ValueError", "input nests JSON arrays or objects too deeply")),
+    (None, ("FileNotFoundError", "[Errno 2] No such file or directory: 'in.json'")),
+])
+def test_unreadable_input_error_documents(tmp_path, capsys, monkeypatch, data, error):
+    # positions count a CRLF as one character, as a read in text mode does
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / "in.json").write_bytes(data)
+    code, out = run_cli(capsys, "lattice", "in.json")
+    assert code == 1
+    assert out == _json({"command": "lattice",
+                         "error": {"type": error[0], "message": error[1]}}) + "\n"
 
 
 class RawText:
