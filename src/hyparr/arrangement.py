@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import isfinite
+from operator import neg
 
 from .errors import DuplicateHyperplane, InternalError, NotEssential, OnHyperplane, ZeroForm
 from .linalg import (RatVector, canonical_int_vector, coordinates, primitive_int_vector,
@@ -41,7 +42,7 @@ class SignVector:
         return "".join("+" if s > 0 else "-" for s in self.signs)
 
     def __neg__(self) -> "SignVector":
-        return SignVector(tuple(-s for s in self.signs))
+        return SignVector(tuple(map(neg, self.signs)))
 
     def __len__(self) -> int:
         return len(self.signs)

@@ -13,8 +13,10 @@ ch. 3): eps matches a circuit inside A_Y, whose dependency, checked in
 integers, is Gordan's dual.
 
 The same cocircuits give the topes of every localization
-(`Lattice.tope_lines`): one search over the lines of A_Y, checked by a
-witness per leaf and by the chamber count of A_Y (Zaslavsky).  Sigma_dim is
+(`Lattice.tope_lines`): one search over the signs that the table stores for
+the lines of A_Y, walked for the topes that are '+' on Y's first form and
+mirrored for the rest, checked by a witness per leaf, the sum of its lines'
+directions, and by the chamber count of A_Y (Zaslavsky).  Sigma_dim is
 the tope set of A.  Below it, eps is in Sigma_k iff at every flat Y of
 codim at most k its signs on the forms of Y are a tope of A_Y, and only the
 connected flats need asking: when A_Y is the product of the localizations
@@ -23,7 +25,9 @@ exactly when Crapo's beta of Y is 0 (Crapo 1967).  One depth-first sign
 assignment labels each leaf with its level, the codim of the smallest
 connected flat where its signs are no local tope, minus 1; each prefix is
 checked at every form of such a flat against the prefixes of its local
-topes.  No solver runs, and the search builds no circuit.
+topes.  The local tope sets are closed under negation, so -eps has the
+level of eps, and the search walks only the sign vectors that start with
+'+'.  No solver runs, and the search builds no circuit.
 """
 
 from __future__ import annotations
@@ -191,7 +195,9 @@ class _SigmaSearch:
     carries its level: the codim of the smallest connected flat where its
     signs are no prefix of a local tope, minus 1, checked at every form of
     the flat, and n + 1 (at least dim) while there is none.  A branch dies
-    when its level drops below the floor."""
+    when its level drops below the floor.  Every local tope set is closed
+    under negation, so -eps has the level of eps: the search walks from '+'
+    at position 0 and the '-' half is that half reversed and negated."""
 
     def __init__(self, n: int, tables: dict[int, list], floor: int):
         self.n = n
@@ -199,9 +205,12 @@ class _SigmaSearch:
         self.tables = tables
 
     def run(self) -> list[tuple[SignVector, int]]:
-        out: list[tuple[SignVector, int]] = []
-        self._extend([], self.n + 1, out)
-        return out
+        if 0 in self.tables:
+            raise InternalError("a local tope set takes one sign alone at form 1, "
+                                "so it is not closed under negation")
+        half: list[tuple[SignVector, int]] = []
+        self._extend([1], self.n + 1, half)
+        return half + [(-eps, level) for eps, level in reversed(half)]
 
     def _extend(self, signs: list[int], level: int, out: list) -> None:
         if len(signs) == self.n:

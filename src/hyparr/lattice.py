@@ -27,8 +27,13 @@ each localization A_Y, the topes of each A_Y, read from its lines by one
 checked search that keeps each tope's conforming lines, and the signed
 circuits that span each flat, which serve only Gordan duals (Bjorner, Las
 Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4).
-`build_lattice` builds none of them.  Crapo's beta of a flat, from the
-Moebius values, tells whether A_Y is connected.
+The tope search reads each line's signs from the cocircuit table, with no
+dot product outside its leaf test.  It walks the topes that are '+' on Y's
+first form and takes the rest as their negations, since the topes come in
+opposite pairs, and it checks each '+' leaf by the sign test of the sum of
+its lines' directions.  `build_lattice` builds none of the three tables.
+Crapo's beta of a flat, from the Moebius values, tells whether A_Y is
+connected.
 """
 
 from __future__ import annotations
@@ -123,9 +128,10 @@ class Lattice:
         if table is None:
             rows = primitive_rows(self.arrangement)
             out = []
+            key = Y.key()
             for Z in self.lower_covers(Y):
                 # within Z, each form of Y outside Z vanishes exactly on Y
-                outside = [i for i in sorted(Y.contains) if i not in Z.contains]
+                outside = [i for i in key if i not in Z.contains]
                 v = next((k for k in Z.kernel if sum(map(mul, rows[outside[0]], k))), None)
                 values = [] if v is None else [sum(map(mul, rows[i], v)) for i in outside]
                 if not values or 0 in values:
@@ -193,31 +199,56 @@ class Lattice:
         return table
 
     def _search_topes(self, Y: Flat) -> dict[tuple[int, ...], int]:
-        """A prefix extends with sign s at a form of Y iff some line of A_Y
-        (a cocircuit of Y) that conforms to it has sign s on that form.  The
-        leaves must number Zaslavsky's count for A_Y, and the sum of each
-        leaf's conforming lines must pass the sign test."""
+        """The '+' half, the topes whose sign on Y's first form is '+', is
+        searched from the signs that `cocircuits(Y)` stores, with no dot
+        product outside the leaf test: a prefix extends with sign s at a
+        form of Y iff some line of A_Y (a cocircuit of Y) that conforms to
+        it has sign s on that form.  Each leaf's witness, the sum of the directions of its
+        conforming lines, must pass the exact sign test on the forms of Y.
+        The '-' half is the '+' half reversed and negated, each kept mask
+        pair-swapped: entries 2t and 2t + 1 of the table are one line's two
+        signs, which is checked first.  The leaves of both halves must number
+        Zaslavsky's count for A_Y."""
+        table = self.cocircuits(Y)
+        key = Y.key()
+        for t, ((v, p, q), (u, p2, q2)) in enumerate(zip(table[::2], table[1::2])):
+            if (p2, q2) != (q, p) or any(map(int.__add__, v, u)):
+                raise InternalError(f"entries {2 * t} and {2 * t + 1} of the cocircuit table "
+                                    f"at flat {sorted(Y.contains)} are not one line's two signs")
+        even = int("01" * (len(table) // 2), 2)
+
+        def mirrored(live: int) -> int:
+            return (live & even) << 1 | (live >> 1) & even
+
+        # per form of Y, the bitmasks of the entries positive and negative on
+        # it: the transpose of the stored masks, read one column per form
+        width = self.arrangement.n
+        columns = list(zip(*(format(p, f"0{width}b") for _, p, _ in reversed(table))))
+        pos = [int("".join(columns[width - 1 - i]), 2) for i in key]
+        neg = list(map(mirrored, pos))
         every = primitive_rows(self.arrangement)
-        rows = [every[i] for i in Y.key()]
-        values = [tuple(sum(map(mul, r, v)) for r in rows) for v, _, _ in self.cocircuits(Y)]
-        # per form, the bitmasks of the lines positive and negative on it
-        pos = [int("".join("1" if x > 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
-        neg = [int("".join("1" if x < 0 else "0" for x in reversed(c)), 2) for c in zip(*values)]
-        out: dict[tuple[int, ...], int] = {}
-        stack = [((), (1 << len(values)) - 1)]  # (prefix, its conforming lines)
+        rows = [every[i] for i in key]
+        directions = [v for v, _, _ in table]
+        half: dict[tuple[int, ...], int] = {}
+        full = (1 << len(table)) - 1
+        stack = [((1,), full & ~neg[0])] if pos[0] else []  # (prefix, its conforming lines)
         while stack:
             signs, live = stack.pop()
             i = len(signs)
             if i == len(rows):
-                at = map(sum, zip(*(values[t] for t in _bits(live))))
-                if min(map(mul, signs, at)) <= 0:
+                w = list(map(sum, zip(*map(directions.__getitem__, _bits(live)))))
+                if min(map(mul, signs, [sum(map(mul, r, w)) for r in rows])) <= 0:
                     raise InternalError(f"its conforming lines sum outside {SignVector(signs)} "
                                         f"at flat {sorted(Y.contains)}")
-                out[signs] = live
+                half[signs] = live
                 continue
-            for s, toward, against in ((-1, neg[i], pos[i]), (1, pos[i], neg[i])):  # '+' pops first
-                if live & toward:
-                    stack.append((signs + (s,), live & ~against))
+            if live & neg[i]:  # '+' pops first
+                stack.append((signs + (-1,), live & ~pos[i]))
+            if live & pos[i]:
+                stack.append((signs + (1,), live & ~neg[i]))
+        out = dict(half)
+        for signs, live in reversed(half.items()):
+            out[tuple(map(int.__neg__, signs))] = mirrored(live)
         expected = (chamber_count_oracle(self) if Y.contains == self.top.contains else
                     abs(self.mu(Y)) + sum(abs(self.mu(Z)) for Z in self.below(Y)))
         if len(out) != expected:

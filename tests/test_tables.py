@@ -14,8 +14,9 @@ import pytest
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector
 from hyparr.chambers import chamber_from_signs, enumerate_chambers, lex_smallest_chamber, walls
-from hyparr.consistency import (consistency_at, global_consistency, is_consistent_at,
-                                is_locally_consistent, sigma, sigma_filtration, witness_at)
+from hyparr.consistency import (_local_tables, _SigmaSearch, consistency_at,
+                                global_consistency, is_consistent_at, is_locally_consistent,
+                                sigma, sigma_filtration, witness_at)
 from hyparr.errors import Infeasible, InternalError
 from hyparr.feasibility import StrictSystem, strict_feasible
 from hyparr.lattice import Lattice, build_lattice
@@ -139,10 +140,15 @@ def _negated_directions(real, only=lambda lat, Y: True):
 
 
 def test_a_tampered_cocircuit_sum_is_caught(monkeypatch, generic4):
+    build_lattice(generic4).topes()  # searched with the true table
     monkeypatch.setattr(Lattice, "cocircuits", _negated_directions(Lattice.cocircuits))
     with pytest.raises(InternalError, match="is not strictly on the side"):
         global_consistency(generic4, sv("++++"))
     with pytest.raises(InternalError, match="is not strictly on the side"):
+        enumerate_chambers(generic4)
+    # a tope search that reads the tampered table catches it itself
+    build_lattice.cache_clear()
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         enumerate_chambers(generic4)
 
 
@@ -182,3 +188,83 @@ def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
     assert is_locally_consistent(generic4, sv("+++-"))
     with pytest.raises(InternalError, match="is not strictly on the side"):
         sample_sphere_points(generic4, sv("+++-"), 4)
+
+
+def _fresh_with_top_table(A, tamper):
+    """A lattice of A outside the cache whose top table is tamper(table)."""
+    lat = build_lattice.__wrapped__(A)
+    lat._cocircuits[lat.top.contains] = tuple(tamper(lat.cocircuits(lat.top)))
+    return lat
+
+
+@pytest.mark.parametrize("name", ["generic4", "braid4"])
+def test_the_tope_search_checks_the_stored_signs(request, name):
+    """The search reads each line's signs from the table and its witnesses
+    from the directions, so a table whose two disagree fails `topes()`."""
+    A = request.getfixturevalue(name)
+    negated = _fresh_with_top_table(
+        A, lambda table: [(tuple(-a for a in v), pos, neg) for v, pos, neg in table])
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
+        negated.topes()
+    pairs = len(build_lattice(A).cocircuits(build_lattice(A).top)) // 2
+    for t in range(pairs):
+        def swapped(table, t=t):
+            out = list(table)
+            for e in (2 * t, 2 * t + 1):
+                v, pos, neg = out[e]
+                out[e] = (v, neg, pos)
+            return out
+        with pytest.raises(InternalError, match="conforming lines sum outside"):
+            _fresh_with_top_table(A, swapped).topes()
+    # entries 2t and 2t + 1 must be one line's two signs
+    for tamper in (lambda table: table[1:] + table[:1],
+                   lambda table: table[:1] + [(table[1][0], table[1][1], 0)] + table[2:]):
+        with pytest.raises(InternalError, match="are not one line's two signs"):
+            _fresh_with_top_table(A, lambda table: tamper(list(table))).topes()
+
+
+def _conforming_entries(table, key, signs) -> int:
+    """The mask of the table entries that conform to signs over the forms of
+    key, read from the stored masks alone."""
+    plus = sum(1 << i for i, s in zip(key, signs) if s > 0)
+    minus = sum(1 << i for i, s in zip(key, signs) if s < 0)
+    return sum(1 << t for t, (_, pos, neg) in enumerate(table)
+               if not (pos & minus or neg & plus))
+
+
+def test_each_half_mirrors_the_other():
+    """At the top and at every dependent flat, the topes are in lex order,
+    closed under negation, and each kept mask is exactly the entries that
+    conform to its tope; the Sigma search gives -eps the level of eps, and
+    each level is the one that the local tope sets give directly."""
+    flats = 0
+    for A in INPUTS:
+        lat = build_lattice(A)
+        for Y in lat.flats:
+            if Y != lat.top and len(Y.contains) == Y.codim:
+                continue
+            flats += 1
+            topes, table, key = lat.tope_lines(Y), lat.cocircuits(Y), Y.key()
+            assert list(topes) == sorted(topes, key=lambda signs: [-s for s in signs])
+            assert {tuple(-s for s in signs) for signs in topes} == set(topes)
+            for signs, live in topes.items():
+                assert live == _conforming_entries(table, key, signs)
+        connected = [Y for Y in lat.flats if Y.codim < A.dim
+                     and len(Y.contains) > Y.codim and lat.beta(Y)]
+        leaves = _SigmaSearch(A.n, _local_tables(lat, A.dim - 1), 1).run()
+        assert [eps.signs for eps, _ in leaves] == list(product((1, -1), repeat=A.n))
+        levels = dict(leaves)
+        for eps, level in leaves:
+            assert levels[-eps] == level
+            failing = [Y.codim - 1 for Y in connected
+                       if tuple(eps[i] for i in Y.key()) not in lat.tope_lines(Y)]
+            assert level == min(failing, default=A.n + 1)
+    assert flats > 60
+
+
+def test_the_sigma_search_refuses_a_one_sided_first_form(braid4):
+    lat = build_lattice(braid4)
+    tables = _local_tables(lat, 2)
+    tables[0] = [(1, lambda signs: signs[0], frozenset({1}))]
+    with pytest.raises(InternalError, match="not closed under negation"):
+        _SigmaSearch(braid4.n, tables, 1).run()
