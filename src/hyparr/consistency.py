@@ -9,8 +9,9 @@ every form of Y; their sum is then a strict witness, checked by an exact
 integer sign test.  Otherwise, by Gordan's alternative, the rows of A_Y
 signed by eps have a nonnegative dependency, and every dependency is a
 conformal sum of circuits (Rockafellar 1969, elementary vectors; ibid.,
-ch. 3): eps matches a circuit inside A_Y, whose dependency, checked in
-integers, is Gordan's dual.
+ch. 3): eps matches a circuit inside A_Y.  The first one in lexicographic
+order is found by the signs of its cofactors (`Lattice.first_circuit`), and
+its dependency, checked in integers, is Gordan's dual.
 
 The same cocircuits give the topes of every localization
 (`Lattice.tope_lines`): one search over the signs that the table stores for
@@ -61,39 +62,54 @@ def _check_dual(rows, eps, circuit: Circuit) -> None:
                             f"on the forms {[i + 1 for i in S]}")
 
 
+def _plus(eps) -> int:
+    """The bitmask of the forms on which eps is '+'."""
+    return sum(1 << i for i, s in enumerate(getattr(eps, "signs", eps)) if s > 0)
+
+
+def _conforming(lat: Lattice, plus: int, Y: Flat) -> list[Cocircuit]:
+    """`conforming`, given the bitmask of the forms on which eps is '+'."""
+    return [(v, pos, neg) for v, pos, neg in lat.cocircuits(Y)
+            if not (pos & ~plus or neg & plus)]
+
+
 def conforming(lat: Lattice, eps, Y: Flat) -> list[Cocircuit]:
     """The cocircuits of A_Y that conform to eps: zero or eps's sign on
     every form of Y."""
-    plus = sum(1 << i for i, s in enumerate(getattr(eps, "signs", eps)) if s > 0)
-    return [(v, pos, neg) for v, pos, neg in lat.cocircuits(Y)
-            if not (pos & ~plus or neg & plus)]
+    return _conforming(lat, _plus(eps), Y)
+
+
+def witnesses_of(lat: Lattice, eps):
+    """`witness_at` for one eps at many flats: the function of Y that it
+    computes, with eps's sign mask computed once."""
+    signs = getattr(eps, "signs", eps)
+    plus, rows, dim = _plus(signs), primitive_rows(lat.arrangement), lat.arrangement.dim
+
+    def at(Y: Flat) -> list[int] | None:
+        lines = _conforming(lat, plus, Y)
+        covered = 0
+        for _, pos, neg in lines:
+            covered |= pos | neg
+        if covered != sum(1 << i for i in Y.contains):
+            return None
+        w = list(map(sum, zip(*(v for v, _, _ in lines)))) or [0] * dim
+        _check_witness(rows, signs, Y.contains, w)
+        return w
+
+    return at
 
 
 def witness_at(lat: Lattice, eps, Y: Flat) -> list[int] | None:
     """The sum of the cocircuits of A_Y that conform to eps, checked to be
     strictly on eps's side of every form of Y; None when those cocircuits
     all vanish on some form of Y, so that eps is no tope of A_Y."""
-    w = [0] * lat.arrangement.dim
-    covered = 0
-    for v, pos, neg in conforming(lat, eps, Y):
-        w = [a + b for a, b in zip(w, v)]
-        covered |= pos | neg
-    if covered != sum(1 << i for i in Y.contains):
-        return None
-    _check_witness(primitive_rows(lat.arrangement), eps, Y.contains, w)
-    return w
-
-
-def _matches(eps, circuit: Circuit) -> bool:
-    """Whether eps takes the circuit's signs, up to global sign."""
-    S, c = circuit
-    return len({eps[i] * c_t > 0 for c_t, i in zip(c, S)}) == 1
+    return witnesses_of(lat, eps)(Y)
 
 
 def _matched_circuit(lat: Lattice, eps, X: Flat) -> Circuit | None:
     """The first circuit spanning X whose signs eps takes up to global sign,
     with its dual checked; None when there is none."""
-    circuit = lat.first_circuit(X, lambda sc: _matches(eps, sc))
+    circuit = lat.first_circuit(X, eps)
     if circuit is not None:
         _check_dual(primitive_rows(lat.arrangement), eps, circuit)
     return circuit
@@ -104,8 +120,9 @@ def _first_failure(lat: Lattice, eps, flats) -> tuple[Flat, Circuit] | None:
     which eps is inconsistent, with the circuit that it matches there; None
     when eps is consistent at all of them.  Flats below a first failing one
     pass, so one of its matched circuits spans it."""
+    witness = witnesses_of(lat, eps)
     for Y in flats:
-        if len(Y.contains) > Y.codim and witness_at(lat, eps, Y) is None:
+        if len(Y.contains) > Y.codim and witness(Y) is None:
             circuit = _matched_circuit(lat, eps, Y)
             if circuit is None:
                 raise InternalError(f"{SignVector(tuple(eps))} fails at flat "
@@ -202,10 +219,10 @@ class _SigmaSearch:
     def __init__(self, n: int, tables: dict[int, list], floor: int):
         self.n = n
         self.floor = floor
-        self.tables = tables
+        self.entries = [tables.get(i, ()) for i in range(n)]  # by position
 
     def run(self) -> list[tuple[SignVector, int]]:
-        if 0 in self.tables:
+        if self.entries[0]:
             raise InternalError("a local tope set takes one sign alone at form 1, "
                                 "so it is not closed under negation")
         half: list[tuple[SignVector, int]] = []
@@ -216,13 +233,15 @@ class _SigmaSearch:
         if len(signs) == self.n:
             out.append((SignVector(tuple(signs)), level))
             return
-        entries = self.tables.get(len(signs), ())
+        entries = self.entries[len(signs)]
         for s in (1, -1):
             signs.append(s)
             lowered = level
-            for to, get, allowed in entries:  # by codim: stop at a failure or at the level
-                if to >= level or get(signs) not in allowed:
-                    lowered = min(to, level)
+            for to, get, allowed in entries:  # by codim: stop at the level or at a failure
+                if to >= level:
+                    break
+                if get(signs) not in allowed:
+                    lowered = to
                     break
             if lowered >= self.floor:
                 self._extend(signs, lowered, out)

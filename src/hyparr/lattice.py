@@ -21,17 +21,21 @@ their groups), and every value against Rota's sign theorem,
 Moebius-based region count is the independent cross-check for the chamber
 enumeration elsewhere.
 
-Sign-vector questions are answered from three more tables of the lattice,
+Sign-vector questions are answered from two more tables of the lattice,
 each built on first use and kept on the `Lattice`: the signed cocircuits of
-each localization A_Y, the topes of each A_Y, read from its lines by one
-checked search that keeps each tope's conforming lines, and the signed
-circuits that span each flat, which serve only Gordan duals (Bjorner, Las
+each localization A_Y, and the topes of each A_Y, read from its lines by one
+checked search that keeps each tope's conforming lines (Bjorner, Las
 Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4).
 The tope search reads each line's signs from the cocircuit table, with no
 dot product outside its leaf test.  It walks the topes that are '+' on Y's
 first form and takes the rest as their negations, since the topes come in
 opposite pairs, and it checks each '+' leaf by the sign test of the sum of
-its lines' directions.  `build_lattice` builds none of the three tables.
+its lines' directions.  Gordan duals keep no table: `first_circuit` scans
+the (codim + 1)-subsets of a flat's forms in lexicographic order by the
+signs of their cofactors, c_t = (-1)^t det(S minus S_t) on pivot coordinates
+of the flat's span (Cramer's rule), read from a memo of minors that lives
+for one scan, and builds the kernel of the first subset whose signs a sign
+vector takes.  `build_lattice` builds neither table.
 Crapo's beta of a flat, from the Moebius values, tells whether A_Y is
 connected.
 """
@@ -46,7 +50,8 @@ from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, NotEssential
-from .linalg import canonical_int_vector, kernel_basis, primitive_int_vector
+from .linalg import (_bareiss_echelon, canonical_int_vector, determinant, kernel_basis,
+                     primitive_int_vector)
 
 
 def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
@@ -97,8 +102,6 @@ class Lattice:
         self.index = {f.contains: t for t, f in enumerate(self.flats)}
         self.by_contains = {f.contains: f for f in self.flats}
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
-        self._circuits: dict[frozenset[int], tuple[Circuit, ...]] = {}
-        self._scanned: set[frozenset[int]] = set()
         self._tope_lines: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
         self._topes: tuple[SignVector, ...] | None = None
 
@@ -128,59 +131,81 @@ class Lattice:
         if table is None:
             rows = primitive_rows(self.arrangement)
             out = []
-            key = Y.key()
             for Z in self.lower_covers(Y):
-                # within Z, each form of Y outside Z vanishes exactly on Y
-                outside = [i for i in key if i not in Z.contains]
-                v = next((k for k in Z.kernel if sum(map(mul, rows[outside[0]], k))), None)
-                values = [] if v is None else [sum(map(mul, rows[i], v)) for i in outside]
-                if not values or 0 in values:
+                # within Z, each form of Y outside Z vanishes exactly on Y; v
+                # is the first row of Z.kernel on which the first of them does not
+                first, *rest = sorted(Y.contains - Z.contains)
+                pos = neg = 0
+                for v in Z.kernel:
+                    value = sum(map(mul, rows[first], v))
+                    if value:
+                        pos, neg = (1 << first, 0) if value > 0 else (0, 1 << first)
+                        break
+                for i in rest if pos | neg else ():
+                    value = sum(map(mul, rows[i], v))
+                    if value > 0:
+                        pos |= 1 << i
+                    elif value < 0:
+                        neg |= 1 << i
+                if (pos | neg).bit_count() != len(rest) + 1:
                     raise InternalError(f"flat {sorted(Z.contains)} is no line of the "
                                         f"localization at {sorted(Y.contains)}")
-                pos = sum(1 << i for i, s in zip(outside, values) if s > 0)
-                neg = sum(1 << i for i in outside) ^ pos
                 out += [(v, pos, neg), (tuple(-a for a in v), neg, pos)]
             table = self._cocircuits[Y.contains] = tuple(out)
         return table
 
-    def circuits(self, X: Flat) -> tuple[Circuit, ...]:
-        """The signed circuits that span X, in lexicographic order.
+    def first_circuit(self, X: Flat, eps) -> Circuit | None:
+        """The first circuit spanning X, in lexicographic order, whose signs
+        eps takes up to global sign; None when there is none.
 
-        A circuit S spans its flat X = closure(S), so |S| = codim X + 1, and
-        it is found once, among the (codim + 1)-subsets of A_X: those whose
-        rows have a one-row integer kernel c with no zero entry, so that
-        sum_t c[t] * rows[S[t]] = 0 and every proper subset of S is
-        independent.  Each entry is (S, c); c is checked when it is built.
+        A circuit S spans its flat X = closure(S), so |S| = codim X + 1.  On
+        codim X pivot coordinates of the span of X's forms, the rows of S
+        have the dependency c_t = (-1)^t det(S minus S_t), by Cramer's rule,
+        and S is a circuit iff none of these minors is 0 (Bjorner et al.,
+        ch. 3).  The scan reads the sign of each minor from a memo that
+        lives for this call, and leaves a subset at its first zero minor or
+        at the first cofactor whose sign eps does not match.  The answer
+        alone takes a `kernel_basis`, canonical like every kernel row, whose
+        signs must be its cofactors' and which must be a dependency of the
+        rows of S.
         """
-        table = self._circuits.get(X.contains)
-        if table is None:
-            table = self._circuits[X.contains] = tuple(self._spanning_circuits(X))
-        return table
-
-    def first_circuit(self, X: Flat, wanted) -> Circuit | None:
-        """The first circuit spanning X for which wanted(circuit) holds.
-
-        The first request for X builds circuits one subset at a time, up to
-        the answer, and leaves the table unbuilt, so that a one-off question
-        pays only for the subsets before its answer; a later request reads
-        the table, which it builds if need be.
-        """
-        if X.contains in self._circuits or X.contains in self._scanned:
-            return next(filter(wanted, self.circuits(X)), None)
-        self._scanned.add(X.contains)
-        return next(filter(wanted, self._spanning_circuits(X)), None)
-
-    def _spanning_circuits(self, X: Flat):
         rows, dim = primitive_rows(self.arrangement), self.arrangement.dim
-        for S in combinations(X.key(), X.codim + 1):
-            K = kernel_basis([[rows[i][j] for i in S] for j in range(dim)], len(S))
-            if len(K) != 1 or 0 in K[0]:
-                continue
-            c = K[0]
-            if any(sum(c_t * rows[i][j] for c_t, i in zip(c, S)) for j in range(dim)):
-                raise InternalError(f"{c} is not a dependency of the forms "
-                                    f"{[i + 1 for i in S]}")
-            yield S, c
+        key = X.key()
+        _, pivots = _bareiss_echelon([list(rows[i]) for i in key], dim)
+        if len(pivots) != X.codim:
+            raise InternalError(f"the forms of flat {key} span rank {len(pivots)}, "
+                                f"not its codim {X.codim}")
+        sub = {i: [rows[i][j] for j in pivots] for i in key}
+        signs = getattr(eps, "signs", eps)
+        memo: dict[tuple[int, ...], int] = {}  # sign(det) by codim-subset
+        for S in combinations(key, X.codim + 1):
+            # t runs down, so that the minor S[:codim], shared by every
+            # subset with that prefix, comes first, and the minor without
+            # S[0], which the fewest subsets share, comes last
+            want = 0  # the sign of c_t times eps's on S[t], the same for every t
+            for t in range(X.codim, -1, -1):
+                minor = S[:t] + S[t + 1:]
+                s = memo.get(minor)
+                if s is None:
+                    d = determinant([sub[j] for j in minor])
+                    s = memo[minor] = (d > 0) - (d < 0)
+                m = (-s if t & 1 else s) * signs[S[t]]
+                if not m or want and m != want:
+                    break
+                want = m
+            else:
+                cofactors = [want * signs[i] for i in S]  # the signs of c
+                K = kernel_basis([[rows[i][j] for i in S] for j in range(dim)], len(S))
+                if len(K) != 1 or [(a > 0) - (a < 0) for a in K[0]] != [
+                        c * cofactors[0] for c in cofactors]:
+                    raise InternalError(f"the kernel {K} of the forms {[i + 1 for i in S]} "
+                                        f"does not have the signs of their cofactors")
+                c = K[0]
+                if any(sum(c_t * rows[i][j] for c_t, i in zip(c, S)) for j in range(dim)):
+                    raise InternalError(f"{c} is not a dependency of the forms "
+                                        f"{[i + 1 for i in S]}")
+                return S, c
+        return None
 
     def topes(self) -> tuple[SignVector, ...]:
         """The topes of A in lexicographic order ('+' < '-'): every chamber,

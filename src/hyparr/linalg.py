@@ -1,12 +1,12 @@
-"""Exact linear algebra: rational vectors, and rank and kernel bases of
-integer rows.
+"""Exact linear algebra: rational vectors, and rank, kernel bases and
+determinants of integer rows.
 
 Scalars are `fractions.Fraction` (canonical: positive denominator, reduced).
 There is no matrix type: a rational row is scaled to primitive integers
 (`primitive_int_vector`), which changes neither its sign nor its kernel, and
-`rank` and `kernel_basis` eliminate integer rows by fraction-free Bareiss
-elimination, so intermediate entries stay bounded.  No floating point
-appears anywhere.
+`rank`, `kernel_basis` and `determinant` eliminate integer rows by
+fraction-free Bareiss elimination, so intermediate entries stay bounded.  No
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -119,6 +119,31 @@ def _bareiss_echelon(a: list[list[int]], ncols: int) -> tuple[list[list[int]], l
         if r == nrows:
             break
     return a, piv_cols
+
+
+def determinant(rows) -> int:
+    """Determinant of a square integer matrix, by fraction-free Bareiss
+    elimination: the last pivot, negated for each row swap.
+
+    The rows are copied, never modified.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign = prev = 1
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c]), None)
+        if pr is None:
+            return 0
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            f = a[i][c]
+            a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return sign * prev
 
 
 def rank(rows, ncols: int) -> int:

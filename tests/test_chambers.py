@@ -166,7 +166,7 @@ def _counting(monkeypatch):
     counts = {"kernel": 0, "topes": 0, "scan": 0, "witness": 0, "dual": 0}
     solve = hyparr._fmpure.solve
     search_topes = hyparr.lattice.Lattice._search_topes
-    conforming = hyparr.consistency.conforming
+    conforming = hyparr.consistency._conforming
     check_witness, check_dual = hyparr.consistency._check_witness, hyparr.consistency._check_dual
 
     def counted_solve(rows, dim):
@@ -191,7 +191,7 @@ def _counting(monkeypatch):
 
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
     monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", counted_search)
-    monkeypatch.setattr(hyparr.consistency, "conforming", counted_scan)
+    monkeypatch.setattr(hyparr.consistency, "_conforming", counted_scan)
     monkeypatch.setattr(hyparr.consistency, "_check_witness", counted_witness)
     monkeypatch.setattr(hyparr.consistency, "_check_dual", counted_dual)
     return counts

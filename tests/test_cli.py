@@ -153,7 +153,7 @@ def test_sink_past_the_limit_refuses_before_any_search(tmp_path, capsys, monkeyp
         raise AssertionError("sink searched before its limit check")
 
     monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", no_search)
-    monkeypatch.setattr(hyparr.lattice.Lattice, "_spanning_circuits", no_search)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "first_circuit", no_search)
     code, out = run_cli(capsys, "sink", str(path), "--eps=" + "+" * 28)
     assert code == 1
     assert json.loads(out)["error"]["type"] == "TooLarge"

@@ -3,7 +3,7 @@ import random
 import re
 from functools import cache
 from math import comb
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,13 +12,13 @@ import hyparr.lattice
 import hyparr._fmpure
 import oracles
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, SignVector, validate
+from hyparr.arrangement import Arrangement, SignVector, primitive_rows, validate
 from hyparr.consistency import (first_failing_flat, global_consistency, is_consistent_at,
                                 is_globally_consistent, is_locally_consistent,
                                 sigma, sigma_filtration)
 from hyparr.errors import InternalError, TooLarge
 from hyparr.lattice import build_lattice, chamber_count_oracle
-from hyparr.linalg import RatVector, kernel_basis
+from hyparr.linalg import RatVector, determinant, kernel_basis
 
 from conftest import FAULT8_FORMS, random_arrangement, random_sign_vector
 
@@ -248,7 +248,7 @@ def uncached_lattices():
 def _fresh_lattice(A):
     """A new lattice of A in `build_lattice`'s cache, built with the true
     kernel, so its sign tables are still empty: the lattice builds each
-    flat's cocircuits, local topes and circuits once and keeps them."""
+    flat's cocircuits and local topes once and keeps them."""
     build_lattice.cache_clear()
     return build_lattice(A)
 
@@ -283,23 +283,28 @@ def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
     # no Sigma_k search reads a circuit: the topes come from the lines, and
     # every level below from the local topes; every chamber, wall and flow
     # step comes from the topes; a gap witness or a global dual that fails at
-    # the top scans that flat's subsets only up to its circuit (`first_circuit`)
+    # the top scans that flat's subsets by their cofactor signs up to its
+    # circuit (`first_circuit`), and only that circuit takes a kernel basis
     from hyparr.chambers import (chamber_from_signs, enumerate_chambers, flow_to_sink,
                                  lex_smallest_chamber)
     from hyparr.errors import Infeasible
     from hyparr.obstruction import certify_nontrivial_sphere, detect_obstruction
 
-    tables, scans = [], []
-    circuits = hyparr.lattice.Lattice.circuits
-    spanning = hyparr.lattice.Lattice._spanning_circuits
+    scans = []  # (at the top, kernel bases built, circuit found) per scan
+    first_circuit = hyparr.lattice.Lattice.first_circuit
 
-    def table_spy(lat, X):
-        tables.append(X.contains == lat.top.contains)
-        return circuits(lat, X)
+    def scan_spy(lat, X, eps):
+        kernels = []
 
-    def scan_spy(lat, X):
-        scans.append(X.contains)
-        return spanning(lat, X)
+        def spy(rows, ncols):
+            kernels.append(ncols)
+            return kernel_basis(rows, ncols)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hyparr.lattice, "kernel_basis", spy)
+            circuit = first_circuit(lat, X, eps)
+        scans.append((X.contains == lat.top.contains, len(kernels), circuit is not None))
+        return circuit
 
     def flow(A):
         start = lex_smallest_chamber(A)
@@ -311,14 +316,13 @@ def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
         with pytest.raises(Infeasible, match="is not a chamber"):
             chamber_from_signs(A, eps)
 
-    monkeypatch.setattr(hyparr.lattice.Lattice, "circuits", table_spy)
-    monkeypatch.setattr(hyparr.lattice.Lattice, "_spanning_circuits", scan_spy)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "first_circuit", scan_spy)
     arrangements = (generic4, catalog.braid(4), cx2, Arrangement.from_forms(4, FAULT8_FORMS))
     for A in arrangements:
         for k in range(1, A.dim + 1):
             build_lattice.cache_clear()
             sigma(A, k)
-    assert not tables and not scans
+    assert not scans
     runs = (enumerate_chambers, sigma_filtration, detect_obstruction, lex_smallest_chamber,
             flow, non_tope)
     for A in arrangements:
@@ -328,7 +332,8 @@ def test_no_search_builds_the_circuits_of_the_top(monkeypatch, generic4, cx2):
     A, eps = catalog.generic_union(catalog.generic(5, 4, 5), catalog.generic(4, 4, 6), 7)
     build_lattice.cache_clear()
     assert certify_nontrivial_sphere(A, eps).dual
-    assert scans and not any(tables)
+    assert scans and scans[-1][0]
+    assert all(kernels == 1 and found for _, kernels, found in scans)
 
 
 @pytest.mark.usefixtures("uncached_lattices")
@@ -455,29 +460,41 @@ def test_the_sigma_search_makes_no_kernel_call(A):
 
 
 @pytest.mark.usefixtures("uncached_lattices")
-def test_a_flat_asked_twice_builds_its_circuits_once():
-    # every 4-subset of a generic arrangement in R^3 is a circuit; the first
-    # question scans the subsets up to its answer, the second builds the
-    # table, and later ones read it
+def test_a_flat_asked_twice_builds_one_kernel_per_answer():
+    # every 4-subset of a generic arrangement in R^3 is a circuit; each
+    # question scans the subsets up to its answer by their cofactor signs,
+    # reads each 3 x 3 minor once, builds the kernel of the answer alone,
+    # and keeps nothing for the next question
     A = catalog.generic(7, 3, 2024)
     lat = _fresh_lattice(A)
-    calls = []
+    kernels, minors = [], []
 
-    def spy(rows, ncols):
-        calls.append(ncols)
+    def kernel_spy(rows, ncols):
+        kernels.append(ncols)
         return kernel_basis(rows, ncols)
 
-    def wanted(circuit):
-        return 6 in circuit[0]
+    def determinant_spy(rows):
+        minors.append(tuple(map(tuple, rows)))
+        return determinant(rows)
 
+    # a sign vector whose lex-first matched circuit is (0, 1, 2, 6), by the
+    # kernels of plain Gauss-Jordan
+    rows = primitive_rows(A)
+    signed = [(S, [(k > 0) - (k < 0) for k in oracles.rref_kernel(
+        [[rows[i][j] for i in S] for j in range(3)], 4)[0]])
+        for S in combinations(range(A.n), 4)]
+    eps = next(SignVector(signs) for signs in product((1, -1), repeat=A.n)
+               if next((S for S, c in signed
+                        if len({s * signs[i] for s, i in zip(c, S)}) == 1), None) == (0, 1, 2, 6))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hyparr.lattice, "kernel_basis", spy)
-        first = lat.first_circuit(lat.top, wanted)
-        assert first[0] == (0, 1, 2, 6) and len(calls) == 4
-        assert lat.first_circuit(lat.top, wanted) == first
-        assert len(calls) == 4 + comb(7, 4)
-        assert lat.first_circuit(lat.top, wanted) == first
-        assert len(calls) == 4 + comb(7, 4)
+        mp.setattr(hyparr.lattice, "kernel_basis", kernel_spy)
+        mp.setattr(hyparr.lattice, "determinant", determinant_spy)
+        for asked in range(1, 4):
+            minors.clear()
+            S, c = lat.first_circuit(lat.top, eps)
+            assert S == (0, 1, 2, 6) and len(kernels) == asked
+            assert len(minors) == len(set(minors)) <= comb(7, 3)
+            assert not any(sum(c_t * rows[i][j] for c_t, i in zip(c, S)) for j in range(3))
 
 
 def test_consistency_at_checks_lattice_membership(generic4):

@@ -1,11 +1,38 @@
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import permutations
+from math import gcd, prod
 
 import pytest
 
-from hyparr.linalg import RatVector, coordinates, kernel_basis, primitive_int_vector, rank
+from hyparr.linalg import (RatVector, coordinates, determinant, kernel_basis,
+                           primitive_int_vector, rank)
 from oracles import rref_kernel, rref_rank
+
+
+def _leibniz(rows):
+    """The determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(rows[i][p[i]] for i in range(n))
+    return total
+
+
+def test_determinant_matches_the_permutation_sum():
+    # small entries with many zeros, so that pivots are missing and rows swap
+    rng = random.Random(13)
+    singular = swapped = 0
+    for _ in range(600):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        before = [list(r) for r in rows]
+        d = determinant(rows)
+        assert d == _leibniz(rows) and rows == before
+        singular += d == 0
+        swapped += bool(n) and rows[0][0] == 0 and d != 0
+    assert singular > 50 and swapped > 20
 
 
 def test_rank_identity():

@@ -1,4 +1,5 @@
-"""Single sign vectors decided from the lattice's cocircuits and circuits.
+"""Single sign vectors decided from the lattice's cocircuits and from the
+cofactor signs of its circuits.
 
 Every answer for one sign vector must agree with the enumerated sets, and
 every certificate check must fire on a tampered table.  The checks raise
@@ -7,19 +8,22 @@ InternalError, so they stay on under `python -O`.
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 
+import hyparr.lattice
+import oracles
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, SignVector
+from hyparr.arrangement import Arrangement, SignVector, primitive_rows
 from hyparr.chambers import chamber_from_signs, enumerate_chambers, lex_smallest_chamber, walls
 from hyparr.consistency import (_local_tables, _SigmaSearch, consistency_at,
                                 global_consistency, is_consistent_at, is_locally_consistent,
                                 sigma, sigma_filtration, witness_at)
 from hyparr.errors import Infeasible, InternalError
 from hyparr.feasibility import StrictSystem, strict_feasible
-from hyparr.lattice import Lattice, build_lattice
+from hyparr.lattice import Flat, Lattice, build_lattice
 from hyparr.linalg import RatVector
 from hyparr.obstruction import detect_obstruction, sample_sphere_points
 
@@ -154,21 +158,96 @@ def test_a_tampered_cocircuit_sum_is_caught(monkeypatch, generic4):
 
 def test_a_tampered_circuit_dependency_is_caught(monkeypatch, generic4):
     # the circuit 1234 keeps its signs, but its first coefficient is doubled
-    real = Lattice.circuits
+    build_lattice(generic4)  # built with the true kernels
+    real = hyparr.lattice.kernel_basis
+    first_circuit = Lattice.first_circuit
 
-    def skewed(self, X):
-        return tuple((S, (2 * c[0],) + c[1:]) for S, c in real(self, X))
+    def skewed(self, X, eps):
+        circuit = first_circuit(self, X, eps)
+        return circuit and (circuit[0], (2 * circuit[1][0],) + circuit[1][1:])
 
-    monkeypatch.setattr(Lattice, "circuits", skewed)
-    # a search for one circuit reads the tampered table too, built or not
-    monkeypatch.setattr(Lattice, "first_circuit",
-                        lambda self, X, wanted: next(filter(wanted, self.circuits(X)), None))
+    monkeypatch.setattr(Lattice, "first_circuit", skewed)
     with pytest.raises(InternalError, match="is not a dual certificate"):
         global_consistency(generic4, sv("+++-"))
     with pytest.raises(InternalError, match="is not a dual certificate"):
         sigma_filtration(generic4)
     with pytest.raises(InternalError, match="is not a dual certificate"):
         is_consistent_at(generic4, sv("+++-"), build_lattice(generic4).top)
+
+    # a kernel whose signs are not the cofactors' fails the scan itself
+    def flipped(rows, ncols):
+        return [(c[0], -c[1]) + c[2:] for c in real(rows, ncols)]
+
+    monkeypatch.setattr(Lattice, "first_circuit", first_circuit)
+    monkeypatch.setattr(hyparr.lattice, "kernel_basis", flipped)
+    with pytest.raises(InternalError, match="does not have the signs of their cofactors"):
+        global_consistency(generic4, sv("+++-"))
+
+
+def _oracle_circuits(A, X):
+    """The circuits spanning X in lexicographic order, each with its
+    dependency over the primitive rows, by plain Gauss-Jordan: the
+    (codim + 1)-subsets of X's forms whose rows have a one-row kernel with
+    no zero entry, the row scaled to integers with gcd 1 and a positive
+    first entry."""
+    rows = primitive_rows(A)
+    out = []
+    for S in combinations(sorted(X.contains), X.codim + 1):
+        K = oracles.rref_kernel([[rows[i][j] for i in S] for j in range(A.dim)], len(S))
+        if len(K) == 1 and all(K[0]):
+            c = [a * lcm(*(b.denominator for b in K[0])) for a in K[0]]
+            g = gcd(*map(int, c)) * (1 if c[0] > 0 else -1)
+            out.append((S, tuple(int(a) // g for a in c)))
+    return out
+
+
+def test_the_matched_circuit_is_the_first_by_plain_elimination():
+    """On every dependent flat, for 64 seeded sign vectors each, the
+    cofactor scan finds the first circuit in lexicographic order whose
+    signs eps takes up to global sign, with its dependency, or none when
+    the oracle's circuits have none."""
+    rng = random.Random(27)
+    flats = matched = 0
+    for A in INPUTS:
+        lat = build_lattice(A)
+        for X in lat.flats:
+            if len(X.contains) == X.codim:
+                continue
+            flats += 1
+            circuits = _oracle_circuits(A, X)
+            for _ in range(64):
+                eps = SignVector(tuple(rng.choice((1, -1)) for _ in range(A.n)))
+                expected = next((circuit for circuit in circuits if len(
+                    {eps[i] * c_t > 0 for i, c_t in zip(*circuit)}) == 1), None)
+                assert lat.first_circuit(X, eps) == expected
+                matched += expected is not None
+    assert flats > 60 and matched > 600
+
+
+def test_every_cocircuit_table_is_the_signs_of_the_raw_forms():
+    """Each lower cover Z of Y gives two entries: the first kernel row v of
+    Z on which the first form of Y outside Z does not vanish, with the
+    masks of the forms of Y positive and negative there, by `form.dot`,
+    and their negation.  The forms of Z vanish at v and no other form of Y
+    does."""
+    entries = 0
+    for A in INPUTS:
+        lat = build_lattice(A)
+        for Y in lat.flats:
+            expected = []
+            for Z in lat.lower_covers(Y):
+                outside = sorted(Y.contains - Z.contains)
+                values = [{i: A.hyperplanes[i].form.dot(RatVector.of(k)) for i in Y.contains}
+                          for k in Z.kernel]
+                v, at_v = next((k, vals) for k, vals in zip(Z.kernel, values)
+                               if vals[outside[0]])
+                assert not any(at_v[i] for i in Z.contains) and all(at_v[i] for i in outside)
+                pos = sum(1 << i for i in outside if at_v[i] > 0)
+                neg = sum(1 << i for i in outside if at_v[i] < 0)
+                expected += [(v, pos, neg), (tuple(-a for a in v), neg, pos)]
+            assert lat.cocircuits(Y) == tuple(expected)
+            entries += len(expected)
+    assert entries > 1000
 
 
 def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
@@ -221,6 +300,24 @@ def test_the_tope_search_checks_the_stored_signs(request, name):
                    lambda table: table[:1] + [(table[1][0], table[1][1], 0)] + table[2:]):
         with pytest.raises(InternalError, match="are not one line's two signs"):
             _fresh_with_top_table(A, lambda table: tamper(list(table))).topes()
+
+
+@pytest.mark.parametrize("name", ["generic4", "braid4"])
+def test_a_lower_cover_off_its_line_is_caught(request, name):
+    """A line of A given another line's kernel row: either the first form
+    outside it vanishes there, or a later one does, and its cocircuit entry
+    must refuse both."""
+    A = request.getfixturevalue(name)
+    lines = [t for t, Z in enumerate(build_lattice(A).flats) if Z.codim == A.dim - 1]
+    for t in lines:
+        for u in lines:
+            if u == t:
+                continue
+            lat = build_lattice.__wrapped__(A)
+            Z, other = lat.flats[t], lat.flats[u]
+            lat.flats = lat.flats[:t] + (Flat(Z.contains, Z.codim, other.kernel),) + lat.flats[t + 1:]
+            with pytest.raises(InternalError, match="is no line of the localization"):
+                lat.cocircuits(lat.top)
 
 
 def _conforming_entries(table, key, signs) -> int:
