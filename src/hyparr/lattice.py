@@ -7,14 +7,18 @@ are the intersections of X with H_i for i outside X, and two of them
 coincide exactly when forms i and j, restricted to X, are proportional.
 Restricting every form to X's integer kernel rows therefore finds all
 covers of X at once, with integer dot products, and groups the forms by
-the direction of their restriction.  Each flat but a line takes one kernel
+the direction of their restriction.  Every form's value at a kernel row
+comes from one `linalg.products` map of the rows, built once per lattice,
+which packs the columns of the rows into integers and so gives all n values
+as one exact integer combination.  Each flat but a line takes one kernel
 basis.  A line takes its kernel row from the restriction to a plane that
 gives it (the row of the plane's kernel on which the cutting form
-vanishes), and is checked by its zero set: the forms vanishing on that row
-must be exactly the line's forms.  The level loop keeps, for each new flat,
-the flats that generated it: exactly its lower covers.  Each flat's strict
-down-set is the union of its lower covers' down-sets, and its Moebius value
-is minus the sum over that down-set.  The covers are checked against the
+vanishes), and is certified by its values at that row: exactly as many of
+the n values as the line has forms must be 0, and each of the line's forms
+must read 0.  The level loop keeps, for each new flat, the flats that
+generated it: exactly its lower covers.  Each flat's strict down-set is
+the union of its lower covers' down-sets, and its Moebius value is minus
+the sum over that down-set.  The covers are checked against the
 restriction rule (the upper covers of X split the forms outside X into
 their groups), and every value against Rota's sign theorem,
 (-1)^codim X * mu(X) > 0 on a geometric lattice (Rota 1964).  The
@@ -45,13 +49,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
 from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, NotEssential
-from .linalg import (_bareiss_echelon, canonical_int_vector, determinant, kernel_basis,
-                     primitive_int_vector)
+from .linalg import (_bareiss_echelon, _direction, determinant, kernel_basis,
+                     primitive_int_vector, products)
 
 
 def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
@@ -308,20 +311,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _direction(v: tuple[int, ...]) -> tuple[int, ...]:
-    """A nonzero integer vector over the gcd of its entries, signed so that
-    its first nonzero entry is positive: the grouping key of a restriction."""
-    g = gcd(*v)
-    if next(filter(None, v)) < 0:
-        g = -g
-    return v if g == 1 else tuple(a // g for a in v)
-
-
 def _line_kernel(K, u) -> tuple[int, ...]:
     """The canonical row spanning the line that a form restricting to u on
-    the plane with kernel rows K = (k1, k2) cuts from it: u[1]*k1 - u[0]*k2."""
+    the plane with kernel rows K = (k1, k2) cuts from it: u[1]*k1 - u[0]*k2.
+    Dependent rows K give the zero vector, and `_direction` raises
+    InternalError."""
     (k1, k2), (a, b) = K, u
-    return canonical_int_vector([b * x - a * y for x, y in zip(k1, k2)])
+    return _direction([b * x - a * y for x, y in zip(k1, k2)])
 
 
 def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]]]:
@@ -331,13 +327,18 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
     the flats one level down whose restriction groups gave it, ascending.
     The family need not be essential.
 
-    A line (a flat with one kernel row) takes its row from a plane that
-    gives it, by `_line_kernel`, with no kernel basis.  Its row must then
-    vanish on exactly the forms of the line, which certifies it: the plane
-    has rank codim - 1 and the line's new forms do not vanish on it.  No
-    form outside a line vanishes on it, so the flat of all forms is its one
-    upper cover.  Every other flat takes the `kernel_basis` of its forms,
-    and each form must vanish on it exactly when the flat holds the form."""
+    Every value of a form at a kernel row is read from one `products` map
+    of the rows.  A line (a flat with one kernel row) takes its row from a
+    plane that gives it, by `_line_kernel`, with no kernel basis.  The n
+    values at that row certify it: they must hold exactly as many zeros as
+    the line has forms, and each of the line's forms must read 0, so the
+    row vanishes on exactly the forms of the line (the plane has rank
+    codim - 1 and the line's new forms do not vanish on it).  No form
+    outside a line vanishes on it, so the flat of all forms is its one
+    upper cover.  Every other flat takes the `kernel_basis` of its forms:
+    each of its forms must read 0 at every kernel row, and each form
+    outside it must have a nonzero restriction.  Any failure raises
+    InternalError."""
 
     def make_flat(closed: frozenset[int], codim: int) -> Flat:
         K = tuple(kernel_basis([rows[i] for i in sorted(closed)], dim))
@@ -349,6 +350,7 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
     def disagrees(X: Flat, i: int) -> InternalError:
         return InternalError(f"kernel of flat {sorted(X.contains)} disagrees with form {i + 1}")
 
+    at = products(rows)  # every form's value at a kernel row
     everything = frozenset(range(len(rows)))
     levels = [[make_flat(closure_of_forms(rows, dim, frozenset()), 0)]]
     lower: dict[frozenset[int], list[int]] = {}
@@ -358,14 +360,14 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
         lines: dict[frozenset[int], tuple[int, ...]] = {}  # the kernel row of each new line
         for t, X in enumerate(levels[-1], base):
             if len(X.kernel) == 1:
-                k = X.kernel[0]
-                zeros = frozenset(i for i, r in enumerate(rows) if not sum(map(mul, r, k)))
-                if zeros != X.contains:
+                values = at(X.kernel[0])
+                if values.count(0) != len(X.contains) or any(values[i] for i in X.contains):
+                    zeros = frozenset(i for i, value in enumerate(values) if not value)
                     raise disagrees(X, min(zeros ^ X.contains))
                 if X.contains != everything:
                     new.setdefault(everything, []).append(t)
                 continue
-            cols = [[sum(map(mul, r, k)) for r in rows] for k in X.kernel]
+            cols = list(map(at, X.kernel))
             groups: dict[tuple[int, ...], list[int]] = {}
             for i, restricted in enumerate(zip(*cols)):
                 if any(restricted) == (i in X.contains):

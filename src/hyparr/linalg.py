@@ -1,19 +1,31 @@
-"""Exact linear algebra: rational vectors, and rank, kernel bases and
-determinants of integer rows.
+"""Exact linear algebra: rational vectors, and rank, kernel bases,
+determinants and products of integer rows.
 
 Scalars are `fractions.Fraction` (canonical: positive denominator, reduced).
 There is no matrix type: a rational row is scaled to primitive integers
 (`primitive_int_vector`), which changes neither its sign nor its kernel, and
 `rank`, `kernel_basis` and `determinant` eliminate integer rows by
-fraction-free Bareiss elimination, so intermediate entries stay bounded.  No
-floating point appears anywhere.
+fraction-free Bareiss elimination, so intermediate entries stay bounded.
+
+`products(rows)` is the map v -> [r . v for r in rows].  It packs each
+column of the rows into one integer, 64 bits per row, so that all the
+products at v are one integer combination of the packed columns, with a
+bias of 2^63 in each field so that no field borrows from the next; the
+fields are read back as signed 64-bit integers.  This is exact while every
+product lies strictly between -2^63 and 2^63, which max ||r||_1 * max |v_j|
+< 2^63 guarantees; past that bound the map takes plain dot products.  Both
+paths are integer arithmetic: no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+
+from .errors import InternalError
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,48 @@ def canonical_int_vector(values) -> tuple[int, ...]:
     return ints
 
 
+def _direction(v) -> tuple[int, ...]:
+    """A nonzero integer vector over the gcd of its entries, signed so that
+    its first nonzero entry is positive: `canonical_int_vector` for integer
+    entries, with no rational type scan.  Raises InternalError on a zero
+    vector, which has no direction."""
+    first = next(filter(None, v), 0)
+    if not first:
+        raise InternalError(f"the zero vector {tuple(v)} has no direction")
+    g = gcd(*v)
+    if first < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple(a // g for a in v)
+
+
+def products(rows):
+    """The exact map v -> [r . v for r in rows] for integer rows of one length.
+
+    Row i fills bits 64i to 64i + 63 of each packed column, and the bias
+    puts 2^63 in every field, so the combination sum_j v_j * column_j + bias
+    holds r_i . v + 2^63 in field i, in [0, 2^64) and with no borrow, as long
+    as |r_i . v| < 2^63; flipping each field's top bit leaves r_i . v in two's
+    complement, read back as native signed 64-bit integers.  Whenever
+    max ||r||_1 * max |v_j| >= 2^63 the map takes plain dot products instead.
+    """
+    rows = [tuple(r) for r in rows]
+    n = len(rows)
+    norm = max((sum(map(abs, r)) for r in rows), default=0)
+    # to_bytes puts the lowest field first on a little-endian machine and
+    # last on a big-endian one
+    order = rows if sys.byteorder == "little" else rows[::-1]
+    columns = [sum(a << 64 * i for i, a in enumerate(column)) for column in zip(*order)]
+    bias = sum(1 << 64 * i + 63 for i in range(n))
+
+    def values(v) -> list[int]:
+        if norm * max(map(abs, v), default=0) >= 1 << 63:
+            return [sum(map(mul, r, v)) for r in rows]
+        packed = sum(map(mul, v, columns), bias) ^ bias
+        return memoryview(packed.to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
+
+    return values
+
+
 def _bareiss_echelon(a: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int]]:
     """Fraction-free row echelon form; returns (matrix, pivot columns).
 
@@ -158,8 +212,9 @@ def rank(rows, ncols: int) -> int:
 def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel of integer rows, one row per free column.
 
-    Rows are canonical: integer entries with gcd 1 and first nonzero entry
-    positive, ordered by free column.  The input rows are not modified.
+    Rows are canonical (`_direction`): integer entries with gcd 1 and first
+    nonzero entry positive, ordered by free column.  The input rows are not
+    modified.
     """
     ech, piv_cols = _bareiss_echelon([list(r) for r in rows], ncols)
     piv_set = set(piv_cols)
@@ -173,13 +228,14 @@ def kernel_basis(rows, ncols: int) -> list[tuple[int, ...]]:
         for r in range(len(piv_cols) - 1, -1, -1):
             c = piv_cols[r]
             row = ech[r]
-            s = sum(row[j] * v[j] for j in range(c + 1, ncols))
+            # row is 0 left of its pivot c, and v is still 0 at c
+            s = sum(map(mul, row, v))
             if s:
                 g = gcd(s, row[c])
                 m = row[c] // g
                 v = [x * m for x in v]
                 v[c] = -(s // g)
-        basis.append(canonical_int_vector(v))
+        basis.append(_direction(v))
     return basis
 
 

@@ -19,7 +19,7 @@ from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, Zero
 from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
                             characteristic_polynomial, closed_sets_of_forms)
 from hyparr.linalg import (RatVector, canonical_int_vector, kernel_basis,
-                           primitive_int_vector)
+                           primitive_int_vector, products)
 
 from conftest import random_arrangement
 from oracles import brute_force_flats, rref_rank
@@ -173,9 +173,16 @@ def test_flats_are_ordered_by_codim_then_key(generic4, cx2):
         assert order == sorted(order)
 
 
+# Forms whose lines and most planes have kernel rows past the bound of the
+# packed `products` (max ||r||_1 * max |v| >= 2^63), while the bottom's and
+# the plane of (1, 1, 1)'s rows stay below it: one lattice takes both paths.
+PAST_THE_BOUND = ((10 ** 12, 1, 0), (0, 10 ** 12 + 1, 1), (1, 0, 10 ** 12 + 3),
+                  (3 ** 30, 5 ** 20, 7 ** 15), (1, 1, 1))
+
+
 def test_nongeneric_lattice_matches_brute_force():
     multiple_points = 0
-    for A in _nongeneric_arrangements(31, 25):
+    for A in [*_nongeneric_arrangements(31, 25), Arrangement.from_forms(3, PAST_THE_BOUND)]:
         L = build_lattice(A)
         forms = [tuple(h.form) for h in A.hyperplanes]
         brute = brute_force_flats(forms, A.dim)
@@ -197,12 +204,13 @@ def test_nongeneric_lattice_matches_brute_force():
     assert multiple_points >= 10  # the draws are far from generic
 
 
-@pytest.mark.parametrize("name", ["generic(12,4)", "braid(6)", "cx2"])
+@pytest.mark.parametrize("name", ["generic(12,4)", "braid(6)", "cx2", "past the bound"])
 def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
     # a line's row is derived from a plane's restriction, every other flat's
     # kernel is a kernel basis: both must be the kernel basis of the flat's forms
     A = {"generic(12,4)": lambda: catalog.generic(12, 4, 2024),
-         "braid(6)": lambda: catalog.braid(6), "cx2": catalog.x2_coned}[name]()
+         "braid(6)": lambda: catalog.braid(6), "cx2": catalog.x2_coned,
+         "past the bound": lambda: Arrangement.from_forms(3, PAST_THE_BOUND)}[name]()
     rows = primitive_rows(A)
     L = build_lattice(A)
     lines = L.flats_of_codim(A.dim - 1)
@@ -213,6 +221,9 @@ def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
                  if all(sum(map(mul, r, k)) == 0 for k in X.kernel)}
         assert zeros == X.contains
     assert L.lower[-1] == tuple(range(len(L.flats) - 1 - len(lines), len(L.flats) - 1))
+    norm = max(sum(map(abs, r)) for r in rows)
+    packed = {norm * max(map(abs, k)) < 1 << 63 for X in L.flats for k in X.kernel}
+    assert packed == ({True, False} if name == "past the bound" else {True})
 
 
 @pytest.mark.parametrize("name", ["braid4", "braid5", "cx2", "fault8"])
@@ -368,9 +379,25 @@ def _plane_row(K, u):
     return K[0]
 
 
+def _a_line_reads_zero(rows):
+    """Every form's value at a kernel row, with the first nonzero value at
+    the row of generic4's line x = x + y + z = 0 reported as 0: that row is no
+    other flat's kernel row."""
+    values = products(rows)
+
+    def skewed(v):
+        out = values(v)
+        if tuple(v) == (0, 1, -1):
+            out[out.index(next(filter(None, out)))] = 0
+        return out
+
+    return skewed
+
+
 @pytest.mark.parametrize("attr, fake, message", [
     ("kernel_basis", _rotated_kernel, "disagrees with form"),
     ("_line_kernel", _plane_row, "disagrees with form"),
+    ("products", _a_line_reads_zero, r"flat \[0, 3\] disagrees with form 2"),
     ("_levels", _levels_with_a_stray_flat, "has no lower cover"),
     ("_levels", _levels_with_the_bottom_as_a_cover, "is no lower cover"),
     ("_levels", _levels_with_a_foreign_cover, "is no lower cover"),
@@ -381,6 +408,22 @@ def test_lattice_checks_fire(monkeypatch, attr, fake, message):
     try:
         with pytest.raises(InternalError, match=message):
             build_lattice(catalog.generic4())
+    finally:
+        build_lattice.cache_clear()
+
+
+def test_a_plane_with_dependent_kernel_rows_is_an_internal_error(monkeypatch):
+    # the repeated row puts every form outside the plane in one group, whose
+    # line row u[1]*k1 - u[0]*k2 is the zero vector
+    def repeated_row(rows, ncols):
+        K = kernel_basis(rows, ncols)
+        return [K[0], K[0]] if len(K) == 2 else K
+
+    build_lattice.cache_clear()
+    monkeypatch.setattr(hyparr.lattice, "kernel_basis", repeated_row)
+    try:
+        with pytest.raises(InternalError, match="has no direction"):
+            build_lattice(catalog.moment(5, 3))
     finally:
         build_lattice.cache_clear()
 

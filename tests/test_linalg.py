@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import gcd, prod
+from operator import mul
 
 import pytest
 
+import hyparr.linalg
 from hyparr.linalg import (RatVector, coordinates, determinant, kernel_basis,
-                           primitive_int_vector, rank)
+                           primitive_int_vector, products, rank)
 from oracles import rref_kernel, rref_rank
 
 
@@ -183,3 +185,28 @@ def test_coordinates_match_oracle():
             assert coordinates(rows, outside) is None
         with pytest.raises(ValueError):  # the first row repeated, scaled
             coordinates(rows + [[3 * x for x in rows[0]]], v)
+
+
+def test_products_are_the_dot_products(monkeypatch):
+    rng = random.Random(46)
+    for _ in range(300):
+        dim = rng.randint(1, 7)
+        big = rng.choice((1, 9, 10 ** 6, 10 ** 9, 10 ** 30))
+        rows = [[rng.randint(-big, big) for _ in range(dim)] if rng.random() < 0.85
+                else [0] * dim for _ in range(rng.randint(1, 40))]
+        at = products(rows)
+        for _ in range(3):
+            v = [rng.choice((0, rng.randint(-big, big))) for _ in range(dim)]
+            assert at(v) == [sum(map(mul, r, v)) for r in rows]
+    # at the bound: max ||r||_1 * max |v| = 2^63 - 1 = 7 * m is packed and
+    # reaches both ends, 2^63 takes the plain path
+    packed = []
+    monkeypatch.setattr(hyparr.linalg, "memoryview",
+                        lambda b: packed.append(b) or memoryview(b), raising=False)
+    top = (1 << 63) - 1
+    m = top // 7
+    assert products([(3, 4), (0, 0), (-3, -4), (7, 0), (-1, 2)])((m, m)) == [
+        top, 0, -top, top, m]
+    assert len(packed) == 1
+    assert products([(1, 1), (-1, -1), (0, 0)])((1 << 62, 1 << 62)) == [1 << 63, -1 << 63, 0]
+    assert len(packed) == 1
