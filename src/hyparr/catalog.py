@@ -16,10 +16,10 @@ from operator import mul
 
 from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
                           essentialize, validate)
-from .consistency import conforming, first_failing_flat, sigma
+from .consistency import first_failing_flat, sigma
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
-from .lattice import build_lattice, closed_sets_of_forms
+from .lattice import Lattice, _bits, build_lattice
 from .linalg import RatVector, coordinates, primitive_int_vector, rank
 
 RETRY_BUDGET = 64
@@ -147,8 +147,10 @@ def generic_union(A: Arrangement, B: Arrangement,
                   seed: int) -> tuple[Arrangement, SignVector]:
     """A union A and g(B) for a seeded random g, with a verified witness.
 
-    g is redrawn until it has rank dim and every flat of A is in general
-    position with every flat of g(B); the returned sign vector takes the
+    B is checked before the first draw: its forms must have A's dimension,
+    be nonzero and be pairwise non-proportional.  g is redrawn until it has
+    rank dim and A and g(B) are in general position, read from the union's
+    lattice (`_in_general_position`); the returned sign vector takes the
     first chamber of A that g(B)'s first hyperplane does not cut, the side
     of that hyperplane away from it, and the first chamber of g(B) on that
     side.  Both chamber sets come from the lines (`sigma` at k = dim), and no
@@ -161,9 +163,13 @@ def generic_union(A: Arrangement, B: Arrangement,
         raise ValueError("A and B must live in the same dimension")
     validate(A)
     dim = A.dim
+    for i, f in enumerate(B.forms):
+        if f.dim != dim:
+            raise ValueError(f"form {i + 1} of B has dimension {f.dim}, expected {dim}")
+    # g(B) has B's chambers for every g; a one-plane B is not essential
+    gB = essentialize(B.forms, dim)
+    gb_topes = sigma(gB, gB.dim)
     rng = random.Random(seed)
-    a_flats = closed_sets_of_forms(A.forms, dim)
-    b_forms_raw = B.forms
     failed_witness = False
     for _ in range(RETRY_BUDGET):
         g = [[rng.randint(-COEFFICIENT_BOUND, COEFFICIENT_BOUND) for _ in range(dim)]
@@ -171,18 +177,16 @@ def generic_union(A: Arrangement, B: Arrangement,
         if rank(g, dim) < dim:
             continue
         # the forms of g(B) are f . g^-1: the coordinates of f in g's rows
-        gb_forms = [coordinates(g, f) for f in b_forms_raw]
-        union_forms = list(A.forms) + gb_forms
+        gb_forms = [coordinates(g, f) for f in B.forms]
         try:
             union = validate(Arrangement.from_forms(
-                dim, union_forms,
+                dim, list(A.forms) + gb_forms,
                 list(A.labels) + [f"g.{l}" for l in B.labels]))
         except HyparrError:
             continue
-        gb_flats = closed_sets_of_forms(gb_forms, dim)
-        if not _flats_in_general_position(A.forms, gb_forms, a_flats, gb_flats, dim):
+        if not _in_general_position(build_lattice(union), A.n):
             continue
-        eps = _union_witness(A, gb_forms)
+        eps = _union_witness(A, gb_forms[0], gb_topes)
         if eps is None:
             continue
         failure = first_failing_flat(union, eps)
@@ -194,29 +198,35 @@ def generic_union(A: Arrangement, B: Arrangement,
     raise GenericityFailed(f"no generic g in {RETRY_BUDGET} tries (seed {seed})")
 
 
-def _flats_in_general_position(a_forms, gb_forms, a_flats, gb_flats, dim) -> bool:
-    a_rows = [primitive_int_vector(f) for f in a_forms]
-    gb_rows = [primitive_int_vector(f) for f in gb_forms]
-    for S, ra in a_flats.items():
-        for T, rb in gb_flats.items():
-            rows = [a_rows[i] for i in sorted(S)] + [gb_rows[j] for j in sorted(T)]
-            if not rows:
-                continue
-            if rank(rows, dim) != min(ra + rb, dim):
-                return False
+def _in_general_position(lat: Lattice, na: int) -> bool:
+    """Whether the first na forms of the union (A) and the rest (g(B)) are
+    in general position: every flat S of A and T of g(B) span rank
+    min(rank S + rank T, dim).  That holds iff every flat U of the union
+    but the top splits into the flats U & A and U - A, with codims adding up
+    to codim U.  If it holds, take U, the closure of S and T: below the top,
+    rank U <= rank S + rank T <= codim(U & A) + codim(U - A) = rank U.
+    Conversely, a flat of A below the top takes no form of g(B) into its
+    closure, which would break general position with that one form, so
+    U & A and U - A are flats of the union, and their pair gives the sum."""
+    a = frozenset(range(na))
+    for U in lat.flats[:-1]:
+        S, T = lat.by_contains.get(U.contains & a), lat.by_contains.get(U.contains - a)
+        if S is None or T is None or S.codim + T.codim != U.codim:
+            return False
     return True
 
 
-def _union_witness(A: Arrangement, gb_forms):
+def _union_witness(A: Arrangement, first_form, gb_topes):
     """The witness of the union.  A closed chamber of A is the cone of its
-    conforming lines, so g(B)'s first form cuts it iff it takes both strict
-    signs on them; otherwise it lies on the side of their nonzero values."""
+    conforming lines, which the tope search keeps for it, so g(B)'s first
+    form cuts it iff it takes both strict signs on them; otherwise it lies
+    on the side of their nonzero values."""
     lat = build_lattice(A)
-    first = primitive_int_vector(gb_forms[0])
-    gB = essentialize(gb_forms, A.dim)  # a one-plane B is not essential
-    gb_topes = sigma(gB, gB.dim)
-    for c0 in sigma(A, A.dim):
-        sides = {dot > 0 for v, _, _ in conforming(lat, c0, lat.top)
+    first = primitive_int_vector(first_form)
+    chambers = sigma(A, A.dim)
+    lines, conforming = lat.cocircuits(lat.top), lat.tope_lines(lat.top)
+    for c0 in chambers:
+        sides = {dot > 0 for v, _, _ in map(lines.__getitem__, _bits(conforming[c0.signs]))
                  if (dot := sum(map(mul, first, v)))}
         if len(sides) == 1:
             away = -1 if sides.pop() else 1

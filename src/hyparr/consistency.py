@@ -68,15 +68,10 @@ def _plus(eps) -> int:
 
 
 def _conforming(lat: Lattice, plus: int, Y: Flat) -> list[Cocircuit]:
-    """`conforming`, given the bitmask of the forms on which eps is '+'."""
+    """The cocircuits of A_Y that conform to eps, zero or eps's sign on
+    every form of Y, given the bitmask of the forms on which eps is '+'."""
     return [(v, pos, neg) for v, pos, neg in lat.cocircuits(Y)
             if not (pos & ~plus or neg & plus)]
-
-
-def conforming(lat: Lattice, eps, Y: Flat) -> list[Cocircuit]:
-    """The cocircuits of A_Y that conform to eps: zero or eps's sign on
-    every form of Y."""
-    return _conforming(lat, _plus(eps), Y)
 
 
 def witnesses_of(lat: Lattice, eps):

@@ -53,8 +53,7 @@ from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, NotEssential
-from .linalg import (_bareiss_echelon, _direction, determinant, kernel_basis,
-                     primitive_int_vector, products)
+from .linalg import _bareiss_echelon, _direction, determinant, kernel_basis, products
 
 
 def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
@@ -386,13 +385,6 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
         codim = len(levels)
         levels.append([Flat(c, codim, (lines[c],)) if c in lines else make_flat(c, codim)
                        for c in sorted(new, key=sorted)])
-
-
-def closed_sets_of_forms(forms, dim) -> dict[frozenset[int], int]:
-    """All closed index sets of a central (not necessarily essential) family,
-    mapped to their rank."""
-    rows = [primitive_int_vector(f) for f in forms]
-    return {X.contains: X.codim for level in _levels(rows, dim)[0] for X in level}
 
 
 def _moebius(down: list[int]) -> list[int]:

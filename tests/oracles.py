@@ -7,6 +7,8 @@
   boundary;
 - rank/kernel by plain Gauss-Jordan over Fractions (no Bareiss);
 - flats by brute-force closure over all index subsets;
+- general position of two families by the rank of every pair of their
+  flats;
 - walls and flows rebuilt on top of the simplex oracle only.
 
 Their own checks raise AssertionError explicitly, so they stay on under
@@ -159,6 +161,15 @@ def brute_force_flats(forms, dim):
                        for v in k))
             found[closed] = dim - len(k)
     return found
+
+
+def general_position(a_forms, b_forms, dim):
+    """Whether every flat S of A and T of B together span rank
+    min(rank S + rank T, dim): flats by brute force, each pair by rref."""
+    a_flats, b_flats = brute_force_flats(a_forms, dim), brute_force_flats(b_forms, dim)
+    return all(rref_rank([a_forms[i] for i in S] + [b_forms[j] for j in T], dim)
+               == min(ra + rb, dim)
+               for S, ra in a_flats.items() for T, rb in b_flats.items())
 
 
 def oracle_walls(forms, dim, signs):

@@ -1,16 +1,24 @@
+import hashlib
+import json
+import random
 from collections import Counter
 from itertools import combinations
 from math import comb
 
 import pytest
 
+import hyparr.lattice
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, primitive_rows, validate
+from hyparr.arrangement import Arrangement, arrangement_to_obj, primitive_rows, validate
 from hyparr.consistency import (is_globally_consistent, is_locally_consistent,
                                 sigma_filtration)
+from hyparr.errors import DuplicateHyperplane, ZeroForm
 from hyparr.lattice import build_lattice, chamber_count_oracle
 from hyparr.linalg import RatVector, rank
 from hyparr.obstruction import detect_obstruction
+
+from conftest import random_arrangement
+from oracles import general_position
 
 
 def test_boolean():
@@ -112,6 +120,81 @@ def test_generic_union_deterministic():
 def test_generic_union_empty_b_rejected():
     with pytest.raises(ValueError):
         catalog.generic_union(catalog.boolean(2), Arrangement(2, ()), seed=1)
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ([0, 0, 0], ZeroForm, "form 2 is zero"),
+    ([-2, -2, -2], DuplicateHyperplane, "forms 1 and 2 are proportional"),
+    ([1, 1], ValueError, "form 2 of B has dimension 2, expected 3"),
+], ids=["zero", "proportional", "short"])
+def test_generic_union_rejects_a_malformed_b_before_drawing(bad, error, message, monkeypatch):
+    A = catalog.generic(5, 3, 2024)
+    B = Arrangement.from_forms(3, [[1, 1, 1], bad])
+
+    def no_draw(*args):
+        raise AssertionError("g was drawn")
+
+    monkeypatch.setattr(catalog, "rank", no_draw)  # the first step of every draw
+    with pytest.raises(error, match=message):
+        catalog.generic_union(A, B, 7)
+
+
+def test_general_position_agrees_with_the_pairwise_rank_oracle():
+    # the union's lattice decides general position as the rank of every pair
+    # of flats of A and B does; dim 2 has no rejection, dims 3 and 4 have both
+    rng = random.Random(29)
+    rejected = 0
+    for _ in range(300):
+        d = rng.randint(2, 4)
+        U = random_arrangement(rng, dim=d, n=rng.randint(d + 1, d + 4), bound=2)
+        na = rng.randint(1, U.n - 1)
+        rows = [tuple(h.form) for h in U.hyperplanes]
+        expected = general_position(rows[:na], rows[na:], d)
+        assert catalog._in_general_position(build_lattice(U), na) == expected, (rows, na)
+        rejected += not expected
+    assert rejected >= 100
+
+
+# sha256 of json.dumps(arrangement_to_obj(union)) and the witness of the four
+# unions that perfbench/workloads.py draws: a different draw of g changes
+# every benchmark input built from them
+UNION_DRAWS = {
+    (4, 4, 3): ("26ab6c7f3db70abf649527578b1247e7cbfbc59d73445a310f74d00b592ee850", "++--+++-"),
+    (5, 4, 4): ("0c26aa17e1ee69b2b54ba20eff4cbd1d8b1754a934bfef99508f980bbd9bac82", "+++-+-+++"),
+    (5, 3, 3): ("29ed8ddfc599b07ea715e99ddf63f0f2784405ee6e4aa432426b2ad45fa89f25", "+++++-++"),
+    (6, 1, 5): ("396a0f2cda3cf174302d280e5cab1ebaaea9ed8769b554f8250e98e9f8d72ecb", "++++-+-"),
+}
+
+
+def _benchmark_union(na, nb, dim):
+    A = catalog.generic(na, dim, 2024)
+    B = (Arrangement.from_forms(dim, [[1] * dim]) if nb == 1
+         else catalog.generic(nb, dim, 2025))
+    return A, B
+
+
+@pytest.mark.parametrize("sizes", sorted(UNION_DRAWS))
+def test_benchmark_unions_are_pinned(sizes):
+    union, eps = catalog.generic_union(*_benchmark_union(*sizes), 2026)
+    digest = hashlib.sha256(json.dumps(arrangement_to_obj(union)).encode()).hexdigest()
+    assert (digest, str(eps)) == UNION_DRAWS[sizes]
+
+
+def test_an_accepted_draw_builds_three_lattices(monkeypatch):
+    # B's, the union's and A's, one each: general position is read from the
+    # union's lattice, with no lattice of the flats of A or of g(B) alone
+    levels = hyparr.lattice._levels
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return levels(*args)
+
+    A, B = _benchmark_union(4, 4, 3)
+    build_lattice.cache_clear()
+    monkeypatch.setattr(hyparr.lattice, "_levels", counted)
+    catalog.generic_union(A, B, 2026)
+    assert sorted(len(rows) for rows, _ in calls) == [A.n, B.n, A.n + B.n]
 
 
 def test_moment_curve():

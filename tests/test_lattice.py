@@ -16,8 +16,7 @@ from hyparr import catalog
 from hyparr.arrangement import Arrangement, arrangement_to_obj, primitive_rows, validate
 from hyparr.cli import main
 from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
-from hyparr.lattice import (Flat, build_lattice, chamber_count_oracle,
-                            characteristic_polynomial, closed_sets_of_forms)
+from hyparr.lattice import Flat, build_lattice, chamber_count_oracle, characteristic_polynomial
 from hyparr.linalg import (RatVector, canonical_int_vector, kernel_basis,
                            primitive_int_vector, products)
 
@@ -267,9 +266,12 @@ def test_closed_sets_of_non_essential_family():
             if any(f) and key not in keys:
                 keys.add(key)
                 forms.append(f)
-        closed = closed_sets_of_forms(forms, 4)
+        levels, _ = hyparr.lattice._levels([primitive_int_vector(f) for f in forms], 4)
+        closed = {X.contains: X.codim for level in levels for X in level}
         assert closed == brute_force_flats(forms, 4)
         assert max(closed.values()) == rref_rank(forms, 4) == 3
+        with pytest.raises(NotEssential, match="rank 3 < 4"):
+            build_lattice(Arrangement.from_forms(4, forms))
 
 
 # sha256 of `hyparr lattice` stdout on the files `hyparr builtin` prints
