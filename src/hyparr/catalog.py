@@ -1,10 +1,11 @@
 """Catalog of named arrangements and seeded generic constructions.
 
 Randomized constructors are deterministic for a fixed seed and verify their
-defining combinatorics before returning: genericity is rank-checked, never
-assumed, and the fixed six-line realization is checked against its intended
-incidence data (two triple points, all other crossings double, three
-parallel classes).
+defining combinatorics before returning: genericity is decided exactly by
+one walk over the dim-subsets of the forms (`_all_small_subsets_independent`),
+never assumed, and the fixed six-line realization is checked against its
+intended incidence data (two triple points, all other crossings double,
+three parallel classes).
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ from operator import mul
 
 from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
                           essentialize, validate)
-from .consistency import first_failing_flat, sigma
+from .consistency import first_failing_flat
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
 from .lattice import Lattice, _bits, build_lattice
-from .linalg import RatVector, coordinates, primitive_int_vector, rank
+from .linalg import (RatVector, _direction, coordinates, primitive_int_vector, products,
+                     rank)
 
 RETRY_BUDGET = 64
 COEFFICIENT_BOUND = 9
@@ -44,7 +46,8 @@ def generic4() -> Arrangement:
 
 def generic(n: int, dim: int, seed: int) -> Arrangement:
     """n random integer forms in R^dim, redrawn until every subset of size
-    <= dim is independent (checked by rank).  Deterministic per seed."""
+    <= dim is independent, which one walk over the prefixes of the
+    dim-subsets decides exactly.  Deterministic per seed."""
     if not n >= dim >= 1:
         raise ValueError("need n >= dim >= 1")
     rng = random.Random(seed)
@@ -71,11 +74,50 @@ def moment(n: int, dim: int) -> Arrangement:
 
 
 def _all_small_subsets_independent(forms, dim) -> bool:
-    size = min(dim, len(forms))
-    for S in combinations(range(len(forms)), size):
-        if rank([forms[i] for i in S], dim) < size:
-            return False
-    return True
+    """Whether every dim of the n >= dim integer forms are independent, so
+    that every smaller subset is too.
+
+    One depth-first walk over the prefixes of the dim-subsets in lex order.
+    A node holds integer rows spanning the kernel of its prefix, and one
+    `products` map gives every form's values at a row.  A form extends the
+    prefix to an independent set iff its restriction u, its values at the
+    rows, is nonzero; the child's rows are then u_p * k_t - u_t * k_p for a
+    pivot p with u_p != 0, made primitive by `_direction`, which raises
+    InternalError on a zero row.  A node with two rows k1, k2 has the
+    columns c1, c2 and decides each child j, with restriction (a, b), with
+    no further kernel: the values at the line's row a * k2 - b * k1 are the
+    n minors a * c2[l] - b * c1[l], and they must hold exactly dim - 1
+    zeros (the prefix and j), as the lattice's line check asks.  A zero at
+    any other l is a dependent dim-subset.  Every dim-subset is a leaf of
+    the walk, reached through an independent prefix or rejected on the way,
+    so the walk decides the same predicate as a rank check of every
+    dim-subset."""
+    n = len(forms)
+    at = products(forms)
+
+    def walk(rows, cols, start) -> bool:
+        m = len(rows)
+        if m == 1:  # dim 1: the root's row spans the line
+            return cols[0].count(0) == dim - 1
+        if m == 2:
+            c1, c2 = cols
+            return all([a * y == b * x for x, y in zip(c1, c2)].count(True) == dim - 1
+                       for a, b in zip(c1[start:n - 1], c2[start:n - 1]))
+        for j in range(start, n - m + 1):  # m - 1 forms must follow j
+            u = [c[j] for c in cols]
+            p = next((t for t, x in enumerate(u) if x), None)
+            if p is None:
+                return False
+            kp, up = rows[p], u[p]
+            child = [_direction([up * x - ut * y for x, y in zip(kt, kp)])
+                     for t, (kt, ut) in enumerate(zip(rows, u)) if t != p]
+            if not walk(child, list(map(at, child)), j + 1):
+                return False
+        return True
+
+    # the values at the unit rows are the forms' coordinates
+    unit = [tuple(int(s == t) for s in range(dim)) for t in range(dim)]
+    return walk(unit, list(zip(*forms)), 0)
 
 
 # Fixed realization of the six-line figure with two triple points:
@@ -153,9 +195,9 @@ def generic_union(A: Arrangement, B: Arrangement,
     lattice (`_in_general_position`); the returned sign vector takes the
     first chamber of A that g(B)'s first hyperplane does not cut, the side
     of that hyperplane away from it, and the first chamber of g(B) on that
-    side.  Both chamber sets come from the lines (`sigma` at k = dim), and no
-    solver runs.  The sign vector is verified locally consistent and
-    globally inconsistent before returning.
+    side.  Both chamber sets are the lattices' topes, read from the lines
+    with no enumeration limit, and no solver runs.  The sign vector is
+    verified locally consistent and globally inconsistent before returning.
     """
     if B.n == 0:
         raise ValueError("B must be nonempty")
@@ -168,7 +210,7 @@ def generic_union(A: Arrangement, B: Arrangement,
             raise ValueError(f"form {i + 1} of B has dimension {f.dim}, expected {dim}")
     # g(B) has B's chambers for every g; a one-plane B is not essential
     gB = essentialize(B.forms, dim)
-    gb_topes = sigma(gB, gB.dim)
+    gb_topes = build_lattice(gB).topes()
     rng = random.Random(seed)
     failed_witness = False
     for _ in range(RETRY_BUDGET):
@@ -223,9 +265,8 @@ def _union_witness(A: Arrangement, first_form, gb_topes):
     on the side of their nonzero values."""
     lat = build_lattice(A)
     first = primitive_int_vector(first_form)
-    chambers = sigma(A, A.dim)
     lines, conforming = lat.cocircuits(lat.top), lat.tope_lines(lat.top)
-    for c0 in chambers:
+    for c0 in lat.topes():
         sides = {dot > 0 for v, _, _ in map(lines.__getitem__, _bits(conforming[c0.signs]))
                  if (dot := sum(map(mul, first, v)))}
         if len(sides) == 1:

@@ -51,13 +51,17 @@ _set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def _vec(v) -> list[str]:
-    """Exact fractions as output strings, printed in full however long."""
-    old = _get_int_digits()
-    _set_int_digits(0)
+    """Exact fractions as output strings, printed in full however long: the
+    limit is lifted, and restored, only for a vector that passes it."""
     try:
         return [str(x if type(x) in (int, Fraction) else Fraction(x)) for x in v]
-    finally:
-        _set_int_digits(old)
+    except ValueError:
+        old = _get_int_digits()
+        _set_int_digits(0)
+        try:
+            return [str(x if type(x) in (int, Fraction) else Fraction(x)) for x in v]
+        finally:
+            _set_int_digits(old)
 
 
 def _ones(indices) -> list[int]:

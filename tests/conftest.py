@@ -33,18 +33,26 @@ def braid4():
     return catalog.braid(4)
 
 
+DRAW_BUDGET = 1000
+
+
 def random_arrangement(rng: random.Random, dim=None, n=None, bound=3) -> Arrangement:
-    """A random valid central essential arrangement with small coefficients."""
+    """A random valid central essential arrangement with small coefficients.
+
+    Raises ValueError after DRAW_BUDGET rejected draws, as when `bound`
+    allows fewer than n distinct directions."""
     d = dim if dim is not None else rng.randint(2, 4)
     m = n if n is not None else rng.randint(d, 8)
     if m < d:
         raise ValueError("need n >= dim for an essential arrangement")
-    while True:
+    for _ in range(DRAW_BUDGET):
         forms = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(m)]
         try:
             return validate(Arrangement.from_forms(d, forms))
         except (ZeroForm, DuplicateHyperplane, NotEssential):
             continue
+    raise ValueError(f"no valid arrangement of {m} forms in R^{d} with coefficients "
+                     f"in [-{bound}, {bound}] in {DRAW_BUDGET} draws")
 
 
 def random_sign_vector(rng: random.Random, n: int) -> SignVector:

@@ -141,3 +141,9 @@ def test_json_round_trip(tmp_path):
     text = json.dumps(obj)
     back = arrangement_from_obj(json.loads(text))
     assert back == A
+
+
+def test_random_arrangement_gives_up_when_too_few_directions_exist():
+    # coefficients in {-1, 0, 1} give only 4 lines through the origin of R^2
+    with pytest.raises(ValueError, match="1000 draws"):
+        random_arrangement(random.Random(1), dim=2, n=5, bound=1)

@@ -18,7 +18,7 @@ from hyparr.linalg import RatVector, rank
 from hyparr.obstruction import detect_obstruction
 
 from conftest import random_arrangement
-from oracles import general_position
+from oracles import general_position, rref_rank
 
 
 def test_boolean():
@@ -49,6 +49,61 @@ def test_generic_lattice_shape_and_determinism():
     for f in build_lattice(A).flats:
         if f.codim < 3:
             assert len(f.contains) == f.codim  # generic: only small circuits
+
+
+# sha256 of json.dumps(arrangement_to_obj(A)) for every catalog.generic draw
+# that perfbench/workloads.py makes, the inputs themselves and the parts of
+# its unions, and for the other small draws at the union seeds: a changed
+# genericity decision moves the draw
+GENERIC_DRAWS = {
+    (12, 4, 2024): "c41957395d92039b59c3030a9f036b2548bf3f37e96d50250c6fba9d8b4601f4",
+    (16, 4, 2024): "ba34d0e68ec6d9d56efca6e3fe1cb87486ba9d6e218395524966feec5527adf7",
+    (20, 4, 2024): "015a9fe44a72d9433710c0a044280baa050d2bbd4d271c7814fbf18d87fbe445",
+    (9, 5, 2024): "806c54b79fa151a8f0317b121d78ef55fc029689b9cdf828af8a49542aa36d45",
+    (10, 4, 2024): "208a88b7a7caa18e2f650ba8130b5be084c86c12c11560a0594fd290139d8a35",
+    (8, 4, 2024): "e7ca597214cc0977fd925c203fbbfa954238ed284a5fa22e72d25e74904d3f35",
+    (4, 3, 2024): "e3e6857be049389761c9122b38db4f21e0beae66a02ab22ec14dc718d2bd2b62",
+    (4, 4, 2024): "87cad1c9f8df41d4feabab024e60c4bc1f64893962b358b744f81e1cb61ef9b2",
+    (5, 3, 2024): "27be418756a91678c7a7e08fadd1c2f1c40fd6ba74e9ce5e1e03f7d6f7afd638",
+    (5, 4, 2024): "cc9cb1b550ee163227887f0375c20275b99d62ea091bcc367e731169fd3c41a8",
+    (6, 5, 2024): "79bf2831e90e73ad4fb9d85f0f0b6aa2553f4cab84ccfcf0e8d1394e8b17d2d0",
+    (3, 3, 2025): "38397322203cc0637300b7e582537df7647a9cb22d8b4cb1fbc3e10381eee9bb",
+    (4, 3, 2025): "64bb1e270928a75e82e9a27c01d23f6abe50d7d636e2562607a29a73075ccc9c",
+    (4, 4, 2025): "f60262e54ce90a10008f8e1c6cc5481aae273e1309565fabba88d9c33c39d0ff",
+    (5, 3, 2025): "b9352c28dbd7157073ff5ff41a6599e0fe5492902538c85495bd4d8c4ee3a793",
+    (5, 4, 2025): "37e166487b1e2883d7a4af20170bfc962aae294b912381b01365199de04fe72a",
+    (6, 5, 2025): "306f1dbf4260d43d63f82a24e0bad675b48b858da9d26a309b94bc44c7bb4ae6",
+}
+
+
+@pytest.mark.parametrize("draw", sorted(GENERIC_DRAWS))
+def test_benchmark_generic_draws_are_pinned(draw):
+    A = catalog.generic(*draw)
+    digest = hashlib.sha256(json.dumps(arrangement_to_obj(A)).encode()).hexdigest()
+    assert digest == GENERIC_DRAWS[draw]
+
+
+def test_genericity_walk_agrees_with_the_rank_of_every_subset():
+    # a quarter of the lists get one form, anywhere, replaced by a
+    # combination of dim - 1 others (the zero form in dim 1), so that
+    # dependent subsets also sit among the last forms of a list
+    rng = random.Random(30)
+    rejected = 0
+    for _ in range(2000):
+        d = rng.randint(1, 6)
+        bound = rng.randint(1, 9)
+        n = d + rng.randint(0, 7 - d)
+        forms = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(n)]
+        if rng.random() < 0.25:
+            target, *others = rng.sample(range(n), d)
+            coefficients = [rng.choice((-2, -1, 1, 2)) for _ in others]
+            forms[target] = [sum(c * forms[i][j] for c, i in zip(coefficients, others))
+                             for j in range(d)]
+        expected = all(rref_rank([forms[i] for i in S], d) == d
+                       for S in combinations(range(n), d))
+        assert catalog._all_small_subsets_independent(forms, d) == expected, (forms, d)
+        rejected += not expected
+    assert rejected >= 600
 
 
 def test_generic_excess_gap():
@@ -137,6 +192,15 @@ def test_generic_union_rejects_a_malformed_b_before_drawing(bad, error, message,
     monkeypatch.setattr(catalog, "rank", no_draw)  # the first step of every draw
     with pytest.raises(error, match=message):
         catalog.generic_union(A, B, 7)
+
+
+def test_generic_union_takes_more_planes_than_the_enumeration_limit():
+    # both chamber sets are the lattices' topes, read with no limit of 22
+    A = catalog.moment(23, 3)
+    union, eps = catalog.generic_union(A, Arrangement.from_forms(3, [[1, 1, 1]]), 1)
+    assert union.n == 24 and union.forms[:23] == A.forms
+    assert is_locally_consistent(union, eps)
+    assert not is_globally_consistent(union, eps)
 
 
 def test_general_position_agrees_with_the_pairwise_rank_oracle():

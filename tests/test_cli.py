@@ -14,6 +14,7 @@ import pytest
 
 import hyparr
 import hyparr.chambers
+import hyparr.cli
 import hyparr.consistency
 import hyparr.lattice
 from hyparr import catalog
@@ -492,6 +493,15 @@ def test_witnesses_past_the_int_printing_limit(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["payload"]["count"] == 22
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_short_vectors_leave_the_int_printing_limit_alone(tmp_path, capsys, monkeypatch):
+    # the limit is lifted only for a vector that passes it
+    calls = []
+    monkeypatch.setattr(hyparr.cli, "_set_int_digits", calls.append)
+    code, out = run_cli(capsys, "lattice", write_cx2(tmp_path))
+    assert code == 0 and json.loads(out)["payload"]["flats"]
+    assert calls == []
 
 
 def test_lattice_checks_stay_on_under_optimize(tmp_path):
