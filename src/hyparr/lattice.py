@@ -16,9 +16,16 @@ gives it (the row of the plane's kernel on which the cutting form
 vanishes), and is certified by its values at that row: exactly as many of
 the n values as the line has forms must be 0, and each of the line's forms
 must read 0.  The level loop keeps, for each new flat, the flats that
-generated it: exactly its lower covers.  Each flat's strict down-set is
-the union of its lower covers' down-sets, and its Moebius value is minus
-the sum over that down-set.  The covers are checked against the
+generated it: exactly its lower covers.  The Moebius values come from the
+covers alone, by Weisner's theorem (Weisner 1935): for a flat X above the
+bottom and an atom a below it, the sum of mu(Z) over the Z with Z v a = X
+is 0, and in a geometric lattice those Z are X itself and the lower covers
+of X that a is not below.  So with a the form min(X.contains), mu(X) is
+minus the sum of mu over the lower covers of X that do not contain a, and
+the build does O(number of covers) work beyond the level loop.  No
+down-set is built: the strict down-sets, as bitmasks over flat indices,
+are built from the lower covers on the first call of `below` and kept on
+the `Lattice`.  The covers are checked against the
 restriction rule (the upper covers of X split the forms outside X into
 their groups), and every value against Rota's sign theorem,
 (-1)^codim X * mu(X) > 0 on a geometric lattice (Rota 1964).  The
@@ -49,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
@@ -90,22 +98,23 @@ class Lattice:
 
     Flats are ordered by codim, and by key within a codim, so the top (the
     origin) is the last.  `lower[t]` and `upper[t]` are the indices of the
-    flats that flat t covers and that cover it, ascending; `down[t]` is the
-    strict down-set of flat t as a bitmask over flat indices.
+    flats that flat t covers and that cover it, ascending.  The strict
+    down-set of each flat, as a bitmask over flat indices, is built for the
+    whole lattice on the first call of `below` and kept.
     """
 
-    def __init__(self, arrangement: Arrangement, flats, lower, upper, down, moebius):
+    def __init__(self, arrangement: Arrangement, flats, lower, upper, moebius):
         self.arrangement = arrangement
         self.flats = tuple(flats)
         self.lower = lower
         self.upper = upper
-        self.down = down
         self.moebius = moebius  # contains -> int
         self.index = {f.contains: t for t, f in enumerate(self.flats)}
         self.by_contains = {f.contains: f for f in self.flats}
         self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
         self._tope_lines: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
         self._topes: tuple[SignVector, ...] | None = None
+        self._down: list[int] | None = None
 
     def flats_of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
@@ -115,8 +124,17 @@ class Lattice:
 
     def below(self, X: Flat) -> tuple[Flat, ...]:
         """The flats strictly below X (contains a proper subset of X's), by
-        codim and then key."""
-        return tuple(self.flats[s] for s in _bits(self.down[self.index[X.contains]]))
+        codim and then key.  The first call builds every flat's strict
+        down-set, the union of its lower covers and their down-sets."""
+        if self._down is None:
+            down: list[int] = []
+            for covers in self.lower:
+                mask = 0
+                for s in covers:
+                    mask |= down[s] | 1 << s
+                down.append(mask)
+            self._down = down
+        return tuple(self.flats[s] for s in _bits(self._down[self.index[X.contains]]))
 
     def cocircuits(self, Y: Flat) -> tuple[Cocircuit, ...]:
         """Both signed cocircuits of every line of the localization A_Y.
@@ -360,7 +378,7 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
         for t, X in enumerate(levels[-1], base):
             if len(X.kernel) == 1:
                 values = at(X.kernel[0])
-                if values.count(0) != len(X.contains) or any(values[i] for i in X.contains):
+                if values.count(0) != len(X.contains) or any(map(values.__getitem__, X.contains)):
                     zeros = frozenset(i for i, value in enumerate(values) if not value)
                     raise disagrees(X, min(zeros ^ X.contains))
                 if X.contains != everything:
@@ -369,10 +387,19 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
             cols = list(map(at, X.kernel))
             groups: dict[tuple[int, ...], list[int]] = {}
             for i, restricted in enumerate(zip(*cols)):
-                if any(restricted) == (i in X.contains):
+                # the direction of the restriction, as `_direction` gives it
+                g = gcd(*restricted)
+                if (not g) != (i in X.contains):
                     raise disagrees(X, i)
-                if i not in X.contains:
-                    groups.setdefault(_direction(restricted), []).append(i)
+                if not g:
+                    continue
+                for a in restricted:
+                    if a:
+                        break
+                if a < 0:
+                    g = -g
+                direction = restricted if g == 1 else tuple(map(g.__rfloordiv__, restricted))
+                groups.setdefault(direction, []).append(i)
             for u, group in groups.items():
                 closed = X.contains.union(group)
                 new.setdefault(closed, []).append(t)
@@ -387,21 +414,21 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
                        for c in sorted(new, key=sorted)])
 
 
-def _moebius(down: list[int]) -> list[int]:
-    """mu(bottom) = 1, mu(X) = -(the sum of mu over X's strict down-set), and
-    mu(top) = -(the sum of all other values); down holds the down-sets as
-    bitmasks over flat indices, ordered so that each lies before its flat."""
+def _moebius(flats, lower) -> list[int]:
+    """mu(bottom) = 1 and, by Weisner's theorem, mu(X) = -(the sum of mu over
+    the lower covers of X that do not contain a = min(X.contains)); lower[t]
+    holds the indices of the lower covers of flats[t], each lying before it."""
     values = [1]
-    for mask in down[1:-1]:
-        values.append(-sum(values[s] for s in _bits(mask)))
-    values.append(-sum(values))
+    for X, covers in zip(flats[1:], lower[1:]):
+        a = min(X.contains)
+        values.append(-sum(values[s] for s in covers if a not in flats[s].contains))
     return values
 
 
 @lru_cache(maxsize=256)
 def build_lattice(A: Arrangement) -> Lattice:
     """Flats and their lower covers level by level by the restriction rule,
-    then down-sets and Moebius values from the covers.
+    then Moebius values from the covers by Weisner's theorem.
 
     The checks, each O(number of covers) or O(F): every flat but the bottom
     has a lower cover; every cover is one codim down with a strictly smaller
@@ -415,34 +442,36 @@ def build_lattice(A: Arrangement) -> Lattice:
     if len(levels) <= A.dim:
         raise NotEssential(f"forms span rank {len(levels) - 1} < {A.dim}")
     flats = [X for level in levels for X in level]
-    lower = tuple(tuple(covers.get(X.contains, ())) for X in flats)
+    contains = [X.contains for X in flats]
+    codims = [X.codim for X in flats]
+    lower = tuple(tuple(covers.get(c, ())) for c in contains)
     upper: list[list[int]] = [[] for _ in flats]
-    down: list[int] = []
-    for t, X in enumerate(flats):
+    for t, X in enumerate(contains):
         if t and not lower[t]:
-            raise InternalError(f"flat {sorted(X.contains)} has no lower cover")
-        mask = 0
+            raise InternalError(f"flat {sorted(X)} has no lower cover")
+        codim = codims[t] - 1
         for s in lower[t]:
-            Z = flats[s]
-            if Z.codim != X.codim - 1 or not Z.contains < X.contains:
-                raise InternalError(f"flat {sorted(Z.contains)} is no lower cover "
-                                    f"of flat {sorted(X.contains)}")
-            mask |= down[s] | 1 << s
+            if codims[s] != codim or not contains[s] < X:
+                raise InternalError(f"flat {sorted(contains[s])} is no lower cover "
+                                    f"of flat {sorted(X)}")
             upper[s].append(t)
-        down.append(mask)
+    # every upper cover Y of X holds X, so the groups Y - X split the forms
+    # outside X iff their sizes |Y| - |X| add up to n - |X| and X with the
+    # Y holds every form
     everything = frozenset(range(A.n))
-    for X, ups in zip(flats, upper):
-        groups = [flats[t].contains - X.contains for t in ups]
-        if (len(X.contains) + sum(map(len, groups)) != A.n
-                or X.contains.union(*groups) != everything):
-            raise InternalError(f"the upper covers of flat {sorted(X.contains)} do not "
+    sizes = list(map(len, contains))
+    for t, ups in enumerate(upper):
+        X = contains[t]
+        if (sum(map(sizes.__getitem__, ups)) - (len(ups) - 1) * sizes[t] != A.n
+                or X.union(*map(contains.__getitem__, ups)) != everything):
+            raise InternalError(f"the upper covers of flat {sorted(X)} do not "
                                 f"split the forms outside it")
-    values = _moebius(down)
+    values = _moebius(flats, lower)
     for X, v in zip(flats, values):
         if v * (-1) ** X.codim <= 0:
             raise InternalError(f"Moebius value {v} at flat {sorted(X.contains)} "
                                 f"breaks Rota's sign rule")
-    return Lattice(A, flats, lower, tuple(map(tuple, upper)), tuple(down),
+    return Lattice(A, flats, lower, tuple(map(tuple, upper)),
                    {X.contains: v for X, v in zip(flats, values)})
 
 

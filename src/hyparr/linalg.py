@@ -11,14 +11,17 @@ fraction-free Bareiss elimination, so intermediate entries stay bounded.
 column of the rows into one integer, 64 bits per row, so that all the
 products at v are one integer combination of the packed columns, with a
 bias of 2^63 in each field so that no field borrows from the next; the
-fields are read back as signed 64-bit integers.  This is exact while every
+fields are read back as signed 64-bit integers, and the packed columns are
+built from each column's signed 64-bit bytes.  This is exact while every
 product lies strictly between -2^63 and 2^63, which max ||r||_1 * max |v_j|
-< 2^63 guarantees; past that bound the map takes plain dot products.  Both
+< 2^63 guarantees; past that bound, or when an entry of the rows does not
+fit in 64 bits, the map takes plain dot products.  Both
 paths are integer arithmetic: no floating point appears anywhere.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,25 +120,38 @@ def _direction(v) -> tuple[int, ...]:
 def products(rows):
     """The exact map v -> [r . v for r in rows] for integer rows of one length.
 
-    Row i fills bits 64i to 64i + 63 of each packed column, and the bias
+    Row i fills the i-th 64-bit field, in native byte order, of each packed
+    column (bits 64i to 64i + 63 on a little-endian machine), and the bias
     puts 2^63 in every field, so the combination sum_j v_j * column_j + bias
     holds r_i . v + 2^63 in field i, in [0, 2^64) and with no borrow, as long
     as |r_i . v| < 2^63; flipping each field's top bit leaves r_i . v in two's
     complement, read back as native signed 64-bit integers.  Whenever
-    max ||r||_1 * max |v_j| >= 2^63 the map takes plain dot products instead.
+    max ||r||_1 * max |v_j| >= 2^63 the map takes plain dot products instead,
+    and it always does when an entry of the rows lies outside int64.
     """
     rows = [tuple(r) for r in rows]
     n = len(rows)
     norm = max((sum(map(abs, r)) for r in rows), default=0)
-    # to_bytes puts the lowest field first on a little-endian machine and
-    # last on a big-endian one
-    order = rows if sys.byteorder == "little" else rows[::-1]
-    columns = [sum(a << 64 * i for i, a in enumerate(column)) for column in zip(*order)]
-    bias = sum(1 << 64 * i + 63 for i in range(n))
+    bias = ((1 << 64 * n) - 1) // ((1 << 64) - 1) << 63  # 2^63 in each of n fields
+
+    def plain(v) -> list[int]:
+        return [sum(map(mul, r, v)) for r in rows]
+
+    # a column's entries as native signed 64-bit fields read as one unsigned
+    # integer in native byte order, so that to_bytes and cast("q") below give
+    # the fields back in row order on either byte order; flipping each
+    # field's top bit and taking the bias off adds each negative entry's
+    # borrow back in
+    pack = struct.Struct(f"{n}q").pack
+    try:
+        columns = [(int.from_bytes(pack(*column), sys.byteorder) ^ bias) - bias
+                   for column in zip(*rows)]
+    except struct.error:  # an entry outside int64, so norm >= 2^63
+        return plain
 
     def values(v) -> list[int]:
         if norm * max(map(abs, v), default=0) >= 1 << 63:
-            return [sum(map(mul, r, v)) for r in rows]
+            return plain(v)
         packed = sum(map(mul, v, columns), bias) ^ bias
         return memoryview(packed.to_bytes(8 * n, sys.byteorder)).cast("q").tolist()
 

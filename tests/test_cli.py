@@ -551,6 +551,10 @@ OUTPUT_SHA256 = {
         "9a76bbea9dd9bc507ef211c9fb4b30ee6b552892b33fbfc12ef1fea4be5d78c4",
     ("braid5", "lattice"):
         "a57bd479690df63b4a1434ee6e16169edadbb9e123f1e12c905ac2a5a7b27e57",
+    ("braid6", "lattice"):
+        "258871f2d67fef076f4133deef9c1f9430c3a003693f595051734c4948ce287e",
+    ("generic(12,4)", "lattice"):
+        "15c3b6ffef863fcc82da3b91ac2d938cf9db9901852205b362e2688a3bccc669",
     ("generic4", "sigma"): "e2becee0cdbaea908ec0542130abdd6c6f537590ea017a0978612953db3fcfc6",
     ("cx2", "sigma"): "ac62eabf9fcfb191301e7ea5c8728bdc568c5524d3adbdbded213f6764a5279a",
     ("generic4", "sigma", "--k=3"):
@@ -566,6 +570,8 @@ PINNED_INPUTS = {
     "generic4": catalog.generic4,
     "cx2": catalog.x2_coned,
     "braid5": lambda: catalog.braid(5),
+    "braid6": lambda: catalog.braid(6),
+    "generic(12,4)": lambda: catalog.generic(12, 4, 2024),
     "union(5,4;4)": lambda: _union(5, 4, 4)[0],
     "union(6,1;5)": lambda: _union(6, 1, 5)[0],
 }

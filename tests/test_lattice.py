@@ -160,6 +160,24 @@ def _assert_covers_by_definition(L):
         assert L.below(Y) == tuple(X for X in L.flats if X.contains < Y.contains)
 
 
+@pytest.mark.parametrize("name", ["generic(12,4)", "generic(9,5)", "braid(6)", "braid(7)", "cx2"])
+def test_weisner_moebius_values_and_first_use_down_sets_match_the_definition(name):
+    # mu from the lower covers by Weisner's theorem, and the down-sets that
+    # `below` builds on its first call, whichever flat that call is at
+    A = {"generic(12,4)": lambda: catalog.generic(12, 4, 2024),
+         "generic(9,5)": lambda: catalog.generic(9, 5, 2024),
+         "braid(6)": lambda: catalog.braid(6), "braid(7)": lambda: catalog.braid(7),
+         "cx2": catalog.x2_coned}[name]()
+    L = build_lattice.__wrapped__(A)
+    assert L._down is None
+    sets = [X.contains for X in L.flats]
+    below = {Y: tuple(X for X in L.flats if X.contains < Y) for Y in sets}
+    assert L.below(L.top) == below[L.top.contains] == L.flats[:-1]
+    for Y in L.flats:
+        assert L.below(Y) == below[Y.contains]
+    assert L.moebius == _moebius_by_definition(L.flats)
+
+
 def test_covers_match_definition(generic4, cx2):
     for A in (generic4, cx2, catalog.braid(5)):
         _assert_covers_by_definition(build_lattice(A))
@@ -461,8 +479,8 @@ _REAL_MOEBIUS = hyparr.lattice._moebius
 @pytest.mark.parametrize("wrong", ["negated", "zero"])
 @pytest.mark.parametrize("position", [1, 5, -1])
 def test_a_wrong_sign_moebius_value_is_caught(monkeypatch, wrong, position):
-    def skewed(down):
-        values = _REAL_MOEBIUS(down)
+    def skewed(flats, lower):
+        values = _REAL_MOEBIUS(flats, lower)
         values[position] = -values[position] if wrong == "negated" else 0
         return values
 

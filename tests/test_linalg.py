@@ -210,3 +210,30 @@ def test_products_are_the_dot_products(monkeypatch):
     assert len(packed) == 1
     assert products([(1, 1), (-1, -1), (0, 0)])((1 << 62, 1 << 62)) == [1 << 63, -1 << 63, 0]
     assert len(packed) == 1
+
+
+def test_products_pack_entries_up_to_int64_and_go_plain_past_it(monkeypatch):
+    packed = []
+    monkeypatch.setattr(hyparr.linalg, "memoryview",
+                        lambda b: packed.append(b) or memoryview(b), raising=False)
+    rng = random.Random(47)
+    for _ in range(200):
+        # entries up to 2^62 in all, so every v in {-1, 0, 1}^dim is packed
+        dim = rng.randint(1, 6)
+        big = (1 << 62) // dim
+        rows = [[rng.choice((0, big, -big, rng.randint(-big, big))) for _ in range(dim)]
+                for _ in range(rng.randint(1, 30))]
+        v = [rng.choice((-1, 0, 1)) for _ in range(dim)]
+        before = len(packed)
+        assert products(rows)(v) == [sum(map(mul, r, v)) for r in rows]
+        assert len(packed) == before + 1
+    # -2^63 and 2^63 - 1 fit in a field, and v = 0 is packed whatever the norm
+    assert products([(-1 << 63, 1), ((1 << 63) - 1, -1)])((0, 0)) == [0, 0]
+    assert len(packed) == 201
+    # an entry past int64 takes the plain dot products at every v, 0 too
+    for entry in (1 << 63, (-1 << 63) - 1, 1 << 64, -(3 ** 50)):
+        rows = [(entry, 1, 0), (2, -3, 5), (0, 0, 0), (-entry, 0, 7)]
+        at = products(rows)
+        for v in ((0, 0, 0), (1, -1, 0), (0, 1 << 62, -5), (3, 0, 1 << 70)):
+            assert at(v) == [sum(map(mul, r, v)) for r in rows]
+    assert len(packed) == 201
