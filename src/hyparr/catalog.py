@@ -21,7 +21,7 @@ from .consistency import first_failing_flat
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
 from .lattice import Lattice, _bits, build_lattice
-from .linalg import (RatVector, _direction, coordinates, primitive_int_vector, products,
+from .linalg import (RatVector, coordinates, cut_kernel, primitive_int_vector, products,
                      rank)
 
 RETRY_BUDGET = 64
@@ -78,20 +78,21 @@ def _all_small_subsets_independent(forms, dim) -> bool:
     that every smaller subset is too.
 
     One depth-first walk over the prefixes of the dim-subsets in lex order.
-    A node holds integer rows spanning the kernel of its prefix, and one
-    `products` map gives every form's values at a row.  A form extends the
-    prefix to an independent set iff its restriction u, its values at the
-    rows, is nonzero; the child's rows are then u_p * k_t - u_t * k_p for a
-    pivot p with u_p != 0, made primitive by `_direction`, which raises
-    InternalError on a zero row.  A node with two rows k1, k2 has the
-    columns c1, c2 and decides each child j, with restriction (a, b), with
-    no further kernel: the values at the line's row a * k2 - b * k1 are the
-    n minors a * c2[l] - b * c1[l], and they must hold exactly dim - 1
-    zeros (the prefix and j), as the lattice's line check asks.  A zero at
-    any other l is a dependent dim-subset.  Every dim-subset is a leaf of
-    the walk, reached through an independent prefix or rejected on the way,
-    so the walk decides the same predicate as a rank check of every
-    dim-subset."""
+    A node holds the `kernel_basis` of its prefix, and one `products` map
+    gives every form's values at a row.  A form extends the prefix to an
+    independent set iff its restriction u, its values at the rows, is
+    nonzero; the child's rows are then `linalg.cut_kernel(rows, u, p)`, the
+    cut that the lattice's level loop makes: u_p * k_t - u_t * k_p for the
+    first p with u_p != 0, made canonical by `_direction`, which raises
+    InternalError on a zero row, and so the kernel basis of the child's
+    prefix.  A node with two rows k1, k2 has the columns c1, c2 and decides
+    each child j, with restriction (a, b), with no further kernel: the
+    values at the line's row a * k2 - b * k1 are the n minors a * c2[l] -
+    b * c1[l], and they must hold exactly dim - 1 zeros (the prefix and j),
+    as the lattice's line check asks.  A zero at any other l is a dependent
+    dim-subset.  Every dim-subset is a leaf of the walk, reached through an
+    independent prefix or rejected on the way, so the walk decides the same
+    predicate as a rank check of every dim-subset."""
     n = len(forms)
     at = products(forms)
 
@@ -108,9 +109,7 @@ def _all_small_subsets_independent(forms, dim) -> bool:
             p = next((t for t, x in enumerate(u) if x), None)
             if p is None:
                 return False
-            kp, up = rows[p], u[p]
-            child = [_direction([up * x - ut * y for x, y in zip(kt, kp)])
-                     for t, (kt, ut) in enumerate(zip(rows, u)) if t != p]
+            child = cut_kernel(rows, u, p)
             if not walk(child, list(map(at, child)), j + 1):
                 return False
         return True

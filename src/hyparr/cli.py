@@ -11,8 +11,12 @@ and `cone` print a bare arrangement object that the other subcommands read
 back.  Every document, the error document included, goes through one
 writer, `_json`, which returns the same text as the json module's encoder at
 an indent of 2, without the pure-Python loop that the encoder falls back on
-whenever it indents.  Exit codes: 0 success, 1 domain error or failed
-internal check (structured JSON on stdout), 2 usage error.
+whenever it indents.  It dispatches on each value's exact type first, and
+writes a list of strs alone, or of ints alone, such as a kernel row or the
+indices of a flat, with one join of their texts; `_vec` writes a row of
+ints and Fractions, the only exact numbers the documents hold, by `str`.
+Exit codes: 0 success, 1 domain error or failed internal check (structured
+JSON on stdout), 2 usage error.
 
 Each call builds one subparser, that of the command it names, from the one
 table of commands, `_COMMANDS`; a call that names none (no arguments, `-h`,
@@ -27,7 +31,6 @@ import argparse
 import hashlib
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import catalog
@@ -51,15 +54,16 @@ _set_int_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
 
 
 def _vec(v) -> list[str]:
-    """Exact fractions as output strings, printed in full however long: the
-    limit is lifted, and restored, only for a vector that passes it."""
+    """Exact numbers, ints and Fractions alone, as output strings, printed in
+    full however long: the limit is lifted, and restored, only for a vector
+    that passes it."""
     try:
-        return [str(x if type(x) in (int, Fraction) else Fraction(x)) for x in v]
+        return [str(x) for x in v]  # list(map(...)) would keep 8 slots for a short row
     except ValueError:
         old = _get_int_digits()
         _set_int_digits(0)
         try:
-            return [str(x if type(x) in (int, Fraction) else Fraction(x)) for x in v]
+            return [str(x) for x in v]
         finally:
             _set_int_digits(old)
 
@@ -101,21 +105,26 @@ class _Certs:
         return self.add(dual=_vec(coeffs))
 
 
+# the writer of each item of a list whose items all have this exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+
+
 def _json(obj, indent: str = "\n") -> str:
     """The json module's text for obj at an indent of 2, for str-keyed
     dicts, lists, tuples, strs, ints, bools and None; TypeError on anything
-    else."""
-    if isinstance(obj, str):
+    else.  Dispatch is on type(obj) first: a list whose items are all of
+    type str, or all of type int (no bool), is written with one join of
+    their texts, and every other list, or tuple, recursively."""
+    kind = type(obj)
+    if kind is str:
         return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
+    if kind is int:
         return int.__repr__(obj)
     inner = indent + "  "
+    if kind is list and obj:
+        write = _SCALARS.get(type(obj[0]))
+        if write is not None and len({*map(type, obj)}) == 1:
+            return "[" + inner + ("," + inner).join(map(write, obj)) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -129,6 +138,16 @@ def _json(obj, indent: str = "\n") -> str:
         if not obj:
             return "[]"
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -189,8 +208,13 @@ def _cmd_validate(args) -> None:
 def _cmd_lattice(args) -> None:
     A, digest = _load(args.file)
     L = build_lattice(A)
+    flats = []
+    for X in L.flats:
+        flat = _flat_obj(X)
+        flat["mu"] = L.mu(X)  # in place: a copy of each dict costs 2/3 of building it
+        flats.append(flat)
     payload = {
-        "flats": [dict(_flat_obj(X), mu=L.mu(X)) for X in L.flats],
+        "flats": flats,
         "characteristic_polynomial": list(reversed(characteristic_polynomial(L))),
         "zaslavsky_chambers": chamber_count_oracle(L),
     }

@@ -10,17 +10,21 @@ covers of X at once, with integer dot products, and groups the forms by
 the direction of their restriction.  Every form's value at a kernel row
 comes from one `linalg.products` map of the rows, built once per lattice,
 which packs the columns of the rows into integers and so gives all n values
-as one exact integer combination.  Each flat but a line takes one kernel
-basis.  A line takes its kernel row from the restriction to a plane that
-gives it (the row of the plane's kernel on which the cutting form
-vanishes), and is certified by its values at that row: exactly as many of
-the n values as the line has forms must be 0, and each of the line's forms
-must read 0.  The level loop keeps, for each new flat, the flats that
-generated it: exactly its lower covers.  The Moebius values come from the
-covers alone, by Weisner's theorem (Weisner 1935): for a flat X above the
-bottom and an atom a below it, the sum of mu(Z) over the Z with Z v a = X
-is 0, and in a geometric lattice those Z are X itself and the lower covers
-of X that a is not below.  So with a the form min(X.contains), mu(X) is
+as one exact integer combination.  No flat but the bottom takes a kernel
+basis: each takes its rows from the first lower cover X that gives it, by
+one cut (`linalg.cut_kernel`, which the genericity walk of `catalog` makes
+too).  With u the direction of the restriction and p the first t where
+u[t] != 0, the rows u[p]*k_t - u[t]*k_p of X's rows k for t != p, made
+canonical, are exactly the kernel basis of the flat's forms.  The next
+level checks them against every form, and a line, with one row, is
+certified by its values at that row: exactly as many of the n values as
+the line has forms must be 0, and each of the line's forms must read 0.
+The level loop keeps, for each new flat, the flats that generated it:
+exactly its lower covers.  The Moebius values come from the covers alone,
+by Weisner's theorem (Weisner 1935): for a flat X above the bottom and an
+atom a below it, the sum of mu(Z) over the Z with Z v a = X is 0, and
+in a geometric lattice those Z are X itself and the lower covers of X
+that a is not below.  So with a the form min(X.contains), mu(X) is
 minus the sum of mu over the lower covers of X that do not contain a, and
 the build does O(number of covers) work beyond the level loop.  No
 down-set is built: the strict down-sets, as bitmasks over flat indices,
@@ -61,7 +65,7 @@ from operator import mul
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, NotEssential
-from .linalg import _bareiss_echelon, _direction, determinant, kernel_basis, products
+from .linalg import _bareiss_echelon, cut_kernel, determinant, kernel_basis, products
 
 
 def closure_of_forms(rows, dim, indices: frozenset[int]) -> frozenset[int]:
@@ -77,7 +81,9 @@ class Flat:
 
     The kernel is the `kernel_basis` of the forms in `contains`: its
     dim - codim rows are primitive integer vectors, each with its first
-    nonzero entry positive.
+    nonzero entry positive.  `build_lattice` cuts every flat's kernel but
+    the bottom's from that of its first lower cover (`linalg.cut_kernel`),
+    not from its forms.
     """
 
     contains: frozenset[int]
@@ -328,15 +334,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _line_kernel(K, u) -> tuple[int, ...]:
-    """The canonical row spanning the line that a form restricting to u on
-    the plane with kernel rows K = (k1, k2) cuts from it: u[1]*k1 - u[0]*k2.
-    Dependent rows K give the zero vector, and `_direction` raises
-    InternalError."""
-    (k1, k2), (a, b) = K, u
-    return _direction([b * x - a * y for x, y in zip(k1, k2)])
-
-
 def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]]]:
     """The flats of a central family of primitive integer rows, one list per
     codim, each sorted by key, and the lower covers of every flat but the
@@ -345,36 +342,36 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
     The family need not be essential.
 
     Every value of a form at a kernel row is read from one `products` map
-    of the rows.  A line (a flat with one kernel row) takes its row from a
-    plane that gives it, by `_line_kernel`, with no kernel basis.  The n
-    values at that row certify it: they must hold exactly as many zeros as
-    the line has forms, and each of the line's forms must read 0, so the
-    row vanishes on exactly the forms of the line (the plane has rank
-    codim - 1 and the line's new forms do not vanish on it).  No form
-    outside a line vanishes on it, so the flat of all forms is its one
-    upper cover.  Every other flat takes the `kernel_basis` of its forms:
-    each of its forms must read 0 at every kernel row, and each form
-    outside it must have a nonzero restriction.  Any failure raises
-    InternalError."""
-
-    def make_flat(closed: frozenset[int], codim: int) -> Flat:
-        K = tuple(kernel_basis([rows[i] for i in sorted(closed)], dim))
-        if len(K) != dim - codim:
-            raise InternalError(f"flat {sorted(closed)} has {len(K)} kernel rows, "
-                                f"expected {dim - codim}")
-        return Flat(closed, codim, K)
+    of the rows.  The bottom holds the forms that vanish everywhere, none
+    for nonzero rows, and takes the `kernel_basis` of no forms, the unit
+    rows.  Every other flat takes its kernel from the first cover X that
+    generates it, by `cut_kernel(X.kernel, u, p)` with u the direction of
+    the restriction that groups its new forms and p the first t where
+    u[t] != 0: X's rows are canonical, one per
+    free column and 0 at the other free columns, so the new form's reduced
+    row has its pivot at the first free column where u != 0, each cut row
+    is 0 at the remaining free columns but its own, and the cut rows are
+    exactly the `kernel_basis` of the flat's forms.  The flat of all forms
+    above a line is the origin, with no kernel row.  Each flat must have
+    dim - codim rows.  The next level certifies them: each of a flat's
+    forms must read 0 at every kernel row, and each form outside it must
+    have a nonzero restriction.  A line (a flat with one kernel row) is
+    certified by its n values at that row: they must hold exactly as many
+    zeros as the line has forms, and each of the line's forms must read 0.
+    No form outside a line vanishes on it, so the flat of all forms is its
+    one upper cover.  Any failure raises InternalError."""
 
     def disagrees(X: Flat, i: int) -> InternalError:
         return InternalError(f"kernel of flat {sorted(X.contains)} disagrees with form {i + 1}")
 
     at = products(rows)  # every form's value at a kernel row
     everything = frozenset(range(len(rows)))
-    levels = [[make_flat(closure_of_forms(rows, dim, frozenset()), 0)]]
+    levels = [[Flat(closure_of_forms(rows, dim, frozenset()), 0, tuple(kernel_basis([], dim)))]]
     lower: dict[frozenset[int], list[int]] = {}
     base = 0  # the index of levels[-1][0] among all flats
     while True:
         new: dict[frozenset[int], list[int]] = {}
-        lines: dict[frozenset[int], tuple[int, ...]] = {}  # the kernel row of each new line
+        kernels: dict[frozenset[int], tuple[tuple[int, ...], ...]] = {}  # from the first cover
         for t, X in enumerate(levels[-1], base):
             if len(X.kernel) == 1:
                 values = at(X.kernel[0])
@@ -383,6 +380,7 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
                     raise disagrees(X, min(zeros ^ X.contains))
                 if X.contains != everything:
                     new.setdefault(everything, []).append(t)
+                    kernels[everything] = ()  # the origin
                 continue
             cols = list(map(at, X.kernel))
             groups: dict[tuple[int, ...], list[int]] = {}
@@ -402,16 +400,25 @@ def _levels(rows, dim) -> tuple[list[list[Flat]], dict[frozenset[int], list[int]
                 groups.setdefault(direction, []).append(i)
             for u, group in groups.items():
                 closed = X.contains.union(group)
-                new.setdefault(closed, []).append(t)
-                if len(u) == 2 and closed not in lines:
-                    lines[closed] = _line_kernel(X.kernel, u)
+                covers = new.get(closed)
+                if covers is None:
+                    new[closed] = covers = []
+                    p = next(t for t, a in enumerate(u) if a)  # u is a direction: nonzero
+                    kernels[closed] = cut_kernel(X.kernel, u, p)
+                covers.append(t)
         if not new:
             return levels, lower
         lower.update(new)
         base += len(levels[-1])
         codim = len(levels)
-        levels.append([Flat(c, codim, (lines[c],)) if c in lines else make_flat(c, codim)
-                       for c in sorted(new, key=sorted)])
+        level = []
+        for closed in sorted(new, key=sorted):
+            K = kernels[closed]
+            if len(K) != dim - codim:
+                raise InternalError(f"flat {sorted(closed)} has {len(K)} kernel rows, "
+                                    f"expected {dim - codim}")
+            level.append(Flat(closed, codim, K))
+        levels.append(level)
 
 
 def _moebius(flats, lower) -> list[int]:

@@ -117,6 +117,35 @@ def _direction(v) -> tuple[int, ...]:
     return tuple(v) if g == 1 else tuple(a // g for a in v)
 
 
+def cut_kernel(K, u, p) -> tuple[tuple[int, ...], ...]:
+    """The kernel rows that a form cuts from the subspace spanned by the
+    canonical rows K, the `kernel_basis` of some forms, given u, its values
+    at those rows (any nonzero multiple will do), and p, the first t where
+    u[t] != 0: the rows `_direction(u[p]*K[t] - u[t]*K[p])` for t != p.
+    The caller finds p, and so decides what a zero u means.
+
+    They are the `kernel_basis` of those forms and the new one.  Row t of a
+    kernel basis belongs to free column f_t, ascending: it is 0 at every
+    other free column and right of f_t, and nonzero at f_t.  The free
+    columns of a kernel are the last nonzero entries of its vectors.  Row t
+    of the cut, t != p, has its last nonzero entry at f_t (for t < p, u[t]
+    = 0 and the row is K[t]), so the cut, one dimension smaller, has the
+    free columns f_t for t != p: the new form's reduced row has its pivot
+    at f_p, the first free column where u != 0.  Row t is 0 at each of those
+    free columns but its own, and a kernel vector is fixed by its values at
+    the free columns, so row t is the kernel basis row of f_t up to a
+    factor, which `_direction` takes off.  Dependent rows K give a zero row,
+    on which `_direction` raises InternalError.
+    """
+    kp, up = K[p], u[p]
+    rows = []
+    for t, ut in enumerate(u):
+        if t != p:
+            kt = K[t]
+            rows.append(_direction([up * x - ut * y for x, y in zip(kt, kp)]) if ut else kt)
+    return tuple(rows)
+
+
 def products(rows):
     """The exact map v -> [r . v for r in rows] for integer rows of one length.
 

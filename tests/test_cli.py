@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from enum import IntEnum
 from pathlib import Path
 
 from fractions import Fraction
@@ -594,6 +595,21 @@ def test_output_bytes_are_pinned(run, tmp_path):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == OUTPUT_SHA256[run]
 
 
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -2
+
+
+class _Label(str):
+    pass
+
+
+# lists that hold something besides strs alone or ints alone (a bool is no
+# int here), and a tuple: the writer takes each through its recursive path
+_NOT_JOINED = [[1, 2, True], [True, 1], [True, False], ["a", 1], [1, "a"], ["a", None],
+               [_Level.LOW, _Level.HIGH], [_Label("a"), _Label("b\n")], ("a", "b")]
+
+
 def _writer_cases():
     big = 10 ** 4999 + 12345  # 5000 digits, past the default limit of 4300
     labels = ["", "x", "\u00e9t\u00e9", "\u2212x\u2081", "\U0001d6fc", 'a "quoted" label',
@@ -607,6 +623,7 @@ def _writer_cases():
             {"contains": [1, 2], "codim": 2, "kernel": [["1", "-2/3"], ["0", "5"]], "mu": 1},
             {"contains": [], "codim": 0, "kernel": [], "mu": 1}]}, "certificates": []},
         ("tuple", ("nested", 1), []),
+        ["x", "\u00e9", ""], [0, -1, big], *_NOT_JOINED,
     ]
 
 
@@ -623,7 +640,25 @@ def test_writer_matches_the_json_module():
 
 
 @pytest.mark.parametrize("obj", [1.5, [0.0], {"a": {1, 2}}, {1: "x"}, {"a": {None: 1}},
-                                 Fraction(1, 2), b"bytes"])
+                                 Fraction(1, 2), b"bytes", [1, 1.5], ["a", 1.5], ["a", b"x"]])
 def test_writer_refuses_what_the_documents_never_hold(obj):
     with pytest.raises(TypeError):
         _json(obj)
+
+
+@pytest.mark.parametrize("obj, joined", [(["a", "b"], True), ([1, -2, 3], True)] + [
+    (obj, False) for obj in [*_NOT_JOINED, [1, 1.5], ["a", b"x"]]], ids=repr)
+def test_writer_joins_exact_strs_or_ints_and_recurses_on_the_rest(monkeypatch, obj, joined):
+    # a list of strs alone or ints alone is one call; anything else calls the
+    # writer once more per item, up to the first it refuses, here the last
+    calls = []
+    real = hyparr.cli._json
+
+    def counted(value, indent="\n"):
+        calls.append(value)
+        return real(value, indent)
+
+    monkeypatch.setattr(hyparr.cli, "_json", counted)
+    with contextlib.suppress(TypeError):
+        counted(obj)
+    assert calls == ([obj] if joined else [obj, *obj])

@@ -17,7 +17,7 @@ from hyparr.arrangement import Arrangement, arrangement_to_obj, primitive_rows, 
 from hyparr.cli import main
 from hyparr.errors import DuplicateHyperplane, InternalError, NotEssential, ZeroForm
 from hyparr.lattice import Flat, build_lattice, chamber_count_oracle, characteristic_polynomial
-from hyparr.linalg import (RatVector, canonical_int_vector, kernel_basis,
+from hyparr.linalg import (RatVector, canonical_int_vector, cut_kernel, kernel_basis,
                            primitive_int_vector, products)
 
 from conftest import random_arrangement
@@ -221,13 +221,18 @@ def test_nongeneric_lattice_matches_brute_force():
     assert multiple_points >= 10  # the draws are far from generic
 
 
-@pytest.mark.parametrize("name", ["generic(12,4)", "braid(6)", "cx2", "past the bound"])
+@pytest.mark.parametrize("name", ["generic(12,4)", "braid(6)", "cx2", "past the bound",
+                                  "generic(9,5)", "moment(20,5)", "generic(9,6)"])
 def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
-    # a line's row is derived from a plane's restriction, every other flat's
-    # kernel is a kernel basis: both must be the kernel basis of the flat's forms
+    # every flat but the bottom cuts its rows from its first lower cover's:
+    # they must be the kernel basis of the flat's forms; in dims 5 and 6,
+    # flats with 2 or more rows are cut from flats with 3 or more
     A = {"generic(12,4)": lambda: catalog.generic(12, 4, 2024),
          "braid(6)": lambda: catalog.braid(6), "cx2": catalog.x2_coned,
-         "past the bound": lambda: Arrangement.from_forms(3, PAST_THE_BOUND)}[name]()
+         "past the bound": lambda: Arrangement.from_forms(3, PAST_THE_BOUND),
+         "generic(9,5)": lambda: catalog.generic(9, 5, 2024),
+         "moment(20,5)": lambda: catalog.moment(20, 5),
+         "generic(9,6)": lambda: catalog.generic(9, 6, 2024)}[name]()
     rows = primitive_rows(A)
     L = build_lattice(A)
     lines = L.flats_of_codim(A.dim - 1)
@@ -241,6 +246,44 @@ def test_every_kernel_is_the_kernel_basis_of_its_forms(name):
     norm = max(sum(map(abs, r)) for r in rows)
     packed = {norm * max(map(abs, k)) < 1 << 63 for X in L.flats for k in X.kernel}
     assert packed == ({True, False} if name == "past the bound" else {True})
+
+
+def _sparse_arrangements(seed, count):
+    """Draws in R^5 and R^6 of dim + 1 to 9 forms with 1 to 3 nonzero
+    entries each, some fractions: in these dims, dense rows of small entries
+    are nearly generic, and sparse ones are not."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        dim = rng.randint(5, 6)
+        forms = []
+        for _ in range(rng.randint(dim + 1, 9)):
+            row = [0] * dim
+            for j in rng.sample(range(dim), rng.randint(1, 3)):
+                row[j] = rng.choice((-1, 1, 1, 2, Fraction(1, 2), Fraction(-2, 3)))
+            forms.append(row)
+        try:
+            out.append(validate(Arrangement.from_forms(dim, forms)))
+        except (ZeroForm, DuplicateHyperplane, NotEssential):
+            continue
+    return out
+
+
+def test_degenerate_kernels_in_dims_5_and_6_are_kernel_bases():
+    # each flat's cut rows are the kernel basis of its forms, and the flats
+    # are the closures of every subset
+    draws = _sparse_arrangements(43, 10)
+    assert {A.dim for A in draws} == {5, 6}
+    multiple = 0  # flats with 2 or more rows and more forms than their codim
+    for A in draws:
+        L = build_lattice(A)
+        rows = primitive_rows(A)
+        assert {X.contains: X.codim for X in L.flats} == brute_force_flats(
+            [tuple(h.form) for h in A.hyperplanes], A.dim)
+        for X in L.flats:
+            assert X.kernel == tuple(kernel_basis([rows[i] for i in X.key()], A.dim))
+            multiple += len(X.kernel) >= 2 and len(X.contains) > X.codim
+    assert multiple >= 30  # the draws are far from generic
 
 
 @pytest.mark.parametrize("name", ["braid4", "braid5", "cx2", "fault8"])
@@ -292,16 +335,27 @@ def test_closed_sets_of_non_essential_family():
             build_lattice(Arrangement.from_forms(4, forms))
 
 
-# sha256 of `hyparr lattice` stdout on the files `hyparr builtin` prints
+# sha256 of `hyparr lattice` stdout on the files `hyparr builtin` prints;
+# in dims 5 and 6, flats with 2 or more kernel rows are cut from flats with
+# 3 or more
 LATTICE_SHA256 = {
     "braid5": "a57bd479690df63b4a1434ee6e16169edadbb9e123f1e12c905ac2a5a7b27e57",
     "cx2": "40e00aecdaf05c71b0388dd8feb9ca7e50ce3d288e1d70429604d77ed29bf46b",
+    "generic(9,5)": "6e2af49d15b3fd0026fcc886bfe1d1d35ec2bd31c0ecb4321a8431c0fdabe008",
+    "moment(20,5)": "0ad27ccabef5b351e0f911d3bd65d47fc7836ca8ac74528ef1d359b18822111a",
+    "generic(9,6)": "5b7def0044c2fd4e3876cb8e63cbe0ec5a6dda9acc8268e4d2a193fb4a998491",
+}
+LATTICE_INPUTS = {
+    "braid5": lambda: catalog.braid(5), "cx2": catalog.x2_coned,
+    "generic(9,5)": lambda: catalog.generic(9, 5, 2024),
+    "moment(20,5)": lambda: catalog.moment(20, 5),
+    "generic(9,6)": lambda: catalog.generic(9, 6, 2024),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LATTICE_SHA256))
 def test_lattice_output_bytes_are_pinned(name, tmp_path):
-    A = catalog.braid(5) if name == "braid5" else catalog.x2_coned()
+    A = LATTICE_INPUTS[name]()
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(arrangement_to_obj(A), indent=2) + "\n")
     buf = io.StringIO()
@@ -341,16 +395,15 @@ def test_primitive_int_vector_matches_fraction_reference():
 
 
 def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, capsys):
-    def short_kernel(rows, ncols):
-        K = kernel_basis(rows, ncols)
-        return K[:-1] if rows else K
+    def short_cut(K, u, p):
+        return cut_kernel(K, u, p)[:-1]
 
     path = tmp_path / "generic4.json"
     path.write_text(json.dumps(arrangement_to_obj(catalog.generic4())))
     build_lattice.cache_clear()
-    monkeypatch.setattr(hyparr.lattice, "kernel_basis", short_kernel)
+    monkeypatch.setattr(hyparr.lattice, "cut_kernel", short_cut)
     try:
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match="kernel rows, expected"):
             build_lattice(catalog.generic4())
         assert main(["lattice", str(path)]) == 1
     finally:
@@ -359,10 +412,9 @@ def test_lattice_invariant_failure_is_internal_error(monkeypatch, tmp_path, caps
     assert doc["error"]["type"] == "InternalError"
 
 
-def _rotated_kernel(rows, ncols):
-    """Kernel rows of the right count, with coordinates rotated by one."""
-    K = kernel_basis(rows, ncols)
-    return [k[1:] + k[:1] for k in K] if rows else K
+def _rotated_cut(K, u, p):
+    """Cut rows of the right count, with coordinates rotated by one."""
+    return tuple(k[1:] + k[:1] for k in cut_kernel(K, u, p))
 
 
 _REAL_LEVELS = hyparr.lattice._levels
@@ -394,9 +446,9 @@ def _levels_with_a_foreign_cover(rows, dim):
     return levels, lower
 
 
-def _plane_row(K, u):
-    """The plane's first kernel row, in place of the line's."""
-    return K[0]
+def _plane_row(K, u, p):
+    """The plane's first kernel row, in place of the line's cut from it."""
+    return K[:1] if len(K) == 2 else cut_kernel(K, u, p)
 
 
 def _a_line_reads_zero(rows):
@@ -415,8 +467,8 @@ def _a_line_reads_zero(rows):
 
 
 @pytest.mark.parametrize("attr, fake, message", [
-    ("kernel_basis", _rotated_kernel, "disagrees with form"),
-    ("_line_kernel", _plane_row, "disagrees with form"),
+    ("cut_kernel", _rotated_cut, "disagrees with form"),
+    ("cut_kernel", _plane_row, "disagrees with form"),
     ("products", _a_line_reads_zero, r"flat \[0, 3\] disagrees with form 2"),
     ("_levels", _levels_with_a_stray_flat, "has no lower cover"),
     ("_levels", _levels_with_the_bottom_as_a_cover, "is no lower cover"),
@@ -434,13 +486,13 @@ def test_lattice_checks_fire(monkeypatch, attr, fake, message):
 
 def test_a_plane_with_dependent_kernel_rows_is_an_internal_error(monkeypatch):
     # the repeated row puts every form outside the plane in one group, whose
-    # line row u[1]*k1 - u[0]*k2 is the zero vector
-    def repeated_row(rows, ncols):
-        K = kernel_basis(rows, ncols)
-        return [K[0], K[0]] if len(K) == 2 else K
+    # cut row u[0]*k2 - u[1]*k1 is the zero vector
+    def repeated_row(K, u, p):
+        rows = cut_kernel(K, u, p)
+        return (rows[0], rows[0]) if len(rows) == 2 else rows
 
     build_lattice.cache_clear()
-    monkeypatch.setattr(hyparr.lattice, "kernel_basis", repeated_row)
+    monkeypatch.setattr(hyparr.lattice, "cut_kernel", repeated_row)
     try:
         with pytest.raises(InternalError, match="has no direction"):
             build_lattice(catalog.moment(5, 3))

@@ -7,7 +7,8 @@ from operator import mul
 import pytest
 
 import hyparr.linalg
-from hyparr.linalg import (RatVector, coordinates, determinant, kernel_basis,
+from hyparr.errors import InternalError
+from hyparr.linalg import (RatVector, coordinates, cut_kernel, determinant, kernel_basis,
                            primitive_int_vector, products, rank)
 from oracles import rref_kernel, rref_rank
 
@@ -142,6 +143,36 @@ def test_kernel_rows_are_the_scaled_oracle_rows():
         K = kernel_basis([primitive_int_vector(row) for row in rows], d)
         expected = [_canonical_by_fractions(v) for v in rref_kernel(rows, d)]
         assert K == expected
+
+
+def test_a_cut_is_the_kernel_basis_of_the_forms_and_the_new_one():
+    # rows of small entries, many zeros, so that u often starts with zeros
+    # and some new forms vanish on the prefix's kernel
+    rng = random.Random(47)
+    cuts = leading_zero = 0
+    for _ in range(400):
+        dim = rng.randint(2, 6)
+        forms = [[rng.choice((-2, -1, 0, 0, 0, 1, 1, 3)) for _ in range(dim)]
+                 for _ in range(rng.randint(0, dim))]
+        f = [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(dim)]
+        K = tuple(kernel_basis(forms, dim))
+        u = [sum(map(mul, f, k)) for k in K]
+        p = next((t for t, a in enumerate(u) if a), None)
+        if p is None:  # f vanishes on the kernel: nothing to cut
+            continue
+        cuts += 1
+        leading_zero += not u[0]
+        assert cut_kernel(K, u, p) == tuple(kernel_basis(forms + [f], dim))
+        # any nonzero multiple of u cuts the same rows
+        assert cut_kernel(K, [-3 * a for a in u], p) == cut_kernel(K, u, p)
+    assert cuts >= 250 and leading_zero >= 30
+
+
+def test_a_cut_of_dependent_rows_has_no_direction():
+    K = ((1, 2, 0), (1, 2, 0))
+    with pytest.raises(InternalError, match="has no direction"):
+        cut_kernel(K, (1, 1), 0)
+    assert cut_kernel(((1, 0, 0),), (5,), 0) == ()
 
 
 def test_fraction_canonical_invariant():
