@@ -107,21 +107,32 @@ class AffineArrangement:
         constants = tuple(Fraction(c) for c in constants)
         if labels is None:
             labels = tuple(f"H{i + 1}" for i in range(len(forms)))
-        arr = cls(dim, forms, constants, tuple(labels))
-        for f in forms:
-            if f.is_zero():
-                raise ZeroForm("affine hyperplane with zero linear part")
-        for i in range(len(forms)):
-            for j in range(i + 1, len(forms)):
-                a = canonical_int_vector(tuple(forms[i]) + (constants[i],))
-                b = canonical_int_vector(tuple(forms[j]) + (constants[j],))
-                if a == b:
-                    raise DuplicateHyperplane(f"affine hyperplanes {i + 1} and {j + 1} coincide")
-        return arr
+        _check_distinct(forms, (canonical_int_vector(tuple(f) + (c,))
+                                for f, c in zip(forms, constants)),
+                        "affine hyperplane with zero linear part",
+                        "affine hyperplanes {} and {} coincide")
+        return cls(dim, forms, constants, tuple(labels))
 
     @property
     def n(self) -> int:
         return len(self.forms)
+
+
+def _check_distinct(forms, keys, zero: str, same: str) -> None:
+    """ZeroForm(zero) at the first zero form, then DuplicateHyperplane(same)
+    at the lexicographically first pair i < j of equal keys, in O(n): the
+    least first index of a repeated key and that key's second index."""
+    for i, f in enumerate(forms):
+        if f.is_zero():
+            raise ZeroForm(zero.format(i + 1))
+    first: dict[tuple[int, ...], int] = {}
+    pair = None
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, j)
+        if i < j and (pair is None or i < pair[0]):
+            pair = i, j
+    if pair is not None:
+        raise DuplicateHyperplane(same.format(pair[0] + 1, pair[1] + 1))
 
 
 def validate(A: Arrangement) -> Arrangement:
@@ -130,18 +141,11 @@ def validate(A: Arrangement) -> Arrangement:
         raise ValueError("dimension must be >= 1")
     if A.n < 1:
         raise ValueError("arrangement needs at least one hyperplane")
-    keys = []
     for i, h in enumerate(A.hyperplanes):
         if h.form.dim != A.dim:
             raise ValueError(f"form {i + 1} has dimension {h.form.dim}, expected {A.dim}")
-        if h.form.is_zero():
-            raise ZeroForm(f"hyperplane {i + 1} has zero form")
-        keys.append(canonical_int_vector(h.form.entries))
-    for i in range(A.n):
-        for j in range(i + 1, A.n):
-            if keys[i] == keys[j]:
-                raise DuplicateHyperplane(
-                    f"hyperplanes {i + 1} and {j + 1} are proportional")
+    _check_distinct(A.forms, (canonical_int_vector(f.entries) for f in A.forms),
+                    "hyperplane {} has zero form", "hyperplanes {} and {} are proportional")
     r = rank(primitive_rows(A), A.dim)
     if r < A.dim:
         raise NotEssential(f"forms span rank {r} < {A.dim}")
@@ -175,15 +179,8 @@ def essentialize(forms, dim: int, labels=None) -> Arrangement:
     forms = [f if isinstance(f, RatVector) else RatVector.of(f) for f in forms]
     if labels is None:
         labels = [f"H{i + 1}" for i in range(len(forms))]
-    keys = []
-    for i, f in enumerate(forms):
-        if f.is_zero():
-            raise ZeroForm(f"form {i + 1} is zero")
-        keys.append(canonical_int_vector(f.entries))
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            if keys[i] == keys[j]:
-                raise DuplicateHyperplane(f"forms {i + 1} and {j + 1} are proportional")
+    _check_distinct(forms, (canonical_int_vector(f.entries) for f in forms),
+                    "form {} is zero", "forms {} and {} are proportional")
     # greedy basis among the input forms
     basis: list[RatVector] = []
     basis_rows: list[tuple[int, ...]] = []

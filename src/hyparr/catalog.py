@@ -20,7 +20,7 @@ from .arrangement import (AffineArrangement, Arrangement, SignVector, cone,
 from .consistency import first_failing_flat
 from .errors import (GenericityFailed, HyparrError, RealizationInvalid,
                      WitnessNotFound)
-from .lattice import Lattice, _bits, build_lattice
+from .lattice import Lattice, build_lattice
 from .linalg import (RatVector, coordinates, cut_kernel, primitive_int_vector, products,
                      rank)
 
@@ -264,10 +264,9 @@ def _union_witness(A: Arrangement, first_form, gb_topes):
     on the side of their nonzero values."""
     lat = build_lattice(A)
     first = primitive_int_vector(first_form)
-    lines, conforming = lat.cocircuits(lat.top), lat.tope_lines(lat.top)
     for c0 in lat.topes():
-        sides = {dot > 0 for v, _, _ in map(lines.__getitem__, _bits(conforming[c0.signs]))
-                 if (dot := sum(map(mul, first, v)))}
+        lines = lat.lines(lat.top, lat.conforming(lat.top, c0.signs))
+        sides = {dot > 0 for v in lines if (dot := sum(map(mul, first, v)))}
         if len(sides) == 1:
             away = -1 if sides.pop() else 1
             return next(SignVector(c0.signs + t.signs) for t in gb_topes if t[0] == away)

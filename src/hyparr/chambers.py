@@ -8,11 +8,12 @@ Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4):
 
 - Every tope is the composition of the cocircuits that conform to it, so
   the sum of those line directions is a strict interior point, and an
-  exact integer sign test checks it.  The tope search keeps, for each
-  leaf, the lines that conform to it, and a chamber's witness is the sum
-  of those lines, with no scan of the cocircuit table.  A sign vector is a
-  chamber iff it is in the tope set, which is checked by that test at
-  every member and by Zaslavsky's count.
+  exact integer sign test checks it.  A chamber's witness is
+  `Lattice.witness` at the top: the sum of its conforming lines, the AND
+  of the columns of the forms, which are the lines that the tope search
+  kept for its leaf.  A sign vector is a chamber iff it is in the tope
+  set, which is checked by that test at every member and by Zaslavsky's
+  count.
 - i is a wall of C iff C with sign i flipped is also a chamber (Avis and
   Fukuda's reverse search, 1996): every chamber, enumerated or built from
   its signs, reads its walls from sign flips in the tope set.  A sink is
@@ -34,7 +35,7 @@ from operator import mul
 from . import consistency
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import Infeasible, InternalError
-from .lattice import Lattice, _bits, build_lattice
+from .lattice import Lattice, build_lattice
 from .linalg import RatVector, kernel_basis
 
 
@@ -109,20 +110,12 @@ def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
 
 def _chamber(lat: Lattice, eps: SignVector) -> Chamber:
     """The chamber of a tope, with its walls read from sign flips in the
-    tope set.  Its witness sums the lines that the tope search kept for it
-    and that the cocircuit table signs like eps, as `witness_at` does over
-    the whole table: the search keeps exactly those lines, so no scan is
-    needed.  The sum must pass the integer sign test."""
+    tope set and its witness from `Lattice.witness` at the top: the checked
+    sum of its conforming lines, which the tope search kept for it."""
     topes = lat.tope_lines(lat.top)
-    live = topes.get(eps.signs)
-    if live is None:
+    w = lat.witness(lat.top, eps.signs) if eps.signs in topes else None
+    if w is None:
         raise InternalError(f"the topes hold {eps}, which is not a chamber")
-    plus = sum(1 << i for i, s in enumerate(eps.signs) if s > 0)
-    lines = lat.cocircuits(lat.top)
-    kept = [v for v, pos, neg in map(lines.__getitem__, _bits(live))
-            if not (pos & ~plus or neg & plus)]
-    w = list(map(sum, zip(*kept)))
-    consistency._check_witness(primitive_rows(lat.arrangement), eps, lat.top.contains, w)
     return Chamber(eps, RatVector.of(w), _flips_in(topes, eps.signs))
 
 
@@ -131,10 +124,10 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
     S = Sigma_dim, and `sigma` checks |S| against Zaslavsky's count.  The
     witness of a member T is the integer sum of the cocircuits conforming to
-    T, the lines that the tope search kept for T's leaf: the closed chamber
-    of an essential arrangement is a pointed cone spanned by its extreme
-    rays, each of them such a cocircuit, and every other conforming one lies
-    in the closed cone, so the sum is interior.  Each witness passes an
+    T (`Lattice.witness`), the lines that the tope search kept for T's leaf:
+    the closed chamber of an essential arrangement is a pointed cone spanned
+    by its extreme rays, each of them such a cocircuit, and every other
+    conforming one lies in the closed cone, so the sum is interior.  Each witness passes an
     exact integer sign test (a member whose sum fails it, so one that is not
     a chamber, raises InternalError), hence S is exactly the chamber set.
     The walls of each chamber are read from sign flips in S: if C and C with

@@ -6,16 +6,19 @@ cocircuits that conform to it (Bjorner, Las Vergnas, Sturmfels, White and
 Ziegler, Oriented Matroids, 1999, ch. 3-4).  So eps is consistent at a flat
 Y iff the cocircuits of A_Y that conform to eps are, together, nonzero on
 every form of Y; their sum is then a strict witness, checked by an exact
-integer sign test.  Otherwise, by Gordan's alternative, the rows of A_Y
-signed by eps have a nonnegative dependency, and every dependency is a
-conformal sum of circuits (Rockafellar 1969, elementary vectors; ibid.,
-ch. 3): eps matches a circuit inside A_Y.  The first one in lexicographic
-order is found by the signs of its cofactors (`Lattice.first_circuit`), and
-its dependency, checked in integers, is Gordan's dual.
+integer sign test.  `Lattice.witness` sums and checks the lines that
+`Lattice.conforming` reads from Y's table, the AND of the columns of Y's
+forms picked by eps's signs; `witness_at` asks it for eps at Y.
+Otherwise, by Gordan's alternative, the rows of A_Y signed by eps have a
+nonnegative dependency, and every dependency is a conformal sum of
+circuits (Rockafellar 1969, elementary vectors; ibid., ch. 3): eps matches
+a circuit inside A_Y.  The first one in lexicographic order is found by
+the signs of its cofactors (`Lattice.first_circuit`), and its dependency,
+checked in integers, is Gordan's dual.
 
 The same cocircuits give the topes of every localization
-(`Lattice.tope_lines`): one search over the signs that the table stores for
-the lines of A_Y, walked for the topes that are '+' on Y's first form and
+(`Lattice.tope_lines`): one search over the columns that the table stores
+for the forms of Y, walked for the topes that are '+' on Y's first form and
 mirrored for the rest, checked by a witness per leaf, the sum of its lines'
 directions, and by the chamber count of A_Y (Zaslavsky).  Sigma_dim is
 the tope set of A.  Below it, eps is in Sigma_k iff at every flat Y of
@@ -36,22 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from .arrangement import Arrangement, SignVector, primitive_rows
 from .errors import InternalError, TooLarge, UnknownFlat
 from .feasibility import FeasibilityResult
-from .lattice import Circuit, Cocircuit, Flat, Lattice, build_lattice
+from .lattice import Circuit, Flat, Lattice, build_lattice
 from .linalg import RatVector
 
 DEFAULT_ENUM_LIMIT = 22
 REPORT_SET_LIMIT = 16
-
-
-def _check_witness(rows, eps, indices, w) -> None:
-    if not all(eps[i] * sum(map(mul, rows[i], w)) > 0 for i in indices):
-        raise InternalError(f"{w} is not strictly on the side {SignVector(tuple(eps))} "
-                            f"of the forms {[i + 1 for i in sorted(indices)]}")
 
 
 def _check_dual(rows, eps, circuit: Circuit) -> None:
@@ -62,49 +59,18 @@ def _check_dual(rows, eps, circuit: Circuit) -> None:
                             f"on the forms {[i + 1 for i in S]}")
 
 
-def _plus(eps) -> int:
-    """The bitmask of the forms on which eps is '+'."""
-    return sum(1 << i for i, s in enumerate(getattr(eps, "signs", eps)) if s > 0)
-
-
-def _conforming(lat: Lattice, plus: int, Y: Flat) -> list[Cocircuit]:
-    """The cocircuits of A_Y that conform to eps, zero or eps's sign on
-    every form of Y, given the bitmask of the forms on which eps is '+'."""
-    return [(v, pos, neg) for v, pos, neg in lat.cocircuits(Y)
-            if not (pos & ~plus or neg & plus)]
-
-
-def witnesses_of(lat: Lattice, eps):
-    """`witness_at` for one eps at many flats: the function of Y that it
-    computes, with eps's sign mask computed once."""
-    signs = getattr(eps, "signs", eps)
-    plus, rows, dim = _plus(signs), primitive_rows(lat.arrangement), lat.arrangement.dim
-
-    def at(Y: Flat) -> list[int] | None:
-        lines = _conforming(lat, plus, Y)
-        covered = 0
-        for _, pos, neg in lines:
-            covered |= pos | neg
-        if covered != sum(1 << i for i in Y.contains):
-            return None
-        w = list(map(sum, zip(*(v for v, _, _ in lines)))) or [0] * dim
-        _check_witness(rows, signs, Y.contains, w)
-        return w
-
-    return at
-
-
-def witness_at(lat: Lattice, eps, Y: Flat) -> list[int] | None:
+def witness_at(lat: Lattice, eps: SignVector, Y: Flat) -> list[int] | None:
     """The sum of the cocircuits of A_Y that conform to eps, checked to be
-    strictly on eps's side of every form of Y; None when those cocircuits
-    all vanish on some form of Y, so that eps is no tope of A_Y."""
-    return witnesses_of(lat, eps)(Y)
+    strictly on eps's side of every form of Y (`Lattice.witness`); None
+    when those cocircuits all vanish on some form of Y, so that eps is no
+    tope of A_Y."""
+    return lat.witness(Y, tuple(map(eps.signs.__getitem__, Y.key())))
 
 
 def _matched_circuit(lat: Lattice, eps, X: Flat) -> Circuit | None:
     """The first circuit spanning X whose signs eps takes up to global sign,
     with its dual checked; None when there is none."""
-    circuit = lat.first_circuit(X, eps)
+    circuit = lat.first_circuit(X, eps.signs)
     if circuit is not None:
         _check_dual(primitive_rows(lat.arrangement), eps, circuit)
     return circuit
@@ -115,9 +81,8 @@ def _first_failure(lat: Lattice, eps, flats) -> tuple[Flat, Circuit] | None:
     which eps is inconsistent, with the circuit that it matches there; None
     when eps is consistent at all of them.  Flats below a first failing one
     pass, so one of its matched circuits spans it."""
-    witness = witnesses_of(lat, eps)
     for Y in flats:
-        if len(Y.contains) > Y.codim and witness(Y) is None:
+        if len(Y.contains) > Y.codim and witness_at(lat, eps, Y) is None:
             circuit = _matched_circuit(lat, eps, Y)
             if circuit is None:
                 raise InternalError(f"{SignVector(tuple(eps))} fails at flat "
@@ -164,7 +129,7 @@ def consistency_at(A: Arrangement, eps: SignVector, X: Flat) -> FeasibilityResul
     w = witness_at(lat, eps, X)
     if w is not None:
         return FeasibilityResult(RatVector.of(w), None)
-    failure = _first_failure(lat, eps, (Y for Y in lat.flats if Y.contains <= X.contains))
+    failure = _first_failure(lat, eps, lat.below(X) + (X,))
     if failure is None:
         raise InternalError(f"{eps} fails the tope test at flat {sorted(X.contains)} "
                             f"but at no flat below it")

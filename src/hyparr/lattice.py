@@ -41,16 +41,21 @@ each built on first use and kept on the `Lattice`: the signed cocircuits of
 each localization A_Y, and the topes of each A_Y, read from its lines by one
 checked search that keeps each tope's conforming lines (Bjorner, Las
 Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4).
-The tope search reads each line's signs from the cocircuit table, with no
+The cocircuit table of Y, which no other module reads, is the directions
+of its lines, each as two entries v and -v, and per form of Y the bitmasks
+of the entries where it is positive and negative.  The lines conforming to
+signs are the AND of the forms' columns (`conforming`), and their sum,
+checked by the sign test in `_checked_sum` as every witness is, is a
+tope's witness (`witness`).  The tope search reads the columns, with no
 dot product outside its leaf test.  It walks the topes that are '+' on Y's
 first form and takes the rest as their negations, since the topes come in
-opposite pairs, and it checks each '+' leaf by the sign test of the sum of
-its lines' directions.  Gordan duals keep no table: `first_circuit` scans
-the (codim + 1)-subsets of a flat's forms in lexicographic order by the
-signs of their cofactors, c_t = (-1)^t det(S minus S_t) on pivot coordinates
-of the flat's span (Cramer's rule), read from a memo of minors that lives
-for one scan, and builds the kernel of the first subset whose signs a sign
-vector takes.  `build_lattice` builds neither table.
+opposite pairs, and it checks each '+' leaf's witness.  Gordan duals keep
+no table: `first_circuit` scans the (codim + 1)-subsets of a flat's forms
+in lexicographic order by the signs of their cofactors, c_t = (-1)^t
+det(S minus S_t) on pivot coordinates of the flat's span (Cramer's rule),
+read from a memo of minors that lives for one scan, and builds the kernel
+of the first subset whose signs a sign vector takes.  `build_lattice`
+builds neither table.
 Crapo's beta of a flat, from the Moebius values, tells whether A_Y is
 connected.
 """
@@ -94,7 +99,7 @@ class Flat:
         return tuple(sorted(self.contains))
 
 
-Cocircuit = tuple[tuple[int, ...], int, int]
+CocircuitTable = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]
 Circuit = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -117,7 +122,7 @@ class Lattice:
         self.moebius = moebius  # contains -> int
         self.index = {f.contains: t for t, f in enumerate(self.flats)}
         self.by_contains = {f.contains: f for f in self.flats}
-        self._cocircuits: dict[frozenset[int], tuple[Cocircuit, ...]] = {}
+        self._cocircuits: dict[frozenset[int], CocircuitTable] = {}
         self._tope_lines: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
         self._topes: tuple[SignVector, ...] | None = None
         self._down: list[int] | None = None
@@ -142,47 +147,91 @@ class Lattice:
             self._down = down
         return tuple(self.flats[s] for s in _bits(self._down[self.index[X.contains]]))
 
-    def cocircuits(self, Y: Flat) -> tuple[Cocircuit, ...]:
-        """Both signed cocircuits of every line of the localization A_Y.
+    def cocircuits(self, Y: Flat) -> CocircuitTable:
+        """Both signed cocircuits of every line of the localization A_Y, as
+        (directions, columns).
 
         A line of A_Y is a flat Z of codim(Y) - 1 below Y (Z.contains is a
-        proper subset of Y.contains).  Each entry is (v, pos, neg): v is the
-        first row of Z.kernel that some form of Y does not vanish on, and
-        pos and neg are the bitmasks of the forms of Y positive and negative
-        at v, or the negation of all three.  The forms of Y take the same
-        signs, up to one global sign, at every point of Z outside Y.  For
-        the top these are the cocircuits of the lines of A.
+        proper subset of Y.contains).  Each lower cover Z gives entries 2t
+        and 2t + 1 of `directions`: v, the first row of Z.kernel that some
+        form of Y does not vanish on, and -v.  `columns` holds one pair
+        (pos, neg) per form of Y, in the order of `Y.key()`: the bitmasks of
+        the entries at which that form is positive and negative, so each neg
+        is its pos with the bits of every pair swapped.  The forms of Y take
+        the same signs, up to one global sign, at every point of Z outside
+        Y.  For the top these are the cocircuits of the lines of A.
         """
         table = self._cocircuits.get(Y.contains)
         if table is None:
             rows = primitive_rows(self.arrangement)
-            out = []
+            plus, minus = dict.fromkeys(Y.contains, 0), dict.fromkeys(Y.contains, 0)  # even bits
+            directions = []
             for Z in self.lower_covers(Y):
                 # within Z, each form of Y outside Z vanishes exactly on Y; v
                 # is the first row of Z.kernel on which the first of them does not
-                first, *rest = sorted(Y.contains - Z.contains)
-                pos = neg = 0
+                outside = sorted(Y.contains - Z.contains)
                 for v in Z.kernel:
-                    value = sum(map(mul, rows[first], v))
-                    if value:
-                        pos, neg = (1 << first, 0) if value > 0 else (0, 1 << first)
+                    if sum(map(mul, rows[outside[0]], v)):
                         break
-                for i in rest if pos | neg else ():
+                bit = 1 << len(directions)
+                for i in outside:
                     value = sum(map(mul, rows[i], v))
                     if value > 0:
-                        pos |= 1 << i
+                        plus[i] |= bit
                     elif value < 0:
-                        neg |= 1 << i
-                if (pos | neg).bit_count() != len(rest) + 1:
-                    raise InternalError(f"flat {sorted(Z.contains)} is no line of the "
-                                        f"localization at {sorted(Y.contains)}")
-                out += [(v, pos, neg), (tuple(-a for a in v), neg, pos)]
-            table = self._cocircuits[Y.contains] = tuple(out)
+                        minus[i] |= bit
+                    else:
+                        raise InternalError(f"flat {sorted(Z.contains)} is no line of the "
+                                            f"localization at {sorted(Y.contains)}")
+                directions += [v, tuple(-a for a in v)]
+            table = self._cocircuits[Y.contains] = (tuple(directions), tuple([
+                (plus[i] | minus[i] << 1, minus[i] | plus[i] << 1) for i in Y.key()]))
         return table
 
-    def first_circuit(self, X: Flat, eps) -> Circuit | None:
+    def conforming(self, Y: Flat, signs) -> int | None:
+        """The bitmask of the entries of `cocircuits(Y)` that conform to
+        signs, one sign per form of Y in the order of `Y.key()`: the lines
+        that are zero or of the sign's side on every form of Y, the AND over
+        Y's columns.  None when those lines are all zero on some form of Y,
+        so that signs is no tope of A_Y."""
+        directions, columns = self.cocircuits(Y)
+        if len(signs) != len(columns):
+            raise ValueError(f"{len(signs)} signs for flat {sorted(Y.contains)}")
+        against = 0  # the entries against signs on some form
+        for s, (pos, neg) in zip(signs, columns):
+            against |= neg if s > 0 else pos
+        live = ((1 << len(directions)) - 1) ^ against
+        for s, (pos, neg) in zip(signs, columns):
+            if not live & (pos if s > 0 else neg):
+                return None
+        return live
+
+    def lines(self, Y: Flat, mask: int) -> list[tuple[int, ...]]:
+        """The directions of the entries of `cocircuits(Y)` in mask, ascending."""
+        return list(map(self.cocircuits(Y)[0].__getitem__, _bits(mask)))
+
+    def witness(self, Y: Flat, signs) -> list[int] | None:
+        """The sum of the lines of A_Y that conform to signs, as `conforming`
+        reads them, checked by `_checked_sum`; None when `conforming` is."""
+        live = self.conforming(Y, signs)
+        return None if live is None else self._checked_sum(Y, signs, live)
+
+    def _checked_sum(self, Y: Flat, signs, live: int) -> list[int]:
+        """The sum of the directions of the entries of `cocircuits(Y)` in
+        live, which must pass the exact sign test: each form of Y times its
+        sign in signs is positive there.  Every witness of a tope of a
+        localization, in the search or out of it, is summed here."""
+        w = list(map(sum, zip(*self.lines(Y, live)))) or [0] * self.arrangement.dim
+        rows = primitive_rows(self.arrangement)
+        if min(map(mul, signs, [sum(map(mul, rows[i], w)) for i in Y.key()]), default=1) <= 0:
+            raise InternalError(f"its conforming lines sum outside {SignVector(tuple(signs))} "
+                                f"at flat {sorted(Y.contains)}")
+        return w
+
+    def first_circuit(self, X: Flat, signs) -> Circuit | None:
         """The first circuit spanning X, in lexicographic order, whose signs
-        eps takes up to global sign; None when there is none.
+        the sign vector takes up to global sign; None when there is none.
+        signs holds one sign per form of A, by index.
 
         A circuit S spans its flat X = closure(S), so |S| = codim X + 1.  On
         codim X pivot coordinates of the span of X's forms, the rows of S
@@ -190,7 +239,7 @@ class Lattice:
         and S is a circuit iff none of these minors is 0 (Bjorner et al.,
         ch. 3).  The scan reads the sign of each minor from a memo that
         lives for this call, and leaves a subset at its first zero minor or
-        at the first cofactor whose sign eps does not match.  The answer
+        at the first cofactor whose sign the sign vector does not match.  The answer
         alone takes a `kernel_basis`, canonical like every kernel row, whose
         signs must be its cofactors' and which must be a dependency of the
         rows of S.
@@ -202,13 +251,12 @@ class Lattice:
             raise InternalError(f"the forms of flat {key} span rank {len(pivots)}, "
                                 f"not its codim {X.codim}")
         sub = {i: [rows[i][j] for j in pivots] for i in key}
-        signs = getattr(eps, "signs", eps)
         memo: dict[tuple[int, ...], int] = {}  # sign(det) by codim-subset
         for S in combinations(key, X.codim + 1):
             # t runs down, so that the minor S[:codim], shared by every
             # subset with that prefix, comes first, and the minor without
             # S[0], which the fewest subsets share, comes last
-            want = 0  # the sign of c_t times eps's on S[t], the same for every t
+            want = 0  # the sign of c_t times signs[S[t]], the same for every t
             for t in range(X.codim, -1, -1):
                 minor = S[:t] + S[t + 1:]
                 s = memo.get(minor)
@@ -242,8 +290,8 @@ class Lattice:
 
     def tope_lines(self, Y: Flat) -> dict[tuple[int, ...], int]:
         """The topes of A_Y, from their signs over the forms of `Y.key()`, in
-        lexicographic order, to the bitmask of their conforming lines, indexed
-        into `cocircuits(Y)`: searched once per flat and kept."""
+        lexicographic order, to the bitmask of their conforming lines, as
+        `conforming` gives it: searched once per flat and kept."""
         table = self._tope_lines.get(Y.contains)
         if table is None:
             table = self._tope_lines[Y.contains] = self._search_topes(Y)
@@ -251,46 +299,42 @@ class Lattice:
 
     def _search_topes(self, Y: Flat) -> dict[tuple[int, ...], int]:
         """The '+' half, the topes whose sign on Y's first form is '+', is
-        searched from the signs that `cocircuits(Y)` stores, with no dot
+        searched from the columns that `cocircuits(Y)` stores, with no dot
         product outside the leaf test: a prefix extends with sign s at a
         form of Y iff some line of A_Y (a cocircuit of Y) that conforms to
-        it has sign s on that form.  Each leaf's witness, the sum of the directions of its
-        conforming lines, must pass the exact sign test on the forms of Y.
-        The '-' half is the '+' half reversed and negated, each kept mask
-        pair-swapped: entries 2t and 2t + 1 of the table are one line's two
-        signs, which is checked first.  The leaves of both halves must number
-        Zaslavsky's count for A_Y."""
-        table = self.cocircuits(Y)
-        key = Y.key()
-        for t, ((v, p, q), (u, p2, q2)) in enumerate(zip(table[::2], table[1::2])):
-            if (p2, q2) != (q, p) or any(map(int.__add__, v, u)):
-                raise InternalError(f"entries {2 * t} and {2 * t + 1} of the cocircuit table "
-                                    f"at flat {sorted(Y.contains)} are not one line's two signs")
-        even = int("01" * (len(table) // 2), 2)
+        it has sign s on that form.  A prefix's conforming lines are the AND
+        of its forms' columns, as in `conforming`, and each leaf's witness,
+        the sum of their directions, must pass `_checked_sum`.  The '-' half
+        is the '+' half reversed and negated, each kept mask pair-swapped:
+        entries 2t and 2t + 1 of the table are one line's two signs, so each
+        neg column is its pos column pair-swapped and the directions are
+        opposite, which is checked first.  The leaves of both halves must
+        number Zaslavsky's count for A_Y."""
+        directions, columns = self.cocircuits(Y)
+        even = int("01" * (len(directions) // 2), 2)
 
         def mirrored(live: int) -> int:
             return (live & even) << 1 | (live >> 1) & even
 
-        # per form of Y, the bitmasks of the entries positive and negative on
-        # it: the transpose of the stored masks, read one column per form
-        width = self.arrangement.n
-        columns = list(zip(*(format(p, f"0{width}b") for _, p, _ in reversed(table))))
-        pos = [int("".join(columns[width - 1 - i]), 2) for i in key]
-        neg = list(map(mirrored, pos))
-        every = primitive_rows(self.arrangement)
-        rows = [every[i] for i in key]
-        directions = [v for v, _, _ in table]
+        odd = 0  # the entries whose line's two signs disagree
+        for p, q in columns:
+            odd |= q ^ mirrored(p)
+        for t in range(0, len(directions), 2):
+            if any(map(int.__add__, directions[t], directions[t + 1])):
+                odd |= 1 << t
+        if odd:
+            t = (odd & -odd).bit_length() - 1 & ~1
+            raise InternalError(f"entries {t} and {t + 1} of the cocircuit table "
+                                f"at flat {sorted(Y.contains)} are not one line's two signs")
+        pos, neg = zip(*columns)
         half: dict[tuple[int, ...], int] = {}
-        full = (1 << len(table)) - 1
+        full = (1 << len(directions)) - 1
         stack = [((1,), full & ~neg[0])] if pos[0] else []  # (prefix, its conforming lines)
         while stack:
             signs, live = stack.pop()
             i = len(signs)
-            if i == len(rows):
-                w = list(map(sum, zip(*map(directions.__getitem__, _bits(live)))))
-                if min(map(mul, signs, [sum(map(mul, r, w)) for r in rows])) <= 0:
-                    raise InternalError(f"its conforming lines sum outside {SignVector(signs)} "
-                                        f"at flat {sorted(Y.contains)}")
+            if i == len(columns):
+                self._checked_sum(Y, signs, live)
                 half[signs] = live
                 continue
             if live & neg[i]:  # '+' pops first

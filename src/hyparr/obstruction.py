@@ -28,7 +28,7 @@ from fractions import Fraction
 from .arrangement import Arrangement, SignVector
 from .chambers import Chamber, FlowPath, flow_to_sink, lex_smallest_chamber
 from .consistency import (GapWitness, first_failing_flat, is_locally_consistent,
-                          sigma_filtration, witnesses_of)
+                          sigma_filtration, witness_at)
 from .errors import (GloballyConsistent, InternalError, NotLocallyConsistent,
                      WeightConditionViolated)
 from .lattice import Flat, build_lattice
@@ -81,9 +81,8 @@ def _enrich_gap(A, lat, w: GapWitness) -> Gap:
     """Attach primal witnesses at every flat strictly above the failing one:
     the checked sums of conforming localized cocircuits of `witness_at`."""
     uppers = []
-    witness = witnesses_of(lat, w.eps)
     for Y in lat.below(w.flat):
-        point = witness(Y)
+        point = witness_at(lat, w.eps, Y)
         if point is None:
             raise InternalError(f"{w.eps} fails at a flat above its failing flat")
         uppers.append((Y.key(), RatVector.of(point)))
@@ -160,7 +159,6 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
     rng = random.Random(seed)
     lat = build_lattice(A)
     proper = [X for X in lat.flats if 1 <= X.codim <= A.dim - 1]
-    witness = witnesses_of(lat, eps)
     points = []
     for j in range(m):
         x = None
@@ -177,7 +175,7 @@ def sample_sphere_points(A: Arrangement, eps: SignVector, m: int,
                 x = cand.scale(Fraction(1) / cand.one_norm())
         on = frozenset(i for i, h in enumerate(A.hyperplanes) if h.form.dot(x) == 0)
         Y = lat.by_contains.get(on)
-        v = None if Y is None else witness(Y)
+        v = None if Y is None else witness_at(lat, eps, Y)
         if v is None:
             raise InternalError(f"{eps} has no witness at the flat {sorted(on)} "
                                 f"through sample {j + 1}")

@@ -135,6 +135,21 @@ def test_affine_duplicate_rejected():
         AffineArrangement.of(2, [[1, 2], [2, 4]], [-10, -20])
 
 
+def test_the_first_proportional_pair_is_named():
+    # keys a, b, b, a: the lexicographically first equal pair is (1, 4), not
+    # the first pair that a scan in order meets, (2, 3)
+    forms = [[1, 2], [3, 1], [-6, -2], [2, 4]]
+    with pytest.raises(DuplicateHyperplane, match="^affine hyperplanes 1 and 4 coincide$"):
+        AffineArrangement.of(2, forms, [1, 0, 0, 2])
+    with pytest.raises(DuplicateHyperplane, match="^hyperplanes 1 and 4 are proportional$"):
+        validate(Arrangement.from_forms(2, forms))
+    with pytest.raises(DuplicateHyperplane, match="^forms 1 and 4 are proportional$"):
+        essentialize(forms, 2)
+    # a zero form is named before any pair
+    with pytest.raises(ZeroForm, match="^form 3 is zero$"):
+        essentialize([[1, 2], [1, 2], [0, 0]], 2)
+
+
 def test_json_round_trip(tmp_path):
     A = catalog.generic4()
     obj = arrangement_to_obj(A)

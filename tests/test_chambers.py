@@ -10,6 +10,7 @@ import pytest
 
 import hyparr
 import hyparr.consistency
+import hyparr.lattice
 from hyparr import catalog
 from hyparr.arrangement import Arrangement, SignVector, arrangement_to_obj, sign_vector_of_point
 from hyparr.chambers import (_wall_set, all_sinks, chamber_from_signs, enumerate_chambers,
@@ -160,14 +161,17 @@ def test_sink_property_random():
 
 
 def _counting(monkeypatch):
-    """Count kernel calls, tope searches, scans of a cocircuit table for the
-    lines conforming to a sign vector, and the integer checks of witnesses
-    and duals."""
-    counts = {"kernel": 0, "topes": 0, "scan": 0, "witness": 0, "dual": 0}
+    """Count kernel calls, tope searches, the '+' leaves that a search sums
+    and checks, the reads of the lines conforming to a sign vector
+    (`Lattice.conforming`), and the integer checks of witnesses outside a
+    search and of duals."""
+    counts = {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0, "witness": 0, "dual": 0}
+    searching = []
     solve = hyparr._fmpure.solve
     search_topes = hyparr.lattice.Lattice._search_topes
-    conforming = hyparr.consistency._conforming
-    check_witness, check_dual = hyparr.consistency._check_witness, hyparr.consistency._check_dual
+    conforming = hyparr.lattice.Lattice.conforming
+    checked_sum = hyparr.lattice.Lattice._checked_sum
+    check_dual = hyparr.consistency._check_dual
 
     def counted_solve(rows, dim):
         counts["kernel"] += 1
@@ -175,15 +179,19 @@ def _counting(monkeypatch):
 
     def counted_search(lat, Y):
         counts["topes"] += 1
-        return search_topes(lat, Y)
+        searching.append(Y)
+        try:
+            return search_topes(lat, Y)
+        finally:
+            searching.pop()
 
-    def counted_scan(*args):
-        counts["scan"] += 1
+    def counted_conforming(*args):
+        counts["conforming"] += 1
         return conforming(*args)
 
-    def counted_witness(*args):
-        counts["witness"] += 1
-        return check_witness(*args)
+    def counted_sum(*args):
+        counts["leaf" if searching else "witness"] += 1
+        return checked_sum(*args)
 
     def counted_dual(*args):
         counts["dual"] += 1
@@ -191,8 +199,8 @@ def _counting(monkeypatch):
 
     monkeypatch.setattr(hyparr._fmpure, "solve", counted_solve)
     monkeypatch.setattr(hyparr.lattice.Lattice, "_search_topes", counted_search)
-    monkeypatch.setattr(hyparr.consistency, "_conforming", counted_scan)
-    monkeypatch.setattr(hyparr.consistency, "_check_witness", counted_witness)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "conforming", counted_conforming)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_checked_sum", counted_sum)
     monkeypatch.setattr(hyparr.consistency, "_check_dual", counted_dual)
     return counts
 
@@ -205,10 +213,10 @@ def _taken(counts):
 
 
 def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
-    # one checked tope search per lattice decides every chamber and wall, each
-    # chamber's witness sums the lines the search kept for it, with no scan of
-    # the cocircuit table, and is checked, and the only circuit is certify's
-    # global dual
+    # one checked tope search per lattice decides every chamber and wall, with
+    # a checked sum at each of its '+' leaves; each chamber's witness sums
+    # its conforming lines, read once from the top's columns, and is
+    # checked; and the only circuit is certify's global dual
     A, eps = _union(5, 3, 3, 21)
     build_lattice.cache_clear()
     assert all(len(X.contains) == X.codim for X in build_lattice(A).flats[:-1])
@@ -216,27 +224,33 @@ def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
     counts = _counting(monkeypatch)
     start = lex_smallest_chamber(A)
     assert start.signs.signs.count(-1) > 0
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "scan": 0, "witness": 1, "dual": 0}
+    half = chamber_count_oracle(build_lattice(A)) // 2
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": half, "conforming": 1,
+                              "witness": 1, "dual": 0}
     far = chamber_from_signs(A, -start.signs)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": 1, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 1,
+                              "witness": 1, "dual": 0}
     path = flow_to_sink(A, eps, far)
     assert len(path.chambers) > 2
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0,
-                              "witness": len(path.chambers) - 1, "dual": 0}
+    steps = len(path.chambers) - 1
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": steps,
+                              "witness": steps, "dual": 0}
     chambers = enumerate_chambers(A)
     assert chambers[0] == start and far in chambers
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": len(chambers),
-                              "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": len(chambers),
+                              "witness": len(chambers), "dual": 0}
     sinks = all_sinks(A, eps)
     assert path.sink in sinks and len(sinks) < len(chambers)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": len(sinks),
-                              "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": len(sinks),
+                              "witness": len(sinks), "dual": 0}
     cert = certify_nontrivial_sphere(A, eps)
-    # the global dual, found by one scan at the top (every proper flat is
-    # independent), then the chambers of the flow from the lex-smallest one
+    # the global dual, found after one read of the lines at the top (every
+    # proper flat is independent), which do not cover its forms, then the
+    # chambers of the flow from the lex-smallest one
     assert cert.path.chambers[0] == start
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 1,
-                              "witness": len(cert.path.chambers), "dual": 1}
+    steps = len(cert.path.chambers)
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 1 + steps,
+                              "witness": steps, "dual": 1}
 
 
 def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
@@ -244,12 +258,14 @@ def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
     C = lex_smallest_chamber(generic4)
-    # one tope search, and ++++ is witnessed by the lines the search kept for
-    # it; its walls 1, 2, 3 are flips in the topes
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "scan": 0, "witness": 1, "dual": 0}
+    # one tope search, which checks its 7 '+' leaves, and ++++ is witnessed
+    # by its conforming lines; its walls 1, 2, 3 are flips in the topes
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": 7, "conforming": 1,
+                              "witness": 1, "dual": 0}
     assert C.walls == frozenset({0, 1, 2})
     assert C == enumerate_chambers(generic4)[0] == chamber_from_signs(generic4, sv("++++"))
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "scan": 0, "witness": 15, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 15,
+                              "witness": 15, "dual": 0}
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):
@@ -319,8 +335,9 @@ def test_a_bogus_chamber_is_caught(monkeypatch, generic4):
 
 
 def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, cx2):
-    # each witness is the sum that witness_at finds by a scan, and all_sinks
-    # builds, with a checked witness, exactly the sinks among the chambers
+    # each witness is the sum that witness_at finds at the top, over the
+    # lines that the tope search kept, and all_sinks builds, with a checked
+    # witness, exactly the sinks among the chambers
     rng = random.Random(71)
     inputs = [braid4, generic4, cx2, Arrangement.from_forms(4, FAULT8_FORMS)]
     while len(inputs) < 64:
@@ -328,18 +345,20 @@ def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, c
         bound = rng.choice((1, 2, 3) if d > 2 else (2, 3))
         inputs.append(random_arrangement(rng, dim=d, n=rng.randint(d, d + 4), bound=bound))
     checked = []
-    check_witness = hyparr.consistency._check_witness
+    checked_sum = hyparr.lattice.Lattice._checked_sum
 
     def counted(*args):
         checked.append(args)
-        return check_witness(*args)
+        return checked_sum(*args)
 
-    monkeypatch.setattr(hyparr.consistency, "_check_witness", counted)
+    monkeypatch.setattr(hyparr.lattice.Lattice, "_checked_sum", counted)
     for A in inputs:
         lat = build_lattice(A)
         chambers = enumerate_chambers(A)
+        kept = lat.tope_lines(lat.top)
         for C in chambers:
             assert list(C.witness) == witness_at(lat, C.signs, lat.top)
+            assert lat.conforming(lat.top, C.signs.signs) == kept[C.signs.signs]
             assert sign_vector_of_point(A, C.witness) == C.signs
         for _ in range(4):
             eps = random_sign_vector(rng, A.n)

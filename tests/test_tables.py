@@ -133,22 +133,26 @@ def test_every_sphere_sample_is_the_scaled_witness_at_its_flat():
     assert on_planes > 100
 
 
+def _negated(table):
+    """The table with its directions negated and its columns kept."""
+    directions, columns = table
+    return tuple(tuple(-a for a in v) for v in directions), columns
+
+
 def _negated_directions(real, only=lambda lat, Y: True):
     """A cocircuit table whose directions are negated and whose signs are not."""
     def tampered(self, Y):
         table = real(self, Y)
-        if not only(self, Y):
-            return table
-        return tuple((tuple(-a for a in v), pos, neg) for v, pos, neg in table)
+        return _negated(table) if only(self, Y) else table
     return tampered
 
 
 def test_a_tampered_cocircuit_sum_is_caught(monkeypatch, generic4):
     build_lattice(generic4).topes()  # searched with the true table
     monkeypatch.setattr(Lattice, "cocircuits", _negated_directions(Lattice.cocircuits))
-    with pytest.raises(InternalError, match="is not strictly on the side"):
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         global_consistency(generic4, sv("++++"))
-    with pytest.raises(InternalError, match="is not strictly on the side"):
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         enumerate_chambers(generic4)
     # a tope search that reads the tampered table catches it itself
     build_lattice.cache_clear()
@@ -226,15 +230,15 @@ def test_the_matched_circuit_is_the_first_by_plain_elimination():
 
 def test_every_cocircuit_table_is_the_signs_of_the_raw_forms():
     """Each lower cover Z of Y gives two entries: the first kernel row v of
-    Z on which the first form of Y outside Z does not vanish, with the
-    masks of the forms of Y positive and negative there, by `form.dot`,
-    and their negation.  The forms of Z vanish at v and no other form of Y
-    does."""
+    Z on which the first form of Y outside Z does not vanish, and -v.  Each
+    form of Y, in key order, has a column pair: the masks of the entries at
+    which it is positive and negative, by `form.dot`.  The forms of Z
+    vanish at v and no other form of Y does."""
     entries = 0
     for A in INPUTS:
         lat = build_lattice(A)
         for Y in lat.flats:
-            expected = []
+            directions = []
             for Z in lat.lower_covers(Y):
                 outside = sorted(Y.contains - Z.contains)
                 values = [{i: A.hyperplanes[i].form.dot(RatVector.of(k)) for i in Y.contains}
@@ -242,11 +246,14 @@ def test_every_cocircuit_table_is_the_signs_of_the_raw_forms():
                 v, at_v = next((k, vals) for k, vals in zip(Z.kernel, values)
                                if vals[outside[0]])
                 assert not any(at_v[i] for i in Z.contains) and all(at_v[i] for i in outside)
-                pos = sum(1 << i for i in outside if at_v[i] > 0)
-                neg = sum(1 << i for i in outside if at_v[i] < 0)
-                expected += [(v, pos, neg), (tuple(-a for a in v), neg, pos)]
-            assert lat.cocircuits(Y) == tuple(expected)
-            entries += len(expected)
+                directions += [v, tuple(-a for a in v)]
+            columns = []
+            for i in Y.key():
+                values = [A.hyperplanes[i].form.dot(RatVector.of(v)) for v in directions]
+                columns.append((sum(1 << e for e, x in enumerate(values) if x > 0),
+                                sum(1 << e for e, x in enumerate(values) if x < 0)))
+            assert lat.cocircuits(Y) == (tuple(directions), tuple(columns))
+            entries += len(directions)
     assert entries > 1000
 
 
@@ -255,51 +262,53 @@ def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
     below_top = _negated_directions(real, lambda lat, Y: Y != lat.top)
     monkeypatch.setattr(Lattice, "cocircuits", below_top)
     # ++++++ is a chamber of braid(4), so every localization has a witness
-    with pytest.raises(InternalError, match="is not strictly on the side"):
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         is_locally_consistent(braid4, sv("++++++"))
     # the upper witnesses of generic4's gap
-    with pytest.raises(InternalError, match="is not strictly on the side"):
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         detect_obstruction(generic4)
     # local consistency skips the independent flats, but a sphere sample on
     # a hyperplane or a line of generic4 reads their witnesses
     independent = _negated_directions(real, lambda lat, Y: len(Y.contains) == Y.codim)
     monkeypatch.setattr(Lattice, "cocircuits", independent)
     assert is_locally_consistent(generic4, sv("+++-"))
-    with pytest.raises(InternalError, match="is not strictly on the side"):
+    with pytest.raises(InternalError, match="conforming lines sum outside"):
         sample_sphere_points(generic4, sv("+++-"), 4)
 
 
 def _fresh_with_top_table(A, tamper):
     """A lattice of A outside the cache whose top table is tamper(table)."""
     lat = build_lattice.__wrapped__(A)
-    lat._cocircuits[lat.top.contains] = tuple(tamper(lat.cocircuits(lat.top)))
+    lat._cocircuits[lat.top.contains] = tamper(lat.cocircuits(lat.top))
     return lat
 
 
 @pytest.mark.parametrize("name", ["generic4", "braid4"])
 def test_the_tope_search_checks_the_stored_signs(request, name):
-    """The search reads each line's signs from the table and its witnesses
+    """The search reads each line's signs from the columns and its witnesses
     from the directions, so a table whose two disagree fails `topes()`."""
     A = request.getfixturevalue(name)
-    negated = _fresh_with_top_table(
-        A, lambda table: [(tuple(-a for a in v), pos, neg) for v, pos, neg in table])
+    negated = _fresh_with_top_table(A, _negated)
     with pytest.raises(InternalError, match="conforming lines sum outside"):
         negated.topes()
-    pairs = len(build_lattice(A).cocircuits(build_lattice(A).top)) // 2
+    pairs = len(build_lattice(A).cocircuits(build_lattice(A).top)[0]) // 2
     for t in range(pairs):
         def swapped(table, t=t):
-            out = list(table)
-            for e in (2 * t, 2 * t + 1):
-                v, pos, neg = out[e]
-                out[e] = (v, neg, pos)
-            return out
+            # entries 2t and 2t + 1 trade their signs on every form
+            def swap(mask):
+                return mask & ~(3 << 2 * t) | (mask >> 2 * t & 1) << 2 * t + 1 | (
+                    mask >> 2 * t + 1 & 1) << 2 * t
+            directions, columns = table
+            return directions, tuple((swap(p), swap(q)) for p, q in columns)
         with pytest.raises(InternalError, match="conforming lines sum outside"):
             _fresh_with_top_table(A, swapped).topes()
-    # entries 2t and 2t + 1 must be one line's two signs
-    for tamper in (lambda table: table[1:] + table[:1],
-                   lambda table: table[:1] + [(table[1][0], table[1][1], 0)] + table[2:]):
+    # entries 2t and 2t + 1 must be one line's two signs: opposite
+    # directions, and each neg column the pair-swap of its pos column
+    for tamper in (lambda directions, columns: (directions[1:] + directions[:1], columns),
+                   lambda directions, columns: (directions, tuple(
+                       (p, q & ~2) for p, q in columns))):
         with pytest.raises(InternalError, match="are not one line's two signs"):
-            _fresh_with_top_table(A, lambda table: tamper(list(table))).topes()
+            _fresh_with_top_table(A, lambda table: tamper(*table)).topes()
 
 
 @pytest.mark.parametrize("name", ["generic4", "braid4"])
@@ -320,13 +329,13 @@ def test_a_lower_cover_off_its_line_is_caught(request, name):
                 lat.cocircuits(lat.top)
 
 
-def _conforming_entries(table, key, signs) -> int:
+def _conforming_entries(table, signs) -> int:
     """The mask of the table entries that conform to signs over the forms of
-    key, read from the stored masks alone."""
-    plus = sum(1 << i for i, s in zip(key, signs) if s > 0)
-    minus = sum(1 << i for i, s in zip(key, signs) if s < 0)
-    return sum(1 << t for t, (_, pos, neg) in enumerate(table)
-               if not (pos & minus or neg & plus))
+    the flat, read entry by entry from the stored columns alone."""
+    directions, columns = table
+    return sum(1 << e for e in range(len(directions))
+               if not any((neg if s > 0 else pos) >> e & 1
+                          for s, (pos, neg) in zip(signs, columns)))
 
 
 def test_each_half_mirrors_the_other():
@@ -341,11 +350,11 @@ def test_each_half_mirrors_the_other():
             if Y != lat.top and len(Y.contains) == Y.codim:
                 continue
             flats += 1
-            topes, table, key = lat.tope_lines(Y), lat.cocircuits(Y), Y.key()
+            topes, table = lat.tope_lines(Y), lat.cocircuits(Y)
             assert list(topes) == sorted(topes, key=lambda signs: [-s for s in signs])
             assert {tuple(-s for s in signs) for signs in topes} == set(topes)
             for signs, live in topes.items():
-                assert live == _conforming_entries(table, key, signs)
+                assert live == _conforming_entries(table, signs)
         connected = [Y for Y in lat.flats if Y.codim < A.dim
                      and len(Y.contains) > Y.codim and lat.beta(Y)]
         leaves = _SigmaSearch(A.n, _local_tables(lat, A.dim - 1), 1).run()
@@ -357,6 +366,36 @@ def test_each_half_mirrors_the_other():
                        if tuple(eps[i] for i in Y.key()) not in lat.tope_lines(Y)]
             assert level == min(failing, default=A.n + 1)
     assert flats > 60
+
+
+def test_conforming_is_the_kept_mask_and_the_raw_forms_signs():
+    """At every flat above the bottom, for every sign pattern on its forms,
+    `Lattice.conforming` is None exactly off the local topes, and
+    otherwise it is the mask that the tope search kept and the entries that
+    conform to the pattern by the signs of the raw forms (`form.dot`) at
+    their directions, which then reach every form; `Lattice.witness` is
+    the sum of those directions."""
+    patterns = 0
+    for A in INPUTS:
+        lat = build_lattice(A)
+        for Y in lat.flats[1:]:
+            key, topes = Y.key(), lat.tope_lines(Y)
+            directions = lat.cocircuits(Y)[0]
+            at = [[A.hyperplanes[i].form.dot(RatVector.of(v)) for i in key] for v in directions]
+            for signs in product((1, -1), repeat=len(key)):
+                patterns += 1
+                live = lat.conforming(Y, signs)
+                lines = [e for e, values in enumerate(at)
+                         if all(s * x >= 0 for s, x in zip(signs, values))]
+                reached = all(any(at[e][j] for e in lines) for j in range(len(key)))
+                assert (live is None) == (signs not in topes) == (not reached)
+                if live is None:
+                    assert lat.witness(Y, signs) is None
+                    continue
+                assert live == topes[signs] == sum(1 << e for e in lines)
+                assert lat.witness(Y, signs) == [sum(col) for col in zip(
+                    *(directions[e] for e in lines))]
+    assert patterns > 5000
 
 
 def test_the_sigma_search_refuses_a_one_sided_first_form(braid4):
