@@ -264,8 +264,9 @@ def _union_witness(A: Arrangement, first_form, gb_topes):
     on the side of their nonzero values."""
     lat = build_lattice(A)
     first = primitive_int_vector(first_form)
+    kept = lat.tope_lines(lat.top)
     for c0 in lat.topes():
-        lines = lat.lines(lat.top, lat.conforming(lat.top, c0.signs))
+        lines = lat.lines(lat.top, kept[c0.signs])
         sides = {dot > 0 for v in lines if (dot := sum(map(mul, first, v)))}
         if len(sides) == 1:
             away = -1 if sides.pop() else 1

@@ -9,11 +9,11 @@ Vergnas, Sturmfels, White and Ziegler, *Oriented Matroids*, 1999, ch. 3-4):
 - Every tope is the composition of the cocircuits that conform to it, so
   the sum of those line directions is a strict interior point, and an
   exact integer sign test checks it.  A chamber's witness is
-  `Lattice.witness` at the top: the sum of its conforming lines, the AND
-  of the columns of the forms, which are the lines that the tope search
-  kept for its leaf.  A sign vector is a chamber iff it is in the tope
-  set, which is checked by that test at every member and by Zaslavsky's
-  count.
+  `Lattice.witness` at the top: the sum of its conforming lines that the
+  tope search checked at its leaf and kept, or, for a tope of the '-'
+  half, the negation of its opposite's.  A sign vector is a chamber iff it
+  is in the tope set, which is checked by that test at every '+' member
+  and by Zaslavsky's count.
 - i is a wall of C iff C with sign i flipped is also a chamber (Avis and
   Fukuda's reverse search, 1996): every chamber, enumerated or built from
   its signs, reads its walls from sign flips in the tope set.  A sink is
@@ -110,10 +110,11 @@ def chamber_from_signs(A: Arrangement, eps: SignVector) -> Chamber:
 
 def _chamber(lat: Lattice, eps: SignVector) -> Chamber:
     """The chamber of a tope, with its walls read from sign flips in the
-    tope set and its witness from `Lattice.witness` at the top: the checked
-    sum of its conforming lines, which the tope search kept for it."""
+    tope set and its witness from `Lattice.witness` at the top: the sum of
+    its conforming lines that the tope search checked at its leaf, negated
+    for the '-' half."""
     topes = lat.tope_lines(lat.top)
-    w = lat.witness(lat.top, eps.signs) if eps.signs in topes else None
+    w = lat.witness(lat.top, eps.signs)
     if w is None:
         raise InternalError(f"the topes hold {eps}, which is not a chamber")
     return Chamber(eps, RatVector.of(w), _flips_in(topes, eps.signs))
@@ -124,12 +125,15 @@ def enumerate_chambers(A: Arrangement, limit: int | None = None) -> tuple[Chambe
 
     S = Sigma_dim, and `sigma` checks |S| against Zaslavsky's count.  The
     witness of a member T is the integer sum of the cocircuits conforming to
-    T (`Lattice.witness`), the lines that the tope search kept for T's leaf:
-    the closed chamber of an essential arrangement is a pointed cone spanned
-    by its extreme rays, each of them such a cocircuit, and every other
-    conforming one lies in the closed cone, so the sum is interior.  Each witness passes an
-    exact integer sign test (a member whose sum fails it, so one that is not
-    a chamber, raises InternalError), hence S is exactly the chamber set.
+    T (`Lattice.witness`): the closed chamber of an essential arrangement is
+    a pointed cone spanned by its extreme rays, each of them such a
+    cocircuit, and every other conforming one lies in the closed cone, so
+    the sum is interior.  The tope search sums the lines of each '+' leaf,
+    checks the sum by an exact integer sign test (a leaf whose sum fails
+    it, so one that is not a chamber, raises InternalError) and keeps it;
+    the witness of a '-' member is the negation of its opposite's, the sum
+    of the opposite lines, checked by the same integers.  Hence S is
+    exactly the chamber set.
     The walls of each chamber are read from sign flips in S: if C and C with
     sign i flipped have witnesses x and y, every point of the segment [x, y]
     has the strict sign of both ends on each H_j with j != i, so the point

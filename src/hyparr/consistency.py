@@ -8,7 +8,9 @@ Y iff the cocircuits of A_Y that conform to eps are, together, nonzero on
 every form of Y; their sum is then a strict witness, checked by an exact
 integer sign test.  `Lattice.witness` sums and checks the lines that
 `Lattice.conforming` reads from Y's table, the AND of the columns of Y's
-forms picked by eps's signs; `witness_at` asks it for eps at Y.
+forms picked by eps's signs, or, once Y's topes are searched, reads the
+sum that the search checked (negated for the '-' half); `witness_at` asks
+it for eps at Y.
 Otherwise, by Gordan's alternative, the rows of A_Y signed by eps have a
 nonnegative dependency, and every dependency is a conformal sum of
 circuits (Rockafellar 1969, elementary vectors; ibid., ch. 3): eps matches

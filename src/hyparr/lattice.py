@@ -49,7 +49,9 @@ checked by the sign test in `_checked_sum` as every witness is, is a
 tope's witness (`witness`).  The tope search reads the columns, with no
 dot product outside its leaf test.  It walks the topes that are '+' on Y's
 first form and takes the rest as their negations, since the topes come in
-opposite pairs, and it checks each '+' leaf's witness.  Gordan duals keep
+opposite pairs, and it checks each '+' leaf's witness and keeps it.  Once
+Y is searched, a tope's witness is the sum the search checked, and a '-'
+tope's is the negation of its opposite's.  Gordan duals keep
 no table: `first_circuit` scans the (codim + 1)-subsets of a flat's forms
 in lexicographic order by the signs of their cofactors, c_t = (-1)^t
 det(S minus S_t) on pivot coordinates of the flat's span (Cramer's rule),
@@ -96,7 +98,12 @@ class Flat:
     kernel: tuple[tuple[int, ...], ...]
 
     def key(self) -> tuple[int, ...]:
-        return tuple(sorted(self.contains))
+        """The forms of the flat, ascending: sorted on the first call and
+        kept, outside the fields, so equality and hashing do not read it."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = tuple(sorted(self.contains))
+        return key
 
 
 CocircuitTable = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]
@@ -124,6 +131,7 @@ class Lattice:
         self.by_contains = {f.contains: f for f in self.flats}
         self._cocircuits: dict[frozenset[int], CocircuitTable] = {}
         self._tope_lines: dict[frozenset[int], dict[tuple[int, ...], int]] = {}
+        self._tope_sums: dict[frozenset[int], dict[tuple[int, ...], tuple[int, ...]]] = {}
         self._topes: tuple[SignVector, ...] | None = None
         self._down: list[int] | None = None
 
@@ -211,10 +219,25 @@ class Lattice:
         return list(map(self.cocircuits(Y)[0].__getitem__, _bits(mask)))
 
     def witness(self, Y: Flat, signs) -> list[int] | None:
-        """The sum of the lines of A_Y that conform to signs, as `conforming`
-        reads them, checked by `_checked_sum`; None when `conforming` is."""
-        live = self.conforming(Y, signs)
-        return None if live is None else self._checked_sum(Y, signs, live)
+        """The sum of the lines of A_Y that conform to signs, checked by
+        `_checked_sum`; None when signs is no tope of A_Y.
+
+        Once Y's topes are searched, a '+' tope's witness is the sum that
+        its leaf passed to `_checked_sum`, kept by the search, and a '-'
+        tope's is the negation of its opposite's: the sum of the opposite
+        lines, checked by the same integers.  Before that, the lines are
+        read by `conforming` and summed."""
+        sums = self._tope_sums.get(Y.contains)
+        if sums is None:
+            live = self.conforming(Y, signs)
+            return None if live is None else self._checked_sum(Y, signs, live)
+        if len(signs) != len(Y.contains):
+            raise ValueError(f"{len(signs)} signs for flat {sorted(Y.contains)}")
+        if signs[0] > 0:
+            w = sums.get(tuple(signs))
+            return None if w is None else list(w)
+        w = sums.get(tuple(map(int.__neg__, signs)))
+        return None if w is None else list(map(int.__neg__, w))
 
     def _checked_sum(self, Y: Flat, signs, live: int) -> list[int]:
         """The sum of the directions of the entries of `cocircuits(Y)` in
@@ -291,13 +314,16 @@ class Lattice:
     def tope_lines(self, Y: Flat) -> dict[tuple[int, ...], int]:
         """The topes of A_Y, from their signs over the forms of `Y.key()`, in
         lexicographic order, to the bitmask of their conforming lines, as
-        `conforming` gives it: searched once per flat and kept."""
+        `conforming` gives it: searched once per flat and kept, with the
+        checked witnesses of the '+' half that `witness` reads."""
         table = self._tope_lines.get(Y.contains)
         if table is None:
-            table = self._tope_lines[Y.contains] = self._search_topes(Y)
+            table, self._tope_sums[Y.contains] = self._search_topes(Y)
+            self._tope_lines[Y.contains] = table
         return table
 
-    def _search_topes(self, Y: Flat) -> dict[tuple[int, ...], int]:
+    def _search_topes(self, Y: Flat) -> tuple[dict[tuple[int, ...], int],
+                                              dict[tuple[int, ...], tuple[int, ...]]]:
         """The '+' half, the topes whose sign on Y's first form is '+', is
         searched from the columns that `cocircuits(Y)` stores, with no dot
         product outside the leaf test: a prefix extends with sign s at a
@@ -309,7 +335,8 @@ class Lattice:
         entries 2t and 2t + 1 of the table are one line's two signs, so each
         neg column is its pos column pair-swapped and the directions are
         opposite, which is checked first.  The leaves of both halves must
-        number Zaslavsky's count for A_Y."""
+        number Zaslavsky's count for A_Y.  Returns the topes of both halves
+        with their masks, and the '+' topes with their checked sums."""
         directions, columns = self.cocircuits(Y)
         even = int("01" * (len(directions) // 2), 2)
 
@@ -328,13 +355,14 @@ class Lattice:
                                 f"at flat {sorted(Y.contains)} are not one line's two signs")
         pos, neg = zip(*columns)
         half: dict[tuple[int, ...], int] = {}
+        sums: dict[tuple[int, ...], tuple[int, ...]] = {}
         full = (1 << len(directions)) - 1
         stack = [((1,), full & ~neg[0])] if pos[0] else []  # (prefix, its conforming lines)
         while stack:
             signs, live = stack.pop()
             i = len(signs)
             if i == len(columns):
-                self._checked_sum(Y, signs, live)
+                sums[signs] = tuple(self._checked_sum(Y, signs, live))
                 half[signs] = live
                 continue
             if live & neg[i]:  # '+' pops first
@@ -349,7 +377,7 @@ class Lattice:
         if len(out) != expected:
             raise InternalError(f"the lines of A_Y give {len(out)} topes at flat "
                                 f"{sorted(Y.contains)}, but Zaslavsky counts {expected} chambers")
-        return out
+        return out, sums
 
     def beta(self, X: Flat) -> int:
         """Crapo's beta invariant of A_X, (-1)^codim X times the sum of

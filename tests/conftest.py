@@ -33,6 +33,17 @@ def braid4():
     return catalog.braid(4)
 
 
+def benchmark_union(na, nb, dim):
+    """The A and B of the benchmark's union(na,nb;dim): generic(na, dim)
+    with catalog seed 2024, and generic(nb, dim) with seed 2025, or the
+    plane x_1 + ... + x_dim = 0 when nb is 1.  The benchmark unites them by
+    `catalog.generic_union` with seed 2026."""
+    A = catalog.generic(na, dim, 2024)
+    B = (Arrangement.from_forms(dim, [[1] * dim]) if nb == 1
+         else catalog.generic(nb, dim, 2025))
+    return A, B
+
+
 DRAW_BUDGET = 1000
 
 

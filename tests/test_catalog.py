@@ -17,7 +17,7 @@ from hyparr.lattice import build_lattice, chamber_count_oracle
 from hyparr.linalg import RatVector, rank
 from hyparr.obstruction import detect_obstruction
 
-from conftest import random_arrangement
+from conftest import benchmark_union, random_arrangement
 from oracles import general_position, rref_rank
 
 
@@ -230,16 +230,9 @@ UNION_DRAWS = {
 }
 
 
-def _benchmark_union(na, nb, dim):
-    A = catalog.generic(na, dim, 2024)
-    B = (Arrangement.from_forms(dim, [[1] * dim]) if nb == 1
-         else catalog.generic(nb, dim, 2025))
-    return A, B
-
-
 @pytest.mark.parametrize("sizes", sorted(UNION_DRAWS))
 def test_benchmark_unions_are_pinned(sizes):
-    union, eps = catalog.generic_union(*_benchmark_union(*sizes), 2026)
+    union, eps = catalog.generic_union(*benchmark_union(*sizes), 2026)
     digest = hashlib.sha256(json.dumps(arrangement_to_obj(union)).encode()).hexdigest()
     assert (digest, str(eps)) == UNION_DRAWS[sizes]
 
@@ -254,7 +247,7 @@ def test_an_accepted_draw_builds_three_lattices(monkeypatch):
         calls.append(args)
         return levels(*args)
 
-    A, B = _benchmark_union(4, 4, 3)
+    A, B = benchmark_union(4, 4, 3)
     build_lattice.cache_clear()
     monkeypatch.setattr(hyparr.lattice, "_levels", counted)
     catalog.generic_union(A, B, 2026)

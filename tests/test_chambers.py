@@ -214,9 +214,10 @@ def _taken(counts):
 
 def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
     # one checked tope search per lattice decides every chamber and wall, with
-    # a checked sum at each of its '+' leaves; each chamber's witness sums
-    # its conforming lines, read once from the top's columns, and is
-    # checked; and the only circuit is certify's global dual
+    # a checked sum at each of its '+' leaves; every chamber's witness is the
+    # sum kept at its leaf, or its negation for the '-' half, so no chamber
+    # reads or sums its lines again; and the only circuit is certify's
+    # global dual
     A, eps = _union(5, 3, 3, 21)
     build_lattice.cache_clear()
     assert all(len(X.contains) == X.codim for X in build_lattice(A).flats[:-1])
@@ -225,32 +226,31 @@ def test_every_verdict_is_checked_without_the_kernel(monkeypatch):
     start = lex_smallest_chamber(A)
     assert start.signs.signs.count(-1) > 0
     half = chamber_count_oracle(build_lattice(A)) // 2
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": half, "conforming": 1,
-                              "witness": 1, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": half, "conforming": 0,
+                              "witness": 0, "dual": 0}
     far = chamber_from_signs(A, -start.signs)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 1,
-                              "witness": 1, "dual": 0}
+    assert far.witness == -start.witness
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 0}
     path = flow_to_sink(A, eps, far)
     assert len(path.chambers) > 2
-    steps = len(path.chambers) - 1
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": steps,
-                              "witness": steps, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 0}
     chambers = enumerate_chambers(A)
     assert chambers[0] == start and far in chambers
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": len(chambers),
-                              "witness": len(chambers), "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 0}
     sinks = all_sinks(A, eps)
     assert path.sink in sinks and len(sinks) < len(chambers)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": len(sinks),
-                              "witness": len(sinks), "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 0}
     cert = certify_nontrivial_sphere(A, eps)
-    # the global dual, found after one read of the lines at the top (every
-    # proper flat is independent), which do not cover its forms, then the
-    # chambers of the flow from the lex-smallest one
+    # the global dual, found at the top (every proper flat is independent),
+    # where eps is no kept tope, then the chambers of the flow from the
+    # lex-smallest one
     assert cert.path.chambers[0] == start
-    steps = len(cert.path.chambers)
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 1 + steps,
-                              "witness": steps, "dual": 1}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 1}
 
 
 def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
@@ -258,14 +258,15 @@ def test_lex_smallest_chamber_reads_the_first_tope(monkeypatch, generic4):
     _wall_set.cache_clear()
     counts = _counting(monkeypatch)
     C = lex_smallest_chamber(generic4)
-    # one tope search, which checks its 7 '+' leaves, and ++++ is witnessed
-    # by its conforming lines; its walls 1, 2, 3 are flips in the topes
-    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": 7, "conforming": 1,
-                              "witness": 1, "dual": 0}
+    # one tope search, which checks its 7 '+' leaves and keeps their sums,
+    # and ++++ is witnessed by its kept sum; its walls 1, 2, 3 are flips in
+    # the topes
+    assert _taken(counts) == {"kernel": 0, "topes": 1, "leaf": 7, "conforming": 0,
+                              "witness": 0, "dual": 0}
     assert C.walls == frozenset({0, 1, 2})
     assert C == enumerate_chambers(generic4)[0] == chamber_from_signs(generic4, sv("++++"))
-    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 15,
-                              "witness": 15, "dual": 0}
+    assert _taken(counts) == {"kernel": 0, "topes": 0, "leaf": 0, "conforming": 0,
+                              "witness": 0, "dual": 0}
 
 
 def test_enumeration_makes_no_kernel_call(monkeypatch, generic4, braid4):
@@ -336,8 +337,9 @@ def test_a_bogus_chamber_is_caught(monkeypatch, generic4):
 
 def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, cx2):
     # each witness is the sum that witness_at finds at the top, over the
-    # lines that the tope search kept, and all_sinks builds, with a checked
-    # witness, exactly the sinks among the chambers
+    # lines that the tope search kept, and all_sinks builds exactly the sinks
+    # among the chambers; on fresh lattices every sum is checked in the
+    # search, half the chambers, and none after it
     rng = random.Random(71)
     inputs = [braid4, generic4, cx2, Arrangement.from_forms(4, FAULT8_FORMS)]
     while len(inputs) < 64:
@@ -351,10 +353,13 @@ def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, c
         checked.append(args)
         return checked_sum(*args)
 
+    build_lattice.cache_clear()
     monkeypatch.setattr(hyparr.lattice.Lattice, "_checked_sum", counted)
     for A in inputs:
         lat = build_lattice(A)
+        checked.clear()
         chambers = enumerate_chambers(A)
+        assert len(checked) == len(chambers) // 2
         kept = lat.tope_lines(lat.top)
         for C in chambers:
             assert list(C.witness) == witness_at(lat, C.signs, lat.top)
@@ -364,5 +369,5 @@ def test_chambers_and_sinks_read_the_kept_lines(monkeypatch, generic4, braid4, c
             eps = random_sign_vector(rng, A.n)
             checked.clear()
             sinks = all_sinks(A, eps)
-            assert len(checked) == len(sinks)
+            assert not checked
             assert list(sinks) == [C for C in chambers if is_sink(A, eps, C)]

@@ -16,7 +16,7 @@ import pytest
 import hyparr.lattice
 import oracles
 from hyparr import catalog
-from hyparr.arrangement import Arrangement, SignVector, primitive_rows
+from hyparr.arrangement import Arrangement, SignVector, primitive_rows, sign_vector_of_point
 from hyparr.chambers import chamber_from_signs, enumerate_chambers, lex_smallest_chamber, walls
 from hyparr.consistency import (_local_tables, _SigmaSearch, consistency_at,
                                 global_consistency, is_consistent_at, is_locally_consistent,
@@ -27,7 +27,7 @@ from hyparr.lattice import Flat, Lattice, build_lattice
 from hyparr.linalg import RatVector
 from hyparr.obstruction import detect_obstruction, sample_sphere_points
 
-from conftest import FAULT8_FORMS, random_arrangement
+from conftest import FAULT8_FORMS, benchmark_union, random_arrangement
 
 
 def sv(s):
@@ -148,16 +148,18 @@ def _negated_directions(real, only=lambda lat, Y: True):
 
 
 def test_a_tampered_cocircuit_sum_is_caught(monkeypatch, generic4):
-    build_lattice(generic4).topes()  # searched with the true table
+    # the tamper reaches a fresh lattice before its first search
+    build_lattice.cache_clear()
     monkeypatch.setattr(Lattice, "cocircuits", _negated_directions(Lattice.cocircuits))
+    # the top is not searched yet, so its witness is summed outside a search
     with pytest.raises(InternalError, match="conforming lines sum outside"):
         global_consistency(generic4, sv("++++"))
+    # a tope search that reads the tampered table catches it at a leaf, and
+    # keeps no table, so the next chamber searches and catches it again
     with pytest.raises(InternalError, match="conforming lines sum outside"):
         enumerate_chambers(generic4)
-    # a tope search that reads the tampered table catches it itself
-    build_lattice.cache_clear()
     with pytest.raises(InternalError, match="conforming lines sum outside"):
-        enumerate_chambers(generic4)
+        chamber_from_signs(generic4, sv("++++"))
 
 
 def test_a_tampered_circuit_dependency_is_caught(monkeypatch, generic4):
@@ -258,8 +260,10 @@ def test_every_cocircuit_table_is_the_signs_of_the_raw_forms():
 
 
 def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
+    # each tamper reaches fresh lattices before their first search
     real = Lattice.cocircuits
     below_top = _negated_directions(real, lambda lat, Y: Y != lat.top)
+    build_lattice.cache_clear()
     monkeypatch.setattr(Lattice, "cocircuits", below_top)
     # ++++++ is a chamber of braid(4), so every localization has a witness
     with pytest.raises(InternalError, match="conforming lines sum outside"):
@@ -270,6 +274,7 @@ def test_a_failing_localized_witness_is_caught(monkeypatch, braid4, generic4):
     # local consistency skips the independent flats, but a sphere sample on
     # a hyperplane or a line of generic4 reads their witnesses
     independent = _negated_directions(real, lambda lat, Y: len(Y.contains) == Y.codim)
+    build_lattice.cache_clear()
     monkeypatch.setattr(Lattice, "cocircuits", independent)
     assert is_locally_consistent(generic4, sv("+++-"))
     with pytest.raises(InternalError, match="conforming lines sum outside"):
@@ -396,6 +401,46 @@ def test_conforming_is_the_kept_mask_and_the_raw_forms_signs():
                 assert lat.witness(Y, signs) == [sum(col) for col in zip(
                     *(directions[e] for e in lines))]
     assert patterns > 5000
+
+
+def _kept_inputs():
+    """braid(4), the coned X_2, fault8, the four unions that the benchmark
+    draws and 64 seeded arrangements of dim 2-5 with at most 8 planes."""
+    rng = random.Random(83)
+    out = [catalog.braid(4), catalog.x2_coned(), Arrangement.from_forms(4, FAULT8_FORMS)]
+    out += [catalog.generic_union(*benchmark_union(*sizes), 2026)[0]
+            for sizes in ((4, 4, 3), (5, 3, 3), (5, 4, 4), (6, 1, 5))]
+    for _ in range(64):
+        d = rng.randint(2, 5)
+        bound = rng.choice((1, 2, 3) if d > 2 else (2, 3))  # R^2 has 4 planes of bound 1
+        out.append(random_arrangement(rng, dim=d, n=rng.randint(d, min(d + 3, 8)), bound=bound))
+    return out
+
+
+def test_the_kept_witnesses_are_the_unsearched_sums():
+    """At every searched flat, `Lattice.witness` of every sign pattern on
+    its forms, read from the sums that the search kept for the topes of
+    both halves and None for the rest, is what a fresh lattice with nothing
+    searched sums and checks; and every chamber's witness has the
+    chamber's signs."""
+    minus = other = 0
+    for A in _kept_inputs():
+        lat, fresh = build_lattice.__wrapped__(A), build_lattice.__wrapped__(A)
+        for Y in lat.flats[1:]:
+            topes = lat.tope_lines(Y)
+            for signs in product((1, -1), repeat=len(Y.contains)):
+                w = lat.witness(Y, signs)
+                assert w == fresh.witness(Y, signs)
+                assert (w is None) == (signs not in topes)
+                minus += signs[0] < 0 and w is not None
+                other += w is None
+        assert not fresh._tope_sums
+        for C in enumerate_chambers(A):
+            assert sign_vector_of_point(A, C.witness) == C.signs
+        for L in (lat, fresh):
+            with pytest.raises(ValueError, match="signs for flat"):
+                L.witness(L.top, (1,) * (A.n - 1))
+    assert minus > 10000 and other > 2000
 
 
 def test_the_sigma_search_refuses_a_one_sided_first_form(braid4):
